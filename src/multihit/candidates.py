@@ -2,33 +2,17 @@
 
 Genes are ranked by tumor mutation frequency; combinations are drawn
 uniformly (size first, then genes without replacement) from the top slice of
-that ranking until enough distinct combinations exist.  Draw distributions
-are pluggable for experimentation, uniform being the default.
+that ranking until enough distinct combinations exist.
 """
 
 import math
 import random
-from dataclasses import dataclass
 
 from .errors import ValidationError
 
 # Duplicate draws burn attempts; give up after this many times the target so
 # a near-exhausted combination space cannot loop forever.
 ATTEMPT_FACTOR = 20
-
-
-@dataclass(frozen=True)
-class GenerationConfig:
-    hit_range: object
-    gamma1: int = 100
-    gamma2: int = 100_000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.gamma1 < 1:
-            raise ValidationError(f"gamma1 must be positive, got {self.gamma1}")
-        if self.gamma2 < 1:
-            raise ValidationError(f"gamma2 must be positive, got {self.gamma2}")
 
 
 def rank_genes_by_tumor_frequency(matrix):
@@ -38,60 +22,36 @@ def rank_genes_by_tumor_frequency(matrix):
     )
 
 
-def generate_candidates(
-    matrix, config, drop_uncovered=False, size_sampler=None, gene_sampler=None
-):
+def generate_candidates(matrix, hit_range, gamma1, gamma2, seed):
     """Distinct random combinations from the top-``gamma1`` frequency pool.
 
     Stops at ``gamma2`` distinct combinations, when every constructible
     combination has been seen, or after ``ATTEMPT_FACTOR * gamma2`` draws.
-    Returns combinations in first-draw order.  ``drop_uncovered`` filters out
-    combinations covering no tumor sample after generation.
-
-    :param size_sampler: optional ``f(rng, k_min, k_max) -> int`` replacing
-        the uniform hit-size draw.
-    :param gene_sampler: optional ``f(rng, pool, k) -> genes`` replacing the
-        uniform without-replacement gene draw.
+    Returns combinations in first-draw order, including any that cover no
+    tumor sample.
     """
+    if gamma1 < 1:
+        raise ValidationError(f"gamma1 must be positive, got {gamma1}")
+    if gamma2 < 1:
+        raise ValidationError(f"gamma2 must be positive, got {gamma2}")
     if matrix.tumor_count == 0:
         raise ValidationError("candidate generation needs at least one tumor sample")
-    hit = config.hit_range
-    pool = rank_genes_by_tumor_frequency(matrix)[: config.gamma1]
-    if len(pool) < hit.k_max:
+    pool = rank_genes_by_tumor_frequency(matrix)[:gamma1]
+    if len(pool) < hit_range.k_max:
         raise ValidationError(
-            f"gene pool of size {len(pool)} cannot host combinations of size {hit.k_max}"
+            f"gene pool of size {len(pool)} cannot host combinations of size "
+            f"{hit_range.k_max}"
         )
-    total_possible = sum(math.comb(len(pool), k) for k in hit.sizes())
-    target = min(config.gamma2, total_possible)
-    rng = random.Random(config.seed)
+    total_possible = sum(math.comb(len(pool), k) for k in hit_range.sizes())
+    target = min(gamma2, total_possible)
+    rng = random.Random(seed)
     found = {}
     attempts = 0
-    max_attempts = ATTEMPT_FACTOR * config.gamma2
+    max_attempts = ATTEMPT_FACTOR * gamma2
     while len(found) < target and attempts < max_attempts:
         attempts += 1
-        if size_sampler is None:
-            k = rng.randint(hit.k_min, hit.k_max)
-        else:
-            k = size_sampler(rng, hit.k_min, hit.k_max)
-            if not hit.k_min <= k <= hit.k_max:
-                raise ValidationError(f"size sampler returned {k} outside {hit}")
-        if gene_sampler is None:
-            genes = rng.sample(pool, k)
-        else:
-            genes = list(gene_sampler(rng, pool, k))
-            if len(set(genes)) != k or not set(genes) <= set(pool):
-                raise ValidationError("gene sampler returned a bad combination")
-        key = tuple(sorted(genes))
+        k = rng.randint(hit_range.k_min, hit_range.k_max)
+        key = tuple(sorted(rng.sample(pool, k)))
         if key not in found:
             found[key] = matrix.combination(key)
-    result = list(found.values())
-    if drop_uncovered:
-        result = [c for c in result if c.tumor_cover]
-    return result
-
-
-def write_candidates(pool, matrix, path):
-    """Dump combinations one per line as comma-separated sorted gene ids."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for comb in pool:
-            fh.write(",".join(matrix.gene_ids[g] for g in comb.genes) + "\n")
+    return list(found.values())

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import MISSING, fields
 
 import jsonschema
 
@@ -29,6 +30,7 @@ from .data import (
     write_dense,
 )
 from .errors import ConsistencyError, ValidationError
+from .framework import SolverConfig
 from .harness import (
     MODES,
     ExperimentSpec,
@@ -43,23 +45,14 @@ from .synth import SyntheticSpec, generate_synthetic
 ENV_MASTER_TIME = "MULTIHIT_MASTER_TIME_LIMIT"
 ENV_TOTAL_TIME = "MULTIHIT_TOTAL_TIME_LIMIT"
 
+_ENV_VARS = {"master_time_limit": ENV_MASTER_TIME, "total_time_limit": ENV_TOTAL_TIME}
+
+# Built-in defaults come from the solver's own declarations.
 _DEFAULTS = {
-    "beta": 10,
-    "gamma1": 100,
-    "gamma2": 100_000,
-    "seed": 0,
-    "top_q": 1,
-    "master_time_limit": 30.0,
-    "total_time_limit": 300.0,
+    f.name: f.default for f in fields(SolverConfig) if f.default is not MISSING
 }
 
-_CONFIG_KEYS = set(_DEFAULTS) | {
-    "train_fraction",
-    "hit_ranges",
-    "modes",
-    "seeds",
-    "instances",
-}
+_CONFIG_KEYS = set(_DEFAULTS) | {f.name for f in fields(ExperimentSpec)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,7 +64,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _env_float(name):
-    raw = os.environ.get(name)
+    raw = None if name is None else os.environ.get(name)
     if raw is None:
         return None
     try:
@@ -105,24 +98,29 @@ def _pick(*values):
     return None
 
 
-def _solver_settings(args, config):
-    """Resolve numeric knobs: flag, env (time limits), config, default."""
-    out = {}
-    for key in ("beta", "gamma1", "gamma2", "seed", "top_q"):
-        out[key] = _pick(getattr(args, key), config.get(key), _DEFAULTS[key])
-    out["master_time_limit"] = _pick(
-        args.master_time_limit,
-        _env_float(ENV_MASTER_TIME),
-        config.get("master_time_limit"),
-        _DEFAULTS["master_time_limit"],
+def _experiment_spec(args, config, seeds, train_fraction, **grid):
+    """The spec over a command's grid, with every setting resolved.
+
+    Each solver setting resolves as flag, environment (time limits only),
+    config file, then default; so does the seed, which is the spec's one
+    seed unless ``seeds`` lists them.  ``train_fraction`` is the command's
+    default for that key.
+    """
+    settings = {
+        key: _pick(
+            getattr(args, key), _env_float(_ENV_VARS.get(key)), config.get(key), default
+        )
+        for key, default in _DEFAULTS.items()
+    }
+    seed = settings.pop("seed")
+    return ExperimentSpec(
+        **grid,
+        **settings,
+        seeds=(seed,) if seeds is None else tuple(seeds),
+        train_fraction=_pick(
+            args.train_fraction, config.get("train_fraction"), train_fraction
+        ),
     )
-    out["total_time_limit"] = _pick(
-        args.total_time_limit,
-        _env_float(ENV_TOTAL_TIME),
-        config.get("total_time_limit"),
-        _DEFAULTS["total_time_limit"],
-    )
-    return out
 
 
 def _metric_line(label, block):
@@ -193,7 +191,6 @@ def cmd_split(args):
 
 def cmd_solve(args):
     config = _load_config(args.config)
-    settings = _solver_settings(args, config)
     hit_text = _pick(
         args.hit,
         config["hit_ranges"][0] if config.get("hit_ranges") else None,
@@ -203,29 +200,24 @@ def cmd_solve(args):
     mode = _pick(args.mode, config["modes"][0] if config.get("modes") else None, "colgen")
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}; pick from {MODES}")
-    train_fraction = _pick(args.train_fraction, config.get("train_fraction"), 1.0)
     matrix = load_dense(args.data)
     name = os.path.splitext(os.path.basename(args.data))[0]
-    spec = ExperimentSpec(
+    spec = _experiment_spec(
+        args,
+        config,
+        seeds=None,
+        train_fraction=1.0,
         instances=((name, matrix),),
         hit_ranges=(hit,),
         modes=(mode,),
-        seeds=(settings["seed"],),
-        beta=settings["beta"],
-        gamma1=settings["gamma1"],
-        gamma2=settings["gamma2"],
-        train_fraction=train_fraction,
-        top_q=settings["top_q"],
-        master_time_limit=settings["master_time_limit"],
-        total_time_limit=settings["total_time_limit"],
     )
-    cell = run_cell(name, matrix, hit, mode, settings["seed"], spec)
+    cell = run_cell(name, matrix, hit, mode, spec.seeds[0], spec)
     if args.out:
         emit_report(cell, args.out)
     ub = "none" if cell["ub"] is None else format(cell["ub"], ".6f")
     gap = "NA" if cell["gap_percent"] is None else format(cell["gap_percent"], ".2f")
     print(
-        f"{mode} on {name} (hit sizes {hit}, budget {settings['beta']}): "
+        f"{mode} on {name} (hit sizes {hit}, budget {spec.beta}): "
         f"status {cell['status']}"
     )
     print(
@@ -279,26 +271,19 @@ def _sweep_instances(config, config_dir):
 
 def cmd_sweep(args):
     config = _load_config(args.config)
-    settings = _solver_settings(args, config)
     config_dir = os.path.dirname(os.path.abspath(args.config))
     instances = _sweep_instances(config, config_dir)
     hit_ranges = tuple(
         HitRange.parse(str(h)) for h in config.get("hit_ranges", ["2-3"])
     )
-    modes = tuple(config.get("modes", ["colgen"]))
-    seeds = tuple(config.get("seeds", [0])) if args.seed is None else (args.seed,)
-    spec = ExperimentSpec(
+    spec = _experiment_spec(
+        args,
+        config,
+        seeds=config.get("seeds") if args.seed is None else None,
+        train_fraction=0.75,
         instances=instances,
         hit_ranges=hit_ranges,
-        modes=modes,
-        seeds=seeds,
-        beta=settings["beta"],
-        gamma1=settings["gamma1"],
-        gamma2=settings["gamma2"],
-        train_fraction=_pick(args.train_fraction, config.get("train_fraction"), 0.75),
-        top_q=settings["top_q"],
-        master_time_limit=settings["master_time_limit"],
-        total_time_limit=settings["total_time_limit"],
+        modes=tuple(config.get("modes", ["colgen"])),
     )
     reports, failures = run_experiment(spec, args.out_dir, workers=args.workers)
     print(
@@ -334,12 +319,11 @@ def cmd_report(args):
     return 0
 
 
-def _add_solver_flags(p):
-    p.add_argument("--config", help="JSON file with defaults for these flags")
+def _add_solver_flags(p, seed_help="base random seed"):
     p.add_argument("--beta", type=int, help="max combinations to select")
     p.add_argument("--gamma1", type=int, help="gene pool size for generation")
     p.add_argument("--gamma2", type=int, help="target number of candidates")
-    p.add_argument("--seed", type=int, help="base random seed")
+    p.add_argument("--seed", type=int, help=seed_help)
     p.add_argument("--top-q", type=int, dest="top_q", help="columns per pricing round")
     p.add_argument(
         "--master-time-limit",
@@ -411,6 +395,7 @@ def build_parser():
     p.add_argument("--mode", choices=MODES)
     p.add_argument("--hit", help="combination sizes, e.g. 2-3 or 2")
     p.add_argument("--out", help="write the JSON report here")
+    p.add_argument("--config", help="JSON file with defaults for these flags")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_solve)
 
@@ -423,14 +408,7 @@ def build_parser():
         default=1,
         help="parallel worker processes (default 1)",
     )
-    p.add_argument("--beta", type=int)
-    p.add_argument("--gamma1", type=int)
-    p.add_argument("--gamma2", type=int)
-    p.add_argument("--seed", type=int, help="run only this seed, ignoring the config's list")
-    p.add_argument("--top-q", type=int, dest="top_q")
-    p.add_argument("--master-time-limit", type=float, dest="master_time_limit")
-    p.add_argument("--total-time-limit", type=float, dest="total_time_limit")
-    p.add_argument("--train-fraction", type=float, dest="train_fraction")
+    _add_solver_flags(p, "run only this seed, ignoring the config's list")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="rebuild the TSV summary of a results dir")

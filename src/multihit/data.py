@@ -209,10 +209,6 @@ class MutationMatrix:
         return MutationMatrix(self.gene_ids, [self.samples[i] for i in positions])
 
 
-def coverage(genes, matrix):
-    return matrix.coverage(genes)
-
-
 def load_dense(path):
     """Read a dense TSV matrix.  See the module docstring for the format."""
     with open(path, "r", encoding="utf-8") as fh:

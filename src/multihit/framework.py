@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from . import metrics
-from .candidates import GenerationConfig, generate_candidates
+from .candidates import generate_candidates
 from .errors import ConsistencyError, DuplicateColumnError, ValidationError
 from .master import MasterModel, solve_binary, solve_relaxation
 from .pricing import PricingProblem, solve_pricing_with_speedup
@@ -28,20 +28,21 @@ EXACT_MAX_POOL = 5000
 EXACT_MAX_BETA = 3
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Shared knobs for the solve entry points.
+@dataclass(frozen=True, kw_only=True)
+class SolverSettings:
+    """Solver settings shared by one solve and a whole sweep.
 
-    ``gamma1``/``gamma2`` only matter to the pool heuristic; the budget,
-    hit range, seed and time limits apply everywhere.  ``top_q`` lets
-    column generation pull several columns per pricing round.
+    ``gamma1``/``gamma2`` only matter to the pool heuristic; the budget and
+    time limits apply everywhere.  ``top_q`` lets column generation pull
+    several columns per pricing round.  :class:`SolverConfig` adds the hit
+    range and seed of one solve; ``harness.ExperimentSpec`` adds a sweep's
+    grid.  These two classes hold the only declarations of the defaults;
+    the command line reads its defaults from them.
     """
 
-    hit_range: object
     beta: int = 10
     gamma1: int = 100
     gamma2: int = 100_000
-    seed: int = 0
     top_q: int = 1
     master_time_limit: float = 30.0
     total_time_limit: float = 300.0
@@ -57,6 +58,15 @@ class SolverConfig:
             raise ValidationError("time limits must be positive")
 
 
+@dataclass(frozen=True, kw_only=True)
+class SolverConfig(SolverSettings):
+    """Settings of one solve: the shared settings, hit range and seed."""
+
+    hit_range: object
+    seed: int = 0
+
+
+@dataclass
 class SolveReport:
     """What a solve produced: selection, bounds, status and phase timings.
 
@@ -66,29 +76,16 @@ class SolveReport:
     its limit, else ``"time_limit"``.
     """
 
-    def __init__(
-        self,
-        selection,
-        objective,
-        upper_bound,
-        gap_percent,
-        status,
-        iterations,
-        pool_size,
-        timings,
-        pricing_nodes,
-        binary_nodes,
-    ):
-        self.selection = selection
-        self.objective = objective
-        self.upper_bound = upper_bound
-        self.gap_percent = gap_percent
-        self.status = status
-        self.iterations = iterations
-        self.pool_size = pool_size
-        self.timings = timings
-        self.pricing_nodes = pricing_nodes
-        self.binary_nodes = binary_nodes
+    selection: list
+    objective: int
+    upper_bound: float | None
+    gap_percent: float | None
+    status: str
+    iterations: int
+    pool_size: int
+    timings: dict
+    pricing_nodes: int
+    binary_nodes: int
 
 
 def rounding_heuristic(relaxation, model):
@@ -126,8 +123,10 @@ def _pipeline(matrix, config, initial_columns, use_pricing, started, generation_
     if use_pricing:
         while time.perf_counter() <= deadline:
             t0 = time.perf_counter()
-            rmp = solve_relaxation(model, warm_start=warm)
+            rmp = solve_relaxation(model, warm_start=warm, deadline=deadline)
             master_time += time.perf_counter() - t0
+            if rmp is None:
+                break  # the deadline passed inside the LP; no bound
             warm = rmp.basis
             indices, rounded = rounding_heuristic(rmp, model)
             if rounded > lb_star:
@@ -197,13 +196,7 @@ def solve_mip_heuristic(matrix, config):
     """Random pool generation followed by one binary solve; no bound."""
     started = time.perf_counter()
     pool = generate_candidates(
-        matrix,
-        GenerationConfig(
-            hit_range=config.hit_range,
-            gamma1=config.gamma1,
-            gamma2=config.gamma2,
-            seed=config.seed,
-        ),
+        matrix, config.hit_range, config.gamma1, config.gamma2, config.seed
     )
     generation_time = time.perf_counter() - started
     return _pipeline(matrix, config, pool, False, started, generation_time)

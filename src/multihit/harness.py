@@ -13,7 +13,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 import jsonschema
@@ -21,7 +21,13 @@ import jsonschema
 from . import metrics
 from .data import prune_genes, split_train_test
 from .errors import ValidationError
-from .framework import SolverConfig, solve_colgen, solve_exact, solve_mip_heuristic
+from .framework import (
+    SolverConfig,
+    SolverSettings,
+    solve_colgen,
+    solve_exact,
+    solve_mip_heuristic,
+)
 
 MODES = ("colgen", "mip_heuristic", "exact")
 
@@ -59,23 +65,22 @@ def derive_seed(base, purpose):
     return int.from_bytes(digest[:8], "big")
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Cross product of instances, hit ranges, modes and seeds to run."""
+@dataclass(frozen=True, kw_only=True)
+class ExperimentSpec(SolverSettings):
+    """Cross product of instances, hit ranges, modes and seeds to run.
+
+    The solver settings are inherited; each cell's seed is derived from its
+    entry in ``seeds``.
+    """
 
     instances: tuple
     hit_ranges: tuple
     modes: tuple = ("colgen",)
     seeds: tuple = (0,)
-    beta: int = 10
-    gamma1: int = 100
-    gamma2: int = 100_000
     train_fraction: float = 0.75
-    top_q: int = 1
-    master_time_limit: float = 30.0
-    total_time_limit: float = 300.0
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.instances or not self.hit_ranges or not self.seeds:
             raise ValidationError(
                 "an experiment needs instances, hit ranges and seeds"
@@ -101,14 +106,9 @@ def run_cell(name, matrix, hit_range, mode, seed, spec):
     )
     train = prune_genes(train)
     config = SolverConfig(
+        **{f.name: getattr(spec, f.name) for f in fields(SolverSettings)},
         hit_range=hit_range,
-        beta=spec.beta,
-        gamma1=spec.gamma1,
-        gamma2=spec.gamma2,
         seed=derive_seed(seed, f"gen:{name}:{hit_range}:{mode}"),
-        top_q=spec.top_q,
-        master_time_limit=spec.master_time_limit,
-        total_time_limit=spec.total_time_limit,
     )
     report = _SOLVERS[mode](train, config)
     m_train = metrics.compute_metrics(

@@ -12,6 +12,8 @@ Row duals are reported with the usual sign convention for a maximization
 with ``<=`` rows: nonnegative at optimality (up to tolerance).
 """
 
+import time
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -23,6 +25,7 @@ PIVOT_TOL = 1e-9
 CHECK_TOL = 1e-6
 DEGEN_STREAK = 40
 REFACTOR_EVERY = 64
+_CLOCK_CHECK_MASK = 0xFF  # read the clock every 256 pivots
 
 AT_LOWER, AT_UPPER, IN_BASIS = 0, 1, 2
 
@@ -30,6 +33,7 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_ITERATION_LIMIT = "iteration_limit"
+STATUS_TIME_LIMIT = "time_limit"
 
 
 class LinearProgram:
@@ -97,7 +101,7 @@ def _failed(status, n, m, iterations=0):
 
 
 class _Simplex:
-    def __init__(self, p, max_iterations):
+    def __init__(self, p, max_iterations, deadline):
         self.p = p
         self.n = p.n_vars
         self.m = p.n_rows
@@ -108,6 +112,7 @@ class _Simplex:
         self.ub_hat = np.concatenate([p.upper - p.lower, np.full(self.m, np.inf)])
         self.c_hat = np.concatenate([p.objective, np.zeros(self.m)])
         self.max_iterations = max_iterations
+        self.deadline = deadline
         self.iterations = 0
         self.art_rows = []  # row index per artificial
         self.art_banned = []
@@ -265,9 +270,22 @@ class _Simplex:
         return None
 
     def run_phase(self, costs, allowed):
+        """Pivot until optimal, unbounded or out of iterations or time.
+
+        Artificials that left the basis in phase one may not re-enter.
+        """
         while True:
             if self.iterations >= self.max_iterations:
                 return STATUS_ITERATION_LIMIT
+            if (
+                self.deadline is not None
+                and self.iterations & _CLOCK_CHECK_MASK == 0
+                and time.perf_counter() > self.deadline
+            ):
+                return STATUS_TIME_LIMIT
+            for t, banned in enumerate(self.art_banned):
+                if banned:
+                    allowed[self.nf + t] = False
             outcome = self.step(costs, allowed)
             if outcome is not None:
                 return outcome
@@ -325,8 +343,8 @@ class _Simplex:
         costs[self.nf :] = -1.0
         allowed = np.ones(self.nf + len(self.art_rows), dtype=bool)
         allowed[: self.nf] = self.ub_hat > 0.0
-        outcome = self.run_phase_one_loop(costs, allowed)
-        if outcome == STATUS_ITERATION_LIMIT:
+        outcome = self.run_phase(costs, allowed)
+        if outcome in (STATUS_ITERATION_LIMIT, STATUS_TIME_LIMIT):
             return outcome
         if outcome == STATUS_UNBOUNDED:
             raise ConsistencyError("phase one cannot be unbounded")
@@ -337,17 +355,6 @@ class _Simplex:
             return STATUS_INFEASIBLE
         self.drive_out_artificials()
         return STATUS_OPTIMAL
-
-    def run_phase_one_loop(self, costs, allowed):
-        while True:
-            if self.iterations >= self.max_iterations:
-                return STATUS_ITERATION_LIMIT
-            for t, banned in enumerate(self.art_banned):
-                if banned:
-                    allowed[self.nf + t] = False
-            outcome = self.step(costs, allowed)
-            if outcome is not None:
-                return outcome
 
     # -- setup ------------------------------------------------------------
 
@@ -420,34 +427,34 @@ class _Simplex:
             raise ConsistencyError("complementary slackness violated")
 
 
-def solve_lp(p, warm_start=None, max_iterations=None, _retry=True):
+def solve_lp(p, warm_start=None, max_iterations=None, deadline=None, _retry=True):
     """Solve ``p``, optionally warm starting from a previous :class:`Basis`.
 
     A structurally or numerically unusable warm basis falls back to a cold
     start, so warm starting can change work done but never the answer.
+    When ``deadline`` (``time.perf_counter`` scale) has passed at a clock
+    check, the solve stops with status ``time_limit`` and no solution.
     """
     n, m = p.n_vars, p.n_rows
     if np.any(p.lower > p.upper):
         return _failed(STATUS_INFEASIBLE, n, m)
     if max_iterations is None:
         max_iterations = 2000 + 50 * (n + m)
-    s = _Simplex(p, max_iterations)
+    s = _Simplex(p, max_iterations, deadline)
     if not s.try_warm_start(warm_start):
         s.cold_start()
         if not s.feasible(FEAS_TOL):
             outcome = s.phase_one()
-            if outcome == STATUS_INFEASIBLE:
-                return _failed(STATUS_INFEASIBLE, n, m, s.iterations)
-            if outcome == STATUS_ITERATION_LIMIT:
-                return _failed(STATUS_ITERATION_LIMIT, n, m, s.iterations)
+            if outcome != STATUS_OPTIMAL:
+                return _failed(outcome, n, m, s.iterations)
     outcome = s.run_phase(s.c_hat, s.ub_hat > 0.0)
-    if outcome == STATUS_UNBOUNDED:
-        return _failed(STATUS_UNBOUNDED, n, m, s.iterations)
+    if outcome in (STATUS_UNBOUNDED, STATUS_TIME_LIMIT):
+        return _failed(outcome, n, m, s.iterations)
     s.refactor()
     if outcome == STATUS_OPTIMAL and not s.feasible(CHECK_TOL):
         # Accumulated drift; one clean retry from a cold start.
         if _retry:
-            return solve_lp(p, None, max_iterations, _retry=False)
+            return solve_lp(p, None, max_iterations, deadline, _retry=False)
         raise ConsistencyError("basis drifted out of feasibility")
     x_hat = s.primal_values()
     y = s.duals(s.c_hat)
@@ -461,35 +468,3 @@ def solve_lp(p, warm_start=None, max_iterations=None, _retry=True):
     d = s.reduced_costs(s.c_hat, y)
     s.verify_optimal(x_hat, y, d)
     return LpSolution(STATUS_OPTIMAL, objective, x, y, basis, s.iterations)
-
-
-def write_lp_text(p, path):
-    """Dump ``p`` in a fixed human-readable LP text layout.
-
-    Layout: ``Maximize`` / `` obj: <terms>``, ``Subject To`` with one
-    ``r<i>: <terms> <= <rhs>`` line per row, a ``Bounds`` section with one
-    ``<lo> <= x<j> <= <hi>`` line per variable (``+inf`` for a free top), and
-    a final ``End``.  Intended for debugging; not a round-trip format.
-    """
-
-    def terms(pairs):
-        out = []
-        for j, v in pairs:
-            out.append(f"{'+' if v >= 0 else '-'} {abs(v):.12g} x{j}")
-        return " ".join(out) if out else "0"
-
-    a_csr = p.a_matrix.tocsr()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("Maximize\n")
-        obj = [(j, v) for j, v in enumerate(p.objective) if v != 0.0]
-        fh.write(f" obj: {terms(obj)}\n")
-        fh.write("Subject To\n")
-        for i in range(p.n_rows):
-            lo, hi = a_csr.indptr[i], a_csr.indptr[i + 1]
-            pairs = list(zip(a_csr.indices[lo:hi], a_csr.data[lo:hi]))
-            fh.write(f" r{i}: {terms(pairs)} <= {p.rhs[i]:.12g}\n")
-        fh.write("Bounds\n")
-        for j in range(p.n_vars):
-            hi = "+inf" if not np.isfinite(p.upper[j]) else f"{p.upper[j]:.12g}"
-            fh.write(f" {p.lower[j]:.12g} <= x{j} <= {hi}\n")
-        fh.write("End\n")

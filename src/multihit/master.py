@@ -20,6 +20,7 @@ from .errors import ConsistencyError, DuplicateColumnError, ValidationError
 from .lp import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
+    STATUS_TIME_LIMIT,
     LinearProgram,
     solve_lp,
 )
@@ -148,13 +149,15 @@ class MasterModel:
         return LinearProgram(base.objective, base.a_matrix, base.rhs, lower, upper)
 
 
-def build_master(matrix, columns, beta):
-    return MasterModel(matrix, columns, beta)
+def solve_relaxation(model, warm_start=None, deadline=None):
+    """LP-relax the master and hand back primal values plus clamped duals.
 
-
-def solve_relaxation(model, warm_start=None):
-    """LP-relax the master and hand back primal values plus clamped duals."""
-    sol = solve_lp(model.build_lp(), warm_start=warm_start)
+    Returns ``None`` when ``deadline`` (``time.perf_counter`` scale) passes
+    before the LP is solved.
+    """
+    sol = solve_lp(model.build_lp(), warm_start=warm_start, deadline=deadline)
+    if sol.status == STATUS_TIME_LIMIT:
+        return None
     if sol.status != STATUS_OPTIMAL:
         raise ConsistencyError(
             f"master relaxation ended with status {sol.status}; "
@@ -192,17 +195,16 @@ def _fractionality(value):
     return min(f, 1.0 - f)
 
 
-def solve_binary(model, time_limit=30.0, incumbent_callback=None):
+def solve_binary(model, time_limit=30.0):
     """Best integral selection over the pool by branch-and-bound.
 
     Node selection is best-bound-first after an initial depth-first dive
     finds the first incumbent; branching picks the most fractional selection
     variable, ties to the lowest column index.  Incumbents are accepted only
-    after exact integer re-evaluation of their objective.  On hitting the
-    wall-clock limit the best incumbent so far is returned (the empty
-    selection if there is none).  ``incumbent_callback``, when given, is
-    called with ``(selection, objective)`` each time a better incumbent is
-    accepted.
+    after exact integer re-evaluation of their objective.  When the
+    wall-clock limit passes, between nodes or inside a node's LP, the best
+    incumbent so far is returned (the empty selection if there is none) with
+    the best bound still open.
     """
     deadline = time.perf_counter() + time_limit
     incumbent = None
@@ -213,20 +215,7 @@ def solve_binary(model, time_limit=30.0, incumbent_callback=None):
     open_nodes = [_Node(next_id, {}, math.inf, None)]
     next_id += 1
 
-    def open_bound():
-        best = -math.inf if incumbent_obj is None else float(incumbent_obj)
-        for node in open_nodes:
-            best = max(best, node.bound)
-        return best
-
-    while open_nodes:
-        if time.perf_counter() > deadline:
-            bound = open_bound()
-            sel = sorted(incumbent) if incumbent is not None else []
-            obj = incumbent_obj if incumbent_obj is not None else 0
-            return BinarySolveResult(
-                sel, obj, bound, "time_limit", nodes_solved, lp_iterations
-            )
+    while open_nodes and time.perf_counter() <= deadline:
         if incumbent_obj is None:
             node = open_nodes.pop()
         else:
@@ -239,9 +228,14 @@ def solve_binary(model, time_limit=30.0, incumbent_callback=None):
             continue
         if sum(node.fixed.values()) > model.beta:
             continue
-        sol = solve_lp(model.node_lp(node.fixed), warm_start=node.warm)
-        nodes_solved += 1
+        sol = solve_lp(
+            model.node_lp(node.fixed), warm_start=node.warm, deadline=deadline
+        )
         lp_iterations += sol.iterations
+        if sol.status == STATUS_TIME_LIMIT:
+            open_nodes.append(node)  # unsolved, so its bound stays open
+            break
+        nodes_solved += 1
         if sol.status == STATUS_INFEASIBLE:
             continue
         if sol.status != STATUS_OPTIMAL:
@@ -264,8 +258,6 @@ def solve_binary(model, time_limit=30.0, incumbent_callback=None):
             if incumbent_obj is None or exact > incumbent_obj:
                 incumbent = selection
                 incumbent_obj = exact
-                if incumbent_callback is not None:
-                    incumbent_callback(list(selection), exact)
                 open_nodes = [
                     n
                     for n in open_nodes
@@ -280,6 +272,20 @@ def solve_binary(model, time_limit=30.0, incumbent_callback=None):
             next_id += 1
         # The stack pops the include-child first during the initial dive.
 
+    if open_nodes:  # stopped by the time limit
+        bound = max(n.bound for n in open_nodes)
+        if incumbent_obj is None:
+            incumbent, incumbent_obj = [], 0
+        else:
+            bound = max(bound, float(incumbent_obj))
+        return BinarySolveResult(
+            sorted(incumbent),
+            incumbent_obj,
+            bound,
+            "time_limit",
+            nodes_solved,
+            lp_iterations,
+        )
     if incumbent_obj is None:
         # Every node infeasible cannot happen: the all-zero selection is
         # always feasible, so reaching here means the tree was mispruned.

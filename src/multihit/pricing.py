@@ -27,14 +27,13 @@ class PricingProblem:
     gene indices may appear in a combination.
     """
 
-    def __init__(self, matrix, duals, hit_range, allowed_genes=None, eps=RC_EPS):
+    def __init__(self, matrix, duals, hit_range, allowed_genes=None):
         self.matrix = matrix
         self.duals = duals
         self.hit_range = hit_range
         self.allowed_genes = (
             None if allowed_genes is None else frozenset(allowed_genes)
         )
-        self.eps = eps
 
 
 class PricingResult:
@@ -42,8 +41,8 @@ class PricingResult:
 
     ``reduced_cost`` is the exact maximum over the admissible set (``-inf``
     when that set is empty); ``best`` is its maximizer when the maximum
-    clears the positivity threshold, else ``None``.  ``proven_optimal`` is
-    claimed only by a search that ran the full admissible set to completion.
+    exceeds ``RC_EPS``, else ``None``.  ``proven_optimal`` is claimed only
+    by a search that ran the full admissible set to completion.
     ``candidates`` holds the top distinct positive columns found (at least
     ``best`` when positive).
     """
@@ -132,13 +131,13 @@ def solve_pricing(problem, deadline=None, top_q=1):
 
     best_rc = pool[0][0] if pool else -math.inf
     best = None
-    if pool and best_rc > problem.eps:
+    if pool and best_rc > RC_EPS:
         _, _, genes, tmask, nmask = pool[0]
         best = GeneCombination(genes, tmask, nmask)
     candidates = [
         GeneCombination(genes, tmask, nmask)
         for rc, _, genes, tmask, nmask in pool
-        if rc > problem.eps
+        if rc > RC_EPS
     ]
     return PricingResult(best, best_rc, not aborted, nodes, candidates)
 
@@ -163,7 +162,6 @@ def solve_pricing_with_speedup(problem, history, deadline=None, top_q=1):
             problem.duals,
             problem.hit_range,
             allowed_genes=restricted,
-            eps=problem.eps,
         )
         first = solve_pricing(sub, deadline=deadline, top_q=top_q)
         if first.best is not None:

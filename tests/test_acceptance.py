@@ -20,7 +20,7 @@ from multihit.framework import (
     solve_colgen,
 )
 from multihit.harness import ExperimentSpec, run_cell
-from multihit.master import DualPrices, build_master, solve_binary, solve_relaxation
+from multihit.master import DualPrices, MasterModel, solve_binary, solve_relaxation
 from multihit.metrics import (
     ConfusionCounts,
     compute_metrics,
@@ -58,7 +58,7 @@ def bank():
         t0 = time.perf_counter()
         _, opt = exact_bruteforce(m, HIT23, beta)
         cols = [m.combination(g) for g in all_combinations(m, HIT23)]
-        model = build_master(m, cols, beta)
+        model = MasterModel(m, cols, beta)
         binary = solve_binary(model, time_limit=30.0)
         report = solve_colgen(
             m,

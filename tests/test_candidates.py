@@ -5,12 +5,8 @@ import random
 
 import pytest
 
-from multihit.candidates import (
-    GenerationConfig,
-    generate_candidates,
-    rank_genes_by_tumor_frequency,
-    write_candidates,
-)
+from multihit import candidates
+from multihit.candidates import generate_candidates, rank_genes_by_tumor_frequency
 from multihit.data import HitRange, MutationMatrix, SampleLabel, SampleRecord
 from multihit.errors import ValidationError
 
@@ -38,8 +34,7 @@ def test_ranking_matches_counting_pass():
 def test_generation_basic_properties():
     rng = random.Random(1)
     m = random_matrix(rng, 20, 25, 10)
-    cfg = GenerationConfig(hit_range=HitRange(2, 3), gamma1=8, gamma2=50, seed=7)
-    pool = generate_candidates(m, cfg)
+    pool = generate_candidates(m, HitRange(2, 3), gamma1=8, gamma2=50, seed=7)
     assert len(pool) == 50
     keys = [c.genes for c in pool]
     assert len(set(keys)) == len(keys)
@@ -47,14 +42,13 @@ def test_generation_basic_properties():
     for c in pool:
         assert 2 <= len(c.genes) <= 3
         assert set(c.genes) <= top
-        assert c.tumor_cover, c.normal_cover == m.coverage(c.genes)
+        assert (c.tumor_cover, c.normal_cover) == m.coverage(c.genes)
 
 
 def test_generation_exhausts_small_space():
     rng = random.Random(2)
     m = random_matrix(rng, 9, 10, 4)
-    cfg = GenerationConfig(hit_range=HitRange(2, 2), gamma1=5, gamma2=1000, seed=0)
-    pool = generate_candidates(m, cfg)
+    pool = generate_candidates(m, HitRange(2, 2), gamma1=5, gamma2=1000, seed=0)
     assert len(pool) == 10  # all pairs over a 5-gene pool
     assert {c.genes for c in pool} == {
         tuple(sorted(p))
@@ -65,12 +59,10 @@ def test_generation_exhausts_small_space():
 def test_generation_determinism():
     rng = random.Random(3)
     m = random_matrix(rng, 15, 20, 8)
-    cfg = GenerationConfig(hit_range=HitRange(2, 3), gamma1=10, gamma2=40, seed=11)
-    a = generate_candidates(m, cfg)
-    b = generate_candidates(m, cfg)
+    a = generate_candidates(m, HitRange(2, 3), gamma1=10, gamma2=40, seed=11)
+    b = generate_candidates(m, HitRange(2, 3), gamma1=10, gamma2=40, seed=11)
     assert [c.genes for c in a] == [c.genes for c in b]
-    other = GenerationConfig(hit_range=HitRange(2, 3), gamma1=10, gamma2=40, seed=12)
-    c = generate_candidates(m, other)
+    c = generate_candidates(m, HitRange(2, 3), gamma1=10, gamma2=40, seed=12)
     assert [x.genes for x in a] != [x.genes for x in c]
 
 
@@ -79,43 +71,29 @@ def test_generation_refusals():
         ["g0", "g1"], [SampleRecord("n0", SampleLabel.NORMAL, 0b11)]
     )
     with pytest.raises(ValidationError):
-        generate_candidates(
-            no_tumors, GenerationConfig(hit_range=HitRange(1, 1), gamma1=2, gamma2=5)
-        )
+        generate_candidates(no_tumors, HitRange(1, 1), gamma1=2, gamma2=5, seed=0)
     rng = random.Random(4)
     m = random_matrix(rng, 3, 5, 2)
     with pytest.raises(ValidationError):
-        generate_candidates(
-            m, GenerationConfig(hit_range=HitRange(2, 4), gamma1=10, gamma2=5)
-        )
+        generate_candidates(m, HitRange(2, 4), gamma1=10, gamma2=5, seed=0)
     with pytest.raises(ValidationError):
-        generate_candidates(
-            m, GenerationConfig(hit_range=HitRange(2, 3), gamma1=2, gamma2=5)
-        )
-    with pytest.raises(ValidationError):
-        GenerationConfig(hit_range=HitRange(1, 1), gamma1=0)
+        generate_candidates(m, HitRange(2, 3), gamma1=2, gamma2=5, seed=0)
+    for gamma1, gamma2 in ((0, 5), (10, 0)):
+        with pytest.raises(ValidationError, match="must be positive"):
+            generate_candidates(m, HitRange(2, 2), gamma1, gamma2, seed=0)
 
 
-def test_attempt_cap_with_stuck_sampler():
+def test_attempt_cap_stops_on_duplicate_draws(monkeypatch):
+    # 10 pairs over a 5-gene pool: 10 uniform draws all but surely repeat
+    # one, so with a cap of 1 x gamma2 draws the pool comes up short.
     rng = random.Random(5)
     m = random_matrix(rng, 8, 10, 4)
-    cfg = GenerationConfig(hit_range=HitRange(2, 2), gamma1=6, gamma2=5, seed=0)
-    pool = generate_candidates(
-        m,
-        cfg,
-        gene_sampler=lambda r, genes, k: genes[:k],  # always the same pick
-    )
-    assert len(pool) == 1
-
-
-def test_sampler_validation():
-    rng = random.Random(6)
-    m = random_matrix(rng, 8, 10, 4)
-    cfg = GenerationConfig(hit_range=HitRange(2, 2), gamma1=6, gamma2=5, seed=0)
-    with pytest.raises(ValidationError):
-        generate_candidates(m, cfg, size_sampler=lambda r, lo, hi: hi + 1)
-    with pytest.raises(ValidationError):
-        generate_candidates(m, cfg, gene_sampler=lambda r, genes, k: [genes[0]] * k)
+    full = generate_candidates(m, HitRange(2, 2), gamma1=5, gamma2=10, seed=0)
+    assert len(full) == 10
+    monkeypatch.setattr(candidates, "ATTEMPT_FACTOR", 1)
+    capped = generate_candidates(m, HitRange(2, 2), gamma1=5, gamma2=10, seed=0)
+    assert 0 < len(capped) < 10
+    assert [c.genes for c in capped] == [c.genes for c in full[: len(capped)]]
 
 
 def test_uncovered_combos_kept_by_default():
@@ -127,18 +105,6 @@ def test_uncovered_combos_kept_by_default():
         SampleRecord("n0", SampleLabel.NORMAL, 0b1100),
     ]
     m = MutationMatrix(["a", "b", "c", "d"], samples)
-    cfg = GenerationConfig(hit_range=HitRange(2, 2), gamma1=4, gamma2=100, seed=1)
-    pool = generate_candidates(m, cfg)
+    pool = generate_candidates(m, HitRange(2, 2), gamma1=4, gamma2=100, seed=1)
     assert len(pool) == 6
     assert any(c.tumor_cover == 0 for c in pool)
-    filtered = generate_candidates(m, cfg, drop_uncovered=True)
-    assert all(c.tumor_cover for c in filtered)
-    assert len(filtered) < len(pool)
-
-
-def test_write_candidates(tmp_path):
-    m = toy_matrix()
-    pool = [m.combination((0, 1)), m.combination((2, 3, 6))]
-    out = tmp_path / "pool.txt"
-    write_candidates(pool, m, out)
-    assert out.read_text() == "g1,g2\ng3,g4,g7\n"

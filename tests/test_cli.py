@@ -1,11 +1,13 @@
 """Command line tests driven through main(); one subprocess smoke check."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import multihit
 from multihit.cli import main
 from multihit.data import load_dense
 from multihit.harness import validate_report
@@ -218,6 +220,17 @@ def test_sweep_and_report_commands(tmp_path):
     assert len(solo) == 2
     for p in solo:
         assert json.loads(p.read_text(encoding="utf-8"))["seed"] == 7
+    # Without a seed list the sweep runs the one seed that solve would use.
+    del cfg["seeds"]
+    cfg["seed"] = 5
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    single_dir = tmp_path / "single"
+    rc = main(["sweep", "--config", str(cfg_path), "--out-dir", str(single_dir)])
+    assert rc == 0
+    single = [p for p in single_dir.iterdir() if p.name.endswith(".json")]
+    assert len(single) == 2
+    for p in single:
+        assert json.loads(p.read_text(encoding="utf-8"))["seed"] == 5
 
 
 def test_sweep_partial_failure_exit_code(tmp_path):
@@ -258,11 +271,15 @@ def test_unknown_config_key_rejected(tmp_path):
 
 def test_module_entry_smoke(tmp_path):
     out = tmp_path / "m.tsv"
+    # The child imports the same package as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(multihit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "multihit", "synth", "--genes", "5",
          "--tumors", "4", "--normals", "2", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()

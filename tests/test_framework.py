@@ -1,12 +1,13 @@
 """Framework tests: rounding, exact search, heuristic and column generation."""
 
 import random
+import time
 import types
 
 import numpy as np
 import pytest
 
-from multihit import framework
+from multihit import framework, master
 from multihit.data import HitRange, MutationMatrix, SampleLabel, SampleRecord
 from multihit.errors import ConsistencyError, ValidationError
 from multihit.framework import (
@@ -17,7 +18,7 @@ from multihit.framework import (
     solve_exact,
     solve_mip_heuristic,
 )
-from multihit.master import build_master, solve_relaxation
+from multihit.master import MasterModel, solve_relaxation
 from multihit.metrics import objective_value
 from multihit.pricing import PricingResult
 
@@ -36,7 +37,7 @@ def full_pool(m, hit_range):
 
 def pair_model(beta):
     m = toy_matrix()
-    return m, build_master(m, full_pool(m, HitRange(2, 2)), beta)
+    return m, MasterModel(m, full_pool(m, HitRange(2, 2)), beta)
 
 
 def stub(z):
@@ -79,7 +80,7 @@ def test_rounding_real_relaxation_is_feasible_lower_bound():
     rng = random.Random(70)
     for _ in range(10):
         m = random_matrix(rng, 7, 6, 4)
-        model = build_master(m, full_pool(m, HitRange(2, 2)), 2)
+        model = MasterModel(m, full_pool(m, HitRange(2, 2)), 2)
         rmp = solve_relaxation(model)
         indices, obj = rounding_heuristic(rmp, model)
         assert len(indices) <= 2
@@ -157,13 +158,9 @@ def test_mip_heuristic_is_pipeline_without_pricing():
     m = random_matrix(rng, 8, 7, 4)
     cfg = SolverConfig(hit_range=HitRange(2, 2), beta=2, gamma1=10, gamma2=500, seed=9)
     via_entry = solve_mip_heuristic(m, cfg)
-    from multihit.candidates import GenerationConfig, generate_candidates
+    from multihit.candidates import generate_candidates
 
-    pool = generate_candidates(
-        m, GenerationConfig(hit_range=cfg.hit_range, gamma1=10, gamma2=500, seed=9)
-    )
-    import time
-
+    pool = generate_candidates(m, cfg.hit_range, gamma1=10, gamma2=500, seed=9)
     via_pipeline = framework._pipeline(m, cfg, pool, False, time.perf_counter(), 0.0)
     assert [c.genes for c in via_entry.selection] == [
         c.genes for c in via_pipeline.selection
@@ -192,7 +189,7 @@ def test_colgen_bound_matches_full_lp_oracle():
         cfg = SolverConfig(hit_range=hit, beta=2)
         rep = solve_colgen(m, cfg)
         assert rep.status == "converged"
-        model = build_master(m, full_pool(m, hit), 2)
+        model = MasterModel(m, full_pool(m, hit), 2)
         lp = model.build_lp()
         status, lp_obj, _ = tableau_solve(
             lp.objective, lp.a_matrix.toarray(), lp.rhs, lp.lower, lp.upper
@@ -215,6 +212,29 @@ def test_colgen_timeout_withholds_bound():
     assert rep.objective == 0 and rep.selection == []
 
 
+def test_colgen_deadline_inside_master_lp_withholds_bound(monkeypatch):
+    # Expire the deadline inside the third master LP: column generation stops
+    # there without a bound and keeps the selections found before it.
+    m = random_matrix(random.Random(76), 9, 8, 5)
+    cfg = SolverConfig(hit_range=HitRange(2, 3), beta=3)
+    assert solve_colgen(m, cfg).iterations > 3
+    real = master.solve_lp
+    calls = []
+
+    def expiring(p, warm_start=None, deadline=None):
+        calls.append(p)
+        if len(calls) == 3:
+            deadline = time.perf_counter() - 1.0
+        return real(p, warm_start, deadline=deadline)
+
+    monkeypatch.setattr(master, "solve_lp", expiring)
+    rep = solve_colgen(m, cfg)
+    assert rep.status == "time_limit"
+    assert rep.upper_bound is None and rep.gap_percent is None
+    assert rep.iterations == 2
+    assert objective_value(rep.selection, m) == rep.objective
+
+
 def test_stagnation_guard_raises(monkeypatch):
     m = toy_matrix()
     col = m.combination((0, 1))
@@ -224,8 +244,6 @@ def test_stagnation_guard_raises(monkeypatch):
 
     monkeypatch.setattr(framework, "solve_pricing_with_speedup", fake_pricing)
     cfg = SolverConfig(hit_range=HitRange(2, 2), beta=2)
-    import time
-
     with pytest.raises(ConsistencyError, match="in-pool"):
         framework._pipeline(m, cfg, [col], True, time.perf_counter(), 0.0)
 

@@ -1,6 +1,8 @@
 """LP kernel tests: fixed cases, duality checks and a random sweep against
 the independent dense tableau oracle."""
 
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,10 +11,11 @@ from multihit.lp import (
     STATUS_INFEASIBLE,
     STATUS_ITERATION_LIMIT,
     STATUS_OPTIMAL,
+    STATUS_TIME_LIMIT,
     STATUS_UNBOUNDED,
+    Basis,
     LinearProgram,
     solve_lp,
-    write_lp_text,
 )
 
 from oracles import tableau_solve
@@ -93,6 +96,20 @@ def test_iteration_limit_status():
     assert sol.status == STATUS_ITERATION_LIMIT
 
 
+def test_passed_deadline_stops_an_lp_that_needs_pivots():
+    # The first needs pivots from its slack basis, the second in phase one.
+    rows = [[1.0, 2.0], [2.0, 1.0]]
+    phase_two = make_lp([1.0, 1.0], rows, [4.0, 4.0], [0.0, 0.0], [np.inf] * 2)
+    phase_one = make_lp([-1.0, -1.0], [[-1.0, -1.0]], [-2.0], [0.0, 0.0], [np.inf] * 2)
+    for p in (phase_two, phase_one):
+        assert solve_lp(p).iterations > 0
+        sol = solve_lp(p, deadline=time.perf_counter() - 1.0)
+        assert sol.status == STATUS_TIME_LIMIT
+        assert sol.iterations == 0 and sol.basis is None
+        later = solve_lp(p, deadline=time.perf_counter() + 60.0)
+        assert later.status == STATUS_OPTIMAL
+
+
 def test_duals_sign_and_complementary_slackness():
     rng = np.random.default_rng(RNG_SEED)
     for _ in range(40):
@@ -160,18 +177,10 @@ def test_warm_start_matches_cold_after_adding_column():
 def test_garbage_warm_start_falls_back_to_cold():
     p = make_lp([1.0, 1.0], [[1.0, 1.0]], [2.0], [0.0, 0.0], [np.inf, np.inf])
     ref = solve_lp(p)
-    mangled = solve_lp(p, warm_start="not a basis" and None)
+    mangled = solve_lp(p, warm_start=Basis([0, 1], [2, 2], [0]))  # 2 basics, 1 row
     bad = ref.basis
     bad.basic = np.array([99])
     again = solve_lp(p, warm_start=bad)
     assert mangled.objective == pytest.approx(2.0, abs=1e-9)
     assert again.objective == pytest.approx(2.0, abs=1e-9)
 
-
-def test_lp_text_export(tmp_path):
-    p = make_lp([1.0, -2.0], [[1.0, 1.0]], [3.0], [0.0, 0.0], [1.0, np.inf])
-    out = tmp_path / "dump.lp"
-    write_lp_text(p, out)
-    text = out.read_text()
-    for token in ("Maximize", "Subject To", "Bounds", "End", "r0:", "x0"):
-        assert token in text

@@ -2,14 +2,16 @@
 
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
 
+from multihit import master
 from multihit.bitset import weighted_sum
 from multihit.data import HitRange
 from multihit.errors import DuplicateColumnError, ValidationError
-from multihit.master import build_master, solve_binary, solve_relaxation
+from multihit.master import MasterModel, solve_binary, solve_relaxation
 from multihit.metrics import objective_value
 
 from oracles import (
@@ -23,7 +25,7 @@ from util import random_matrix, toy_matrix
 def toy_model(beta=10):
     m = toy_matrix()
     cols = [m.combination((0, 1)), m.combination((2, 3))]
-    return m, build_master(m, cols, beta)
+    return m, MasterModel(m, cols, beta)
 
 
 def full_pool(m, hit_range):
@@ -33,7 +35,7 @@ def full_pool(m, hit_range):
 def test_dimension_arithmetic():
     m = toy_matrix()
     cols = full_pool(m, HitRange(2, 2))[:4]
-    model = build_master(m, cols, 10)
+    model = MasterModel(m, cols, 10)
     assert model.n_rows == 6
     assert model.n_vars == 9
     lp = model.build_lp()
@@ -42,7 +44,7 @@ def test_dimension_arithmetic():
 
 def test_empty_pool_relaxation_is_zero():
     m = toy_matrix()
-    model = build_master(m, [], 10)
+    model = MasterModel(m, [], 10)
     sol = solve_relaxation(model)
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
     assert sol.z.shape == (0,)
@@ -69,18 +71,18 @@ def test_column_validation():
     alien = other.combination((0, 1))
     if alien.tumor_cover >> m.tumor_count:
         with pytest.raises(ValidationError):
-            build_master(m, [alien], 10)
+            MasterModel(m, [alien], 10)
     with pytest.raises(ValidationError):
-        build_master(m, [], -1)
+        MasterModel(m, [], -1)
     with pytest.raises(ValidationError):
-        build_master(m, [], 1.5)
+        MasterModel(m, [], 1.5)
 
 
 def test_adding_columns_never_decreases_relaxation():
     rng = random.Random(31)
     m = random_matrix(rng, 8, 6, 4)
     pool = full_pool(m, HitRange(2, 2))
-    model = build_master(m, [], 3)
+    model = MasterModel(m, [], 3)
     last = solve_relaxation(model).objective
     for comb in pool[:10]:
         model.add_column(comb)
@@ -93,7 +95,7 @@ def test_relaxation_matches_tableau_oracle_on_full_pool():
     rng = random.Random(32)
     for _ in range(8):
         m = random_matrix(rng, 7, 6, 4)
-        model = build_master(m, full_pool(m, HitRange(2, 2)), 3)
+        model = MasterModel(m, full_pool(m, HitRange(2, 2)), 3)
         sol = solve_relaxation(model)
         lp = model.build_lp()
         status, obj, _ = tableau_solve(
@@ -107,7 +109,7 @@ def test_dual_prices_sign_and_in_pool_reduced_costs():
     rng = random.Random(33)
     for _ in range(10):
         m = random_matrix(rng, 8, 7, 5)
-        model = build_master(m, full_pool(m, HitRange(2, 2))[:15], 3)
+        model = MasterModel(m, full_pool(m, HitRange(2, 2))[:15], 3)
         sol = solve_relaxation(model)
         d = sol.duals
         assert np.all(d.pi >= 0.0) and np.all(d.mu >= 0.0) and d.lam >= 0.0
@@ -125,7 +127,7 @@ def test_warm_start_after_column_add():
     rng = random.Random(34)
     m = random_matrix(rng, 8, 6, 4)
     pool = full_pool(m, HitRange(2, 2))
-    model = build_master(m, pool[:5], 3)
+    model = MasterModel(m, pool[:5], 3)
     first = solve_relaxation(model)
     model.add_column(pool[7])
     warm = solve_relaxation(model, warm_start=first.basis)
@@ -149,7 +151,7 @@ def test_binary_matches_subset_enumeration():
         rng.shuffle(pool)
         pool = pool[:10]
         beta = rng.randint(1, 3)
-        model = build_master(m, pool, beta)
+        model = MasterModel(m, pool, beta)
         res = solve_binary(model, time_limit=30.0)
         assert res.status == "optimal"
         best = 0
@@ -184,23 +186,34 @@ def test_binary_zero_budget():
 
 def test_binary_empty_pool():
     m = toy_matrix()
-    model = build_master(m, [], 5)
+    model = MasterModel(m, [], 5)
     res = solve_binary(model)
     assert res.status == "optimal"
     assert res.selection == [] and res.objective == 0
 
 
-def test_binary_incumbent_callback_sees_improving_sequence():
-    rng = random.Random(99)
-    for _ in range(5):
-        m = random_matrix(rng, 7, 8, 4)
-        model = build_master(m, full_pool(m, HitRange(2, 2)), 3)
-        seen = []
-        res = solve_binary(
-            model, incumbent_callback=lambda sel, obj: seen.append((sel, obj))
-        )
-        assert res.status == "optimal"
-        assert seen
-        objs = [obj for _, obj in seen]
-        assert objs == sorted(set(objs))
-        assert seen[-1] == (res.selection, res.objective)
+def test_binary_deadline_inside_a_node_lp_keeps_that_bound_open(monkeypatch):
+    # Expire the deadline inside the k-th node LP: the search stops there
+    # with status time_limit, and its bound must still cover the unsolved
+    # node, so it never falls below the optimum.
+    m = random_matrix(random.Random(45), 8, 12, 6)
+    pool = full_pool(m, HitRange(2, 3))
+    done = solve_binary(MasterModel(m, pool, 3))
+    assert done.status == "optimal" and done.nodes == 8
+    real = master.solve_lp
+    for k in (1, 2, 5, 8):
+        calls = []
+
+        def expiring(p, warm_start=None, deadline=None):
+            calls.append(p)
+            if len(calls) == k:
+                deadline = time.perf_counter() - 1.0
+            return real(p, warm_start, deadline=deadline)
+
+        monkeypatch.setattr(master, "solve_lp", expiring)
+        res = solve_binary(MasterModel(m, pool, 3))
+        assert res.status == "time_limit"
+        assert res.nodes == k - 1
+        assert res.objective <= done.objective <= res.bound
+        chosen = [pool[j] for j in res.selection]
+        assert objective_value(chosen, m) == res.objective

@@ -52,7 +52,15 @@ _DEFAULTS = {
     f.name: f.default for f in fields(SolverConfig) if f.default is not MISSING
 }
 
+# The sweep grid's defaults (modes, train fraction) come from the spec.
+_SPEC_DEFAULTS = {
+    f.name: f.default for f in fields(ExperimentSpec) if f.default is not MISSING
+}
+
 _CONFIG_KEYS = set(_DEFAULTS) | {f.name for f in fields(ExperimentSpec)}
+
+# ExperimentSpec requires its hit ranges, so their default lives here.
+DEFAULT_HIT_RANGE = "2-3"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -194,10 +202,14 @@ def cmd_solve(args):
     hit_text = _pick(
         args.hit,
         config["hit_ranges"][0] if config.get("hit_ranges") else None,
-        "2-3",
+        DEFAULT_HIT_RANGE,
     )
     hit = HitRange.parse(str(hit_text))
-    mode = _pick(args.mode, config["modes"][0] if config.get("modes") else None, "colgen")
+    mode = _pick(
+        args.mode,
+        config["modes"][0] if config.get("modes") else None,
+        _SPEC_DEFAULTS["modes"][0],
+    )
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}; pick from {MODES}")
     matrix = load_dense(args.data)
@@ -274,16 +286,17 @@ def cmd_sweep(args):
     config_dir = os.path.dirname(os.path.abspath(args.config))
     instances = _sweep_instances(config, config_dir)
     hit_ranges = tuple(
-        HitRange.parse(str(h)) for h in config.get("hit_ranges", ["2-3"])
+        HitRange.parse(str(h))
+        for h in config.get("hit_ranges", [DEFAULT_HIT_RANGE])
     )
     spec = _experiment_spec(
         args,
         config,
         seeds=config.get("seeds") if args.seed is None else None,
-        train_fraction=0.75,
+        train_fraction=_SPEC_DEFAULTS["train_fraction"],
         instances=instances,
         hit_ranges=hit_ranges,
-        modes=tuple(config.get("modes", ["colgen"])),
+        modes=tuple(config.get("modes", _SPEC_DEFAULTS["modes"])),
     )
     reports, failures = run_experiment(spec, args.out_dir, workers=args.workers)
     print(
@@ -377,7 +390,10 @@ def build_parser():
     p = sub.add_parser("split", help="stratified train/test split of a dense TSV")
     p.add_argument("--data", required=True)
     p.add_argument(
-        "--train-fraction", type=float, default=0.75, dest="train_fraction"
+        "--train-fraction",
+        type=float,
+        default=_SPEC_DEFAULTS["train_fraction"],
+        dest="train_fraction",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--train-out", required=True, dest="train_out")
@@ -406,7 +422,7 @@ def build_parser():
         "--workers",
         type=int,
         default=1,
-        help="parallel worker processes (default 1)",
+        help="parallel worker processes, at most one per cell (default 1)",
     )
     _add_solver_flags(p, "run only this seed, ignoring the config's list")
     p.set_defaults(func=cmd_sweep)

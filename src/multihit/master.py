@@ -18,7 +18,6 @@ from . import metrics
 from .bitset import bits
 from .errors import ConsistencyError, DuplicateColumnError, ValidationError
 from .lp import (
-    STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_TIME_LIMIT,
     LinearProgram,
@@ -138,14 +137,23 @@ class MasterModel:
         return self._cached_lp
 
     def node_lp(self, fixed):
-        """Relaxation with some selection variables pinned to 0 or 1."""
+        """Relaxation with some selection variables pinned to 0 or 1.
+
+        Each normal's penalty variable starts at the number of pinned-in
+        columns covering it, a bound its row already implies; so the slack
+        basis stays feasible and the optimum is unchanged.  At most
+        ``beta`` columns may be pinned to 1.
+        """
         base = self.build_lp()
         lower = base.lower.copy()
         upper = base.upper.copy()
-        off = self.matrix.tumor_count + self.matrix.normal_count
+        nt = self.matrix.tumor_count
+        off = nt + self.matrix.normal_count
         for k, v in fixed.items():
-            lower[off + k] = float(v)
-            upper[off + k] = float(v)
+            lower[off + k] = upper[off + k] = float(v)
+            if v:
+                for n in bits(self.columns[k].normal_cover):
+                    lower[nt + n] += 1.0
         return LinearProgram(base.objective, base.a_matrix, base.rhs, lower, upper)
 
 
@@ -236,8 +244,6 @@ def solve_binary(model, time_limit=30.0):
             open_nodes.append(node)  # unsolved, so its bound stays open
             break
         nodes_solved += 1
-        if sol.status == STATUS_INFEASIBLE:
-            continue
         if sol.status != STATUS_OPTIMAL:
             raise ConsistencyError(f"node relaxation status {sol.status}")
         bound = sol.objective

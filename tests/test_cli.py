@@ -262,6 +262,23 @@ def test_sweep_partial_failure_exit_code(tmp_path):
     assert failures[0]["cell"].startswith("toobig__")
 
 
+def test_sweep_refuses_workers_below_one(tmp_path, capsys):
+    cfg = {
+        "instances": [
+            {"name": "tiny", "synth": {"genes": 6, "tumors": 4, "normals": 2}}
+        ],
+        "modes": ["exact"],
+    }
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    for bad in ("0", "-2"):
+        out_dir = tmp_path / f"results{bad}"
+        argv = ["sweep", "--config", str(cfg_path), "--out-dir", str(out_dir)]
+        assert main(argv + ["--workers", bad]) == 1
+        assert "workers must be at least 1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 def test_unknown_config_key_rejected(tmp_path):
     data = write_tiny(tmp_path)
     cfg = tmp_path / "cfg.json"

@@ -1,11 +1,13 @@
 """Harness tests: synthetic generation, report schema, sweeps, stability."""
 
+import concurrent.futures
 import json
 import os
 
 import jsonschema
 import pytest
 
+from multihit import harness
 from multihit.data import HitRange, SampleLabel, prune_genes
 from multihit.errors import ValidationError
 from multihit.framework import exact_bruteforce
@@ -205,6 +207,44 @@ def test_parallel_matches_serial(tmp_path):
         return out
 
     assert normalize(serial) == normalize(parallel)
+
+
+def test_workers_capped_at_cell_count_and_refused_below_one(tmp_path, monkeypatch):
+    # A stand-in pool runs each cell in this process and records its size,
+    # so no worker process is ever started.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(
+        harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool
+    )
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+    spec = small_experiment(tmp_path, modes=("mip_heuristic", "exact"))
+    reports, failures = run_experiment(spec, str(tmp_path / "a"), workers=64)
+    assert sizes == [2] and failures == [] and len(reports) == 2
+    run_experiment(spec, str(tmp_path / "b"), workers=None)
+    assert sizes == [2, 2]
+    one_cell = small_experiment(tmp_path, modes=("exact",))
+    reports, _ = run_experiment(one_cell, str(tmp_path / "c"), workers=8)
+    assert sizes == [2, 2] and len(reports) == 1  # one cell runs in-process
+    for bad in (0, -3):
+        with pytest.raises(ValidationError, match="workers"):
+            run_experiment(spec, str(tmp_path / "d"), workers=bad)
+    assert sizes == [2, 2] and not (tmp_path / "d").exists()
 
 
 def test_reports_byte_stable_apart_from_timing(tmp_path):

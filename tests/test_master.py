@@ -217,3 +217,35 @@ def test_binary_deadline_inside_a_node_lp_keeps_that_bound_open(monkeypatch):
         assert res.objective <= done.objective <= res.bound
         chosen = [pool[j] for j in res.selection]
         assert objective_value(chosen, m) == res.objective
+
+
+def test_node_lp_starts_feasible_and_keeps_the_optimum():
+    # Pinning a column to 1 raises the penalty lower bound of each normal it
+    # covers, which keeps the slack basis feasible.  The optimum must equal
+    # the oracle's on the same node LP without the raised bounds.
+    rng = random.Random(36)
+    raised = 0
+    for _ in range(20):
+        m = random_matrix(rng, 7, 6, 5, density=0.5)
+        pool = full_pool(m, HitRange(2, 3))
+        rng.shuffle(pool)
+        model = MasterModel(m, pool[:10], rng.randint(1, 3))
+        ones = rng.sample(range(10), rng.randint(0, model.beta))
+        zeros = rng.sample([k for k in range(10) if k not in ones], 2)
+        fixed = {**dict.fromkeys(ones, 1), **dict.fromkeys(zeros, 0)}
+        node = model.node_lp(fixed)
+        assert np.all(node.rhs - node.a_matrix @ node.lower >= 0.0)
+        sol = master.solve_lp(node)
+        assert sol.status == "optimal"
+        base = model.build_lp()
+        lower, upper = base.lower.copy(), base.upper.copy()
+        off = m.tumor_count + m.normal_count
+        for k, v in fixed.items():
+            lower[off + k] = upper[off + k] = v
+        raised += bool(np.any(node.lower != lower))
+        status, obj, _ = tableau_solve(
+            base.objective, base.a_matrix.toarray(), base.rhs, lower, upper
+        )
+        assert status == "optimal"
+        assert sol.objective == pytest.approx(obj, abs=1e-6)
+    assert raised > 0

@@ -59,6 +59,11 @@ _SPEC_DEFAULTS = {
 
 _CONFIG_KEYS = set(_DEFAULTS) | {f.name for f in fields(ExperimentSpec)}
 
+# The synthetic generator's rate defaults come from its spec.
+_SYNTH_RATES = {
+    f.name: f.default for f in fields(SyntheticSpec) if f.name.endswith("_rate")
+}
+
 # ExperimentSpec requires its hit ranges, so their default lives here.
 DEFAULT_HIT_RANGE = "2-3"
 
@@ -267,9 +272,7 @@ def _sweep_instances(config, config_dir):
                 n_tumor=params.pop("tumors"),
                 n_normal=params.pop("normals"),
                 planted=tuple(tuple(c) for c in params.pop("planted", [])),
-                planted_rate=params.pop("planted_rate", 1.0),
-                background_rate=params.pop("background_rate", 0.0),
-                normal_rate=params.pop("normal_rate", 0.0),
+                **{key: params.pop(key, rate) for key, rate in _SYNTH_RATES.items()},
             )
             if params:
                 raise ValidationError(
@@ -378,11 +381,8 @@ def build_parser():
         action="append",
         help="comma-separated gene indices; repeat per combination",
     )
-    p.add_argument("--planted-rate", type=float, default=1.0, dest="planted_rate")
-    p.add_argument(
-        "--background-rate", type=float, default=0.0, dest="background_rate"
-    )
-    p.add_argument("--normal-rate", type=float, default=0.0, dest="normal_rate")
+    for key, rate in _SYNTH_RATES.items():
+        p.add_argument("--" + key.replace("_", "-"), type=float, default=rate, dest=key)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)

@@ -19,7 +19,7 @@ from . import metrics
 from .candidates import generate_candidates
 from .errors import ConsistencyError, DuplicateColumnError, ValidationError
 from .master import MasterModel, solve_binary, solve_relaxation
-from .pricing import PricingProblem, solve_pricing_with_speedup
+from .pricing import RC_EPS, PricingProblem, solve_pricing_with_speedup
 
 ROUND_TOL = 1e-6
 
@@ -73,7 +73,8 @@ class SolveReport:
     ``objective`` is the exact integer value of ``selection`` and always a
     valid lower bound.  ``upper_bound`` is ``None`` unless it was proven.
     ``status`` is ``"converged"`` when every proving step finished inside
-    its limit, else ``"time_limit"``.
+    its limit, else ``"time_limit"``.  ``pool_size`` is the number of
+    columns the final selection search chose from, in every mode.
     """
 
     selection: list
@@ -108,9 +109,6 @@ def rounding_heuristic(relaxation, model):
 def _pipeline(matrix, config, initial_columns, use_pricing, started, generation_time):
     deadline = started + config.total_time_limit
     model = MasterModel(matrix, initial_columns, config.beta)
-    history = set()
-    for comb in model.columns:
-        history.update(comb.genes)
     best_selection = []
     lb_star = 0
     ub_star = None
@@ -133,6 +131,7 @@ def _pipeline(matrix, config, initial_columns, use_pricing, started, generation_
                 lb_star = rounded
                 best_selection = [model.columns[j] for j in indices]
             problem = PricingProblem(matrix, rmp.duals, config.hit_range)
+            history = {g for comb in model.columns for g in comb.genes}
             t0 = time.perf_counter()
             priced = solve_pricing_with_speedup(
                 problem, history, deadline=deadline, top_q=config.top_q
@@ -145,20 +144,16 @@ def _pipeline(matrix, config, initial_columns, use_pricing, started, generation_
                 if pricing_converged:
                     ub_star = rmp.objective
                 break
-            try:
-                model.add_column(priced.best)
-            except DuplicateColumnError as exc:
-                raise ConsistencyError(
-                    f"pricing returned in-pool column {priced.best.genes} "
-                    f"with reduced cost {priced.reduced_cost:.6g} at "
-                    f"iteration {iterations}; at a relaxation optimum every "
-                    "pool column must price nonpositive"
-                ) from exc
-            history.update(priced.best.genes)
-            for extra in priced.candidates[1:]:
-                if not model.contains(extra.genes):
-                    model.add_column(extra)
-                    history.update(extra.genes)
+            for comb in priced.candidates:  # led by priced.best
+                try:
+                    model.add_column(comb)
+                except DuplicateColumnError as exc:
+                    raise ConsistencyError(
+                        f"pricing returned in-pool column {comb.genes} with "
+                        f"reduced cost above {RC_EPS} at iteration "
+                        f"{iterations}; at a relaxation optimum every pool "
+                        "column must price nonpositive"
+                    ) from exc
     t0 = time.perf_counter()
     remaining = max(0.0, deadline - t0)
     binary = solve_binary(model, time_limit=min(config.master_time_limit, remaining))
@@ -212,11 +207,17 @@ def exact_bruteforce(matrix, hit_range, beta):
     """Provably optimal selection by capped subset search.
 
     Refuses instances beyond hard caps on genes, combination count and
-    budget, naming the violated cap.  Combinations that cover no tumor or
-    are coverage-dominated by another combination are dropped first; both
-    reductions preserve the optimal value.  Returns
-    ``(selection, objective)``.
+    budget, naming the violated cap.  Combinations that cover no tumor,
+    repeat another's cover or are coverage-dominated by another combination
+    are dropped first; these reductions preserve the optimal value.
+    Returns ``(selection, objective)``.
     """
+    selection, objective, _ = _exact_search(matrix, hit_range, beta)
+    return selection, objective
+
+
+def _exact_search(matrix, hit_range, beta):
+    """``exact_bruteforce`` plus the number of combinations searched over."""
     if matrix.n_genes > EXACT_MAX_GENES:
         raise ValidationError(
             f"exact search capped at {EXACT_MAX_GENES} genes, got {matrix.n_genes}"
@@ -281,13 +282,15 @@ def exact_bruteforce(matrix, hit_range, beta):
             chosen.pop()
 
     dive(0, [], 0, 0)
-    return best_sel, best_obj
+    return best_sel, best_obj, len(kept)
 
 
 def solve_exact(matrix, config):
     """Wrap the capped exact search in a report with a zero gap."""
     started = time.perf_counter()
-    selection, objective = exact_bruteforce(matrix, config.hit_range, config.beta)
+    selection, objective, pool_size = _exact_search(
+        matrix, config.hit_range, config.beta
+    )
     elapsed = time.perf_counter() - started
     return SolveReport(
         selection=selection,
@@ -296,7 +299,7 @@ def solve_exact(matrix, config):
         gap_percent=None if objective == 0 else 0.0,
         status="converged",
         iterations=0,
-        pool_size=sum(math.comb(matrix.n_genes, k) for k in config.hit_range.sizes()),
+        pool_size=pool_size,
         timings={
             "generation": 0.0,
             "master": 0.0,

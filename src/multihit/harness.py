@@ -81,9 +81,9 @@ class ExperimentSpec(SolverSettings):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.instances or not self.hit_ranges or not self.seeds:
+        if not (self.instances and self.hit_ranges and self.modes and self.seeds):
             raise ValidationError(
-                "an experiment needs instances, hit ranges and seeds"
+                "an experiment needs instances, hit ranges, modes and seeds"
             )
         for mode in self.modes:
             if mode not in MODES:
@@ -141,11 +141,6 @@ def run_cell(name, matrix, hit_range, mode, seed, spec):
 
 def cell_id(name, hit_range, mode, seed):
     return f"{name}__{hit_range}__{mode}__s{seed}"
-
-
-def _run_packed(task):
-    name, matrix, hit_range, mode, seed, spec = task
-    return run_cell(name, matrix, hit_range, mode, seed, spec)
 
 
 def emit_report(report, path):
@@ -225,12 +220,12 @@ def run_experiment(spec, out_dir, workers=1):
     if workers <= 1:
         for task in tasks:
             try:
-                outcomes.append((task, _run_packed(task), None))
+                outcomes.append((task, run_cell(*task), None))
             except Exception as exc:  # noqa: BLE001 - cells must not kill the sweep
                 outcomes.append((task, None, exc))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_packed, task) for task in tasks]
+            futures = [pool.submit(run_cell, *task) for task in tasks]
             for task, fut in zip(tasks, futures):
                 try:
                     outcomes.append((task, fut.result(), None))

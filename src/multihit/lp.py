@@ -28,12 +28,14 @@ PIVOT_TOL = 1e-9
 CHECK_TOL = 1e-6
 DEGEN_STREAK = 40
 REFACTOR_EVERY = 64
+# A solve stops with iteration_limit after BASE + PER_DIM * (vars + rows) pivots.
+ITERATION_BASE = 2000
+ITERATION_PER_DIM = 50
 _CLOCK_CHECK_MASK = 0xFF  # read the clock every 256 pivots
 
 AT_LOWER, AT_UPPER, IN_BASIS = 0, 1, 2
 
 STATUS_OPTIMAL = "optimal"
-STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_ITERATION_LIMIT = "iteration_limit"
 STATUS_TIME_LIMIT = "time_limit"
@@ -42,7 +44,8 @@ STATUS_TIME_LIMIT = "time_limit"
 class LinearProgram:
     """Data for one LP.  All rows are ``<=`` rows; the sense is maximize.
 
-    The slack basis must be feasible: ``rhs - A @ lower >= 0`` on every row.
+    No lower bound may exceed its upper bound, and the slack basis must be
+    feasible: ``rhs - A @ lower >= 0`` on every row.
     """
 
     def __init__(self, objective, a_matrix, rhs, lower, upper):
@@ -67,6 +70,8 @@ class LinearProgram:
             raise ValidationError("bounds must not be NaN")
         if not np.all(np.isfinite(self.lower)):
             raise ValidationError("lower bounds must be finite")
+        if np.any(self.lower > self.upper):
+            raise ValidationError("a lower bound lies above its upper bound")
         short = np.nonzero(self.rhs - self.a_matrix @ self.lower < -FEAS_TOL)[0]
         if short.size:
             raise ValidationError(
@@ -105,14 +110,14 @@ class LpSolution:
         self.iterations = iterations
 
 
-def _failed(status, n, m, iterations=0):
+def _failed(status, n, m, iterations):
     return LpSolution(
         status, float("nan"), np.full(n, np.nan), np.full(m, np.nan), None, iterations
     )
 
 
 class _Simplex:
-    def __init__(self, p, max_iterations, deadline):
+    def __init__(self, p, deadline):
         self.n = p.n_vars
         self.m = p.n_rows
         self.nf = self.n + self.m  # structural + slack
@@ -122,7 +127,7 @@ class _Simplex:
         self.ub_hat = np.concatenate([p.upper - p.lower, np.full(self.m, np.inf)])
         self.c_hat = np.concatenate([p.objective, np.zeros(self.m)])
         self.movable = self.ub_hat > 0.0  # fixed variables never enter
-        self.max_iterations = max_iterations
+        self.max_iterations = ITERATION_BASE + ITERATION_PER_DIM * self.nf
         self.deadline = deadline
         self.iterations = 0
         self.basic = None
@@ -224,7 +229,7 @@ class _Simplex:
         if not np.isfinite(t_best):
             return STATUS_UNBOUNDED
         self.iterations += 1
-        self.degen_run = self.degen_run + 1 if t_best <= 1e-10 else 0
+        self.degen_run = self.degen_run + 1 if t_best <= PIVOT_TOL else 0
         self.bland = self.degen_run > DEGEN_STREAK
         self.beta -= t_best * delta
         entering_value = (0.0 if at_lower else self.ub_hat[j]) + sigma * t_best
@@ -328,7 +333,7 @@ class _Simplex:
             raise ConsistencyError("complementary slackness violated")
 
 
-def solve_lp(p, warm_start=None, max_iterations=None, deadline=None, _retry=True):
+def solve_lp(p, warm_start=None, deadline=None, _retry=True):
     """Solve ``p``, optionally warm starting from a previous :class:`Basis`.
 
     A structurally or numerically unusable warm basis falls back to the
@@ -337,11 +342,7 @@ def solve_lp(p, warm_start=None, max_iterations=None, deadline=None, _retry=True
     check, the solve stops with status ``time_limit`` and no solution.
     """
     n, m = p.n_vars, p.n_rows
-    if np.any(p.lower > p.upper):
-        return _failed(STATUS_INFEASIBLE, n, m)
-    if max_iterations is None:
-        max_iterations = 2000 + 50 * (n + m)
-    s = _Simplex(p, max_iterations, deadline)
+    s = _Simplex(p, deadline)
     if not s.try_warm_start(warm_start):
         s.cold_start()  # feasible, as LinearProgram checked
     outcome = s.run()
@@ -351,7 +352,7 @@ def solve_lp(p, warm_start=None, max_iterations=None, deadline=None, _retry=True
     if outcome == STATUS_OPTIMAL and not s.feasible(CHECK_TOL):
         # Accumulated drift; one clean retry from a cold start.
         if _retry:
-            return solve_lp(p, None, max_iterations, deadline, _retry=False)
+            return solve_lp(p, None, deadline, _retry=False)
         raise ConsistencyError("basis drifted out of feasibility")
     x_hat = s.primal_values()
     y = s.duals()

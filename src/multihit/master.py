@@ -37,10 +37,8 @@ class DualPrices:
 
 
 class RmpSolution:
-    def __init__(self, objective, x, y, z, duals, basis, iterations):
+    def __init__(self, objective, z, duals, basis, iterations):
         self.objective = objective
-        self.x = x
-        self.y = y
         self.z = z
         self.duals = duals
         self.basis = basis
@@ -70,17 +68,6 @@ class MasterModel:
         self._cached_lp = None
         for c in columns:
             self.add_column(c)
-
-    @property
-    def n_rows(self):
-        return self.matrix.tumor_count + self.matrix.normal_count + 1
-
-    @property
-    def n_vars(self):
-        return self.matrix.tumor_count + self.matrix.normal_count + len(self.columns)
-
-    def contains(self, genes):
-        return tuple(genes) in self._keys
 
     def add_column(self, comb):
         """Append a combination; a repeat of an in-pool column is rejected."""
@@ -158,7 +145,7 @@ class MasterModel:
 
 
 def solve_relaxation(model, warm_start=None, deadline=None):
-    """LP-relax the master and hand back primal values plus clamped duals.
+    """LP-relax the master and hand back selection values plus clamped duals.
 
     Returns ``None`` when ``deadline`` (``time.perf_counter`` scale) passes
     before the LP is solved.
@@ -179,8 +166,6 @@ def solve_relaxation(model, warm_start=None, deadline=None):
     )
     return RmpSolution(
         objective=sol.objective,
-        x=sol.x[:nt].copy(),
-        y=sol.x[nt : nt + nn].copy(),
         z=sol.x[nt + nn :].copy(),
         duals=duals,
         basis=sol.basis,
@@ -189,13 +174,12 @@ def solve_relaxation(model, warm_start=None, deadline=None):
 
 
 class _Node:
-    __slots__ = ("node_id", "fixed", "bound", "warm")
+    __slots__ = ("node_id", "fixed", "bound")
 
-    def __init__(self, node_id, fixed, bound, warm):
+    def __init__(self, node_id, fixed, bound):
         self.node_id = node_id
         self.fixed = fixed
         self.bound = bound
-        self.warm = warm
 
 
 def _fractionality(value):
@@ -208,9 +192,11 @@ def solve_binary(model, time_limit=30.0):
 
     Node selection is best-bound-first after an initial depth-first dive
     finds the first incumbent; branching picks the most fractional selection
-    variable, ties to the lowest column index.  Incumbents are accepted only
-    after exact integer re-evaluation of their objective.  When the
-    wall-clock limit passes, between nodes or inside a node's LP, the best
+    variable, ties to the lowest column index.  Node LPs start cold: the
+    parent's basis holds the branched variable at a fractional value, so it
+    is infeasible for both children.  Incumbents are accepted only after
+    exact integer re-evaluation of their objective.  When the wall-clock
+    limit passes, between nodes or inside a node's LP, the best
     incumbent so far is returned (the empty selection if there is none) with
     the best bound still open.
     """
@@ -220,7 +206,7 @@ def solve_binary(model, time_limit=30.0):
     nodes_solved = 0
     lp_iterations = 0
     next_id = 0
-    open_nodes = [_Node(next_id, {}, math.inf, None)]
+    open_nodes = [_Node(next_id, {}, math.inf)]
     next_id += 1
 
     while open_nodes and time.perf_counter() <= deadline:
@@ -236,9 +222,7 @@ def solve_binary(model, time_limit=30.0):
             continue
         if sum(node.fixed.values()) > model.beta:
             continue
-        sol = solve_lp(
-            model.node_lp(node.fixed), warm_start=node.warm, deadline=deadline
-        )
+        sol = solve_lp(model.node_lp(node.fixed), deadline=deadline)
         lp_iterations += sol.iterations
         if sol.status == STATUS_TIME_LIMIT:
             open_nodes.append(node)  # unsolved, so its bound stays open
@@ -274,7 +258,7 @@ def solve_binary(model, time_limit=30.0):
         for value in (0, 1):
             child_fixed = dict(node.fixed)
             child_fixed[branch] = value
-            open_nodes.append(_Node(next_id, child_fixed, bound, sol.basis))
+            open_nodes.append(_Node(next_id, child_fixed, bound))
             next_id += 1
         # The stack pops the include-child first during the initial dive.
 

@@ -43,8 +43,8 @@ class PricingResult:
     when that set is empty); ``best`` is its maximizer when the maximum
     exceeds ``RC_EPS``, else ``None``.  ``proven_optimal`` is claimed only
     by a search that ran the full admissible set to completion.
-    ``candidates`` holds the top distinct positive columns found (at least
-    ``best`` when positive).
+    ``candidates`` holds the top distinct positive columns found, best
+    first, so it starts with ``best`` when there is one.
     """
 
     def __init__(self, best, reduced_cost, proven_optimal, nodes, candidates):
@@ -53,14 +53,6 @@ class PricingResult:
         self.proven_optimal = proven_optimal
         self.nodes = nodes
         self.candidates = candidates
-
-
-def reduced_cost(comb, duals):
-    return (
-        weighted_sum(duals.pi, comb.tumor_cover)
-        - weighted_sum(duals.mu, comb.normal_cover)
-        - duals.lam
-    )
 
 
 def solve_pricing(problem, deadline=None, top_q=1):

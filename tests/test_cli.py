@@ -8,9 +8,11 @@ import sys
 import pytest
 
 import multihit
+from multihit import cli
 from multihit.cli import main
 from multihit.data import load_dense
 from multihit.harness import validate_report
+from multihit.synth import SyntheticSpec, generate_synthetic
 
 TINY = (
     "sample_id\tlabel\tg1\tg2\tg3\tg4\n"
@@ -62,6 +64,18 @@ def test_synth_then_solve_exact(tmp_path):
     assert cell["mode"] == "exact"
     assert cell["gap_percent"] == 0.0
     assert cell["metrics_test"]["mcc"] is None  # train fraction defaults to 1.0
+
+
+def test_synth_rates_default_to_the_spec(tmp_path):
+    want = generate_synthetic(SyntheticSpec(8, 6, 4, ((0, 1),)), 3).samples
+    data = str(tmp_path / "synth.tsv")
+    flags = ["--genes", "8", "--tumors", "6", "--normals", "4", "--planted", "0,1"]
+    assert main(["synth", *flags, "--seed", "3", "--out", data]) == 0
+    assert load_dense(data).samples == want
+    entry = {"genes": 8, "tumors": 6, "normals": 4, "planted": [[0, 1]], "seed": 3}
+    config = {"instances": [{"name": "a", "synth": entry}]}
+    [(_, matrix)] = cli._sweep_instances(config, str(tmp_path))
+    assert matrix.samples == want
 
 
 def test_split_command(tmp_path):

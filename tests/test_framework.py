@@ -131,7 +131,11 @@ def test_solve_exact_report_shape():
     assert rep.upper_bound == 1.0
     assert rep.gap_percent == 0.0
     assert rep.status == "converged"
-    assert rep.pool_size == 21
+    # Of the toy's 21 pairs, only the 6 inside t2's genes {g1..g4} cover a
+    # tumor (t3 has one gene).  {g1, g2} covers t1, t2 and n1; the other 5
+    # cover just t2 and no normal, one distinct cover.  Neither cover
+    # dominates the other, so the search chooses from 2 columns.
+    assert rep.pool_size == 2
 
 
 def test_mip_heuristic_with_exhaustive_pool_is_exact():
@@ -245,6 +249,15 @@ def test_stagnation_guard_raises(monkeypatch):
     monkeypatch.setattr(framework, "solve_pricing_with_speedup", fake_pricing)
     cfg = SolverConfig(hit_range=HitRange(2, 2), beta=2)
     with pytest.raises(ConsistencyError, match="in-pool"):
+        framework._pipeline(m, cfg, [col], True, time.perf_counter(), 0.0)
+    # An in-pool column among the extras breaks the same invariant.
+    new = m.combination((2, 3))
+
+    def fake_top_q(problem, history, deadline=None, top_q=1):
+        return PricingResult(new, 0.5, True, 1, [new, col])
+
+    monkeypatch.setattr(framework, "solve_pricing_with_speedup", fake_top_q)
+    with pytest.raises(ConsistencyError, match=r"in-pool column \(0, 1\)"):
         framework._pipeline(m, cfg, [col], True, time.perf_counter(), 0.0)
 
 

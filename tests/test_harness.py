@@ -293,5 +293,7 @@ def test_experiment_spec_validation():
         )
     with pytest.raises(ValidationError, match="needs instances"):
         ExperimentSpec(instances=(), hit_ranges=(HitRange(2, 2),))
+    with pytest.raises(ValidationError, match="modes"):
+        ExperimentSpec(instances=(("a", m),), hit_ranges=(HitRange(2, 2),), modes=())
     with pytest.raises(ValidationError, match="budget"):
         ExperimentSpec(instances=(("a", m),), hit_ranges=(HitRange(2, 2),), beta=-1)

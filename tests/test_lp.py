@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from multihit import lp
 from multihit.errors import ValidationError
 from multihit.lp import (
-    STATUS_INFEASIBLE,
     STATUS_ITERATION_LIMIT,
     STATUS_OPTIMAL,
     STATUS_TIME_LIMIT,
@@ -53,11 +53,6 @@ def test_no_rows_optimum_at_bounds():
     assert np.allclose(sol.x, [2.0, 5.0, -2.0], atol=1e-9)
 
 
-def test_inconsistent_bounds_report_infeasible():
-    p = LinearProgram([1.0], sp.csc_matrix((0, 1)), np.zeros(0), [2.0], [1.0])
-    assert solve_lp(p).status == STATUS_INFEASIBLE
-
-
 def test_infeasible_slack_basis_is_refused():
     # x + y >= 2 written as -x - y <= -2: the slack basis starts at -2.
     with pytest.raises(ValidationError, match="slack basis"):
@@ -67,6 +62,9 @@ def test_infeasible_slack_basis_is_refused():
         make_lp([1.0], [[1.0]], [2.0], [3.0], [np.inf])
     ok = solve_lp(make_lp([1.0], [[1.0]], [2.0], [1.0], [np.inf]))
     assert ok.objective == pytest.approx(2.0, abs=1e-9)
+    # Crossed bounds leave no feasible point either.
+    with pytest.raises(ValidationError, match="lower bound lies above"):
+        LinearProgram([1.0], sp.csc_matrix((0, 1)), np.zeros(0), [2.0], [1.0])
 
 
 def test_unbounded():
@@ -88,12 +86,16 @@ def test_beale_degenerate_instance_terminates():
     assert sol.objective == pytest.approx(0.05, abs=1e-9)
 
 
-def test_iteration_limit_status():
+def test_iteration_limit_status(monkeypatch):
     c = [1.0, 1.0]
     rows = [[1.0, 2.0], [2.0, 1.0]]
     p = make_lp(c, rows, [4.0, 4.0], [0.0, 0.0], [np.inf, np.inf])
-    sol = solve_lp(p, max_iterations=1)
+    assert solve_lp(p).iterations > 1
+    monkeypatch.setattr(lp, "ITERATION_BASE", 1)
+    monkeypatch.setattr(lp, "ITERATION_PER_DIM", 0)
+    sol = solve_lp(p)
     assert sol.status == STATUS_ITERATION_LIMIT
+    assert sol.iterations == 1
 
 
 def test_passed_deadline_stops_an_lp_that_needs_pivots():

@@ -9,10 +9,12 @@ import pytest
 
 from multihit import master
 from multihit.bitset import weighted_sum
+from multihit.candidates import generate_candidates
 from multihit.data import HitRange
 from multihit.errors import DuplicateColumnError, ValidationError
 from multihit.master import MasterModel, solve_binary, solve_relaxation
 from multihit.metrics import objective_value
+from multihit.synth import SyntheticSpec, generate_synthetic
 
 from oracles import (
     all_combinations,
@@ -30,16 +32,6 @@ def toy_model(beta=10):
 
 def full_pool(m, hit_range):
     return [m.combination(genes) for genes in all_combinations(m, hit_range)]
-
-
-def test_dimension_arithmetic():
-    m = toy_matrix()
-    cols = full_pool(m, HitRange(2, 2))[:4]
-    model = MasterModel(m, cols, 10)
-    assert model.n_rows == 6
-    assert model.n_vars == 9
-    lp = model.build_lp()
-    assert lp.a_matrix.shape == (6, 9)
 
 
 def test_empty_pool_relaxation_is_zero():
@@ -249,3 +241,30 @@ def test_node_lp_starts_feasible_and_keeps_the_optimum():
         assert status == "optimal"
         assert sol.objective == pytest.approx(obj, abs=1e-6)
     assert raised > 0
+
+
+def test_slow_degenerate_root_lp_reaches_its_optimum():
+    # This root LP creeps along in steps of 1e-10 to 1e-7.  Counted as
+    # progress, such steps keep resetting the degenerate streak, so the
+    # simplex never stays in Bland's rule and cycles to its iteration cap.
+    rates = (0.9372949718998201, 0.3798616480545074, 0.3952104907566846)
+    spec = SyntheticSpec(25, 55, 21, ((0, 1), (2, 3)), *rates)
+    m = generate_synthetic(spec, 140)
+    pool = generate_candidates(m, HitRange(2, 3), 100, 159, 140)
+    model = MasterModel(m, pool, 2)
+
+    def value(selection):  # covered tumors minus normal coverings
+        tumors = 0
+        for c in selection:
+            tumors |= c.tumor_cover
+        return tumors.bit_count() - sum(c.normal_cover.bit_count() for c in selection)
+
+    best = max(
+        value(sel) for k in (0, 1, 2) for sel in itertools.combinations(pool, k)
+    )
+    assert best == 52
+    root = master.solve_lp(model.build_lp())
+    assert root.status == "optimal"
+    assert root.objective == pytest.approx(best, abs=1e-6)
+    res = solve_binary(model)
+    assert res.status == "optimal" and res.objective == best

@@ -11,7 +11,6 @@ from multihit.data import HitRange
 from multihit.master import DualPrices
 from multihit.pricing import (
     PricingProblem,
-    reduced_cost,
     solve_pricing,
     solve_pricing_with_speedup,
 )
@@ -36,15 +35,6 @@ def enumerate_max(matrix, duals, hit, allowed=None):
             if rc > best_rc:
                 best_rc, best_genes = rc, combo
     return best_rc, best_genes
-
-
-def test_reduced_cost_formula_on_toy():
-    m = toy_matrix()
-    duals = DualPrices(pi=[1.0, 1.0, 0.0], mu=[0.5, 0.0], lam=0.25)
-    c1 = m.combination((0, 1))
-    c2 = m.combination((2, 3))
-    assert reduced_cost(c1, duals) == pytest.approx(1.25, abs=1e-12)
-    assert reduced_cost(c2, duals) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_solver_matches_enumeration():
@@ -200,7 +190,10 @@ def test_top_q_candidates_match_enumeration():
         reverse=True,
     )
     want = [rc for rc in all_rc[:4] if rc > 1e-6]
-    got = [reduced_cost(c, duals) for c in res.candidates]
+    got = [
+        reduced_cost_by_loops(m, c.genes, duals.pi, duals.mu, duals.lam)
+        for c in res.candidates
+    ]
     assert got == pytest.approx(want, abs=1e-9)
     assert all(got[i] >= got[i + 1] for i in range(len(got) - 1))
 

@@ -53,6 +53,12 @@ def test_no_rows_optimum_at_bounds():
     assert np.allclose(sol.x, [2.0, 5.0, -2.0], atol=1e-9)
 
 
+def test_inconsistent_bounds_report_infeasible():
+    # Crossed bounds leave no feasible point; LinearProgram refuses them.
+    with pytest.raises(ValidationError, match="lower bound lies above"):
+        LinearProgram([1.0], sp.csc_matrix((0, 1)), np.zeros(0), [2.0], [1.0])
+
+
 def test_infeasible_slack_basis_is_refused():
     # x + y >= 2 written as -x - y <= -2: the slack basis starts at -2.
     with pytest.raises(ValidationError, match="slack basis"):
@@ -62,9 +68,6 @@ def test_infeasible_slack_basis_is_refused():
         make_lp([1.0], [[1.0]], [2.0], [3.0], [np.inf])
     ok = solve_lp(make_lp([1.0], [[1.0]], [2.0], [1.0], [np.inf]))
     assert ok.objective == pytest.approx(2.0, abs=1e-9)
-    # Crossed bounds leave no feasible point either.
-    with pytest.raises(ValidationError, match="lower bound lies above"):
-        LinearProgram([1.0], sp.csc_matrix((0, 1)), np.zeros(0), [2.0], [1.0])
 
 
 def test_unbounded():

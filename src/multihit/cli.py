@@ -101,6 +101,11 @@ def _load_config(path):
         raise ValidationError(
             f"config {path} has unknown keys: {', '.join(sorted(unknown))}"
         )
+    for key in ("instances", "hit_ranges", "modes", "seeds"):
+        if key in config and not isinstance(config[key], list):
+            raise ValidationError(
+                f"config {path}: {key!r} must be a list, got {config[key]!r}"
+            )
     return config
 
 
@@ -265,7 +270,14 @@ def _sweep_instances(config, config_dir):
                 path = os.path.join(config_dir, path)
             instances.append((name, load_dense(path)))
         elif "synth" in entry:
+            if not isinstance(entry["synth"], dict):
+                raise ValidationError(f"instance {name}: 'synth' must be an object")
             params = dict(entry["synth"])
+            missing = [k for k in ("genes", "tumors", "normals") if k not in params]
+            if missing:
+                raise ValidationError(
+                    f"instance {name}: synth is missing {', '.join(missing)}"
+                )
             seed = params.pop("seed", 0)
             spec = SyntheticSpec(
                 n_genes=params.pop("genes"),

@@ -48,14 +48,22 @@ class SolverSettings:
     total_time_limit: float = 300.0
 
     def __post_init__(self):
-        if not isinstance(self.beta, int) or self.beta < 0:
-            raise ValidationError(
-                f"budget must be a nonnegative int, got {self.beta!r}"
-            )
+        # Settings also come from config files and the environment, so the
+        # types are checked too; a bool is not an int here, and NaN is not
+        # above 0.
+        for name in ("beta", "gamma1", "gamma2", "top_q"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"{name} must be an int, got {value!r}")
+        if self.beta < 0:
+            raise ValidationError(f"budget must be nonnegative, got {self.beta}")
         if self.top_q < 1:
             raise ValidationError(f"top_q must be at least 1, got {self.top_q}")
-        if self.master_time_limit <= 0 or self.total_time_limit <= 0:
-            raise ValidationError("time limits must be positive")
+        for name in ("master_time_limit", "total_time_limit"):
+            value = getattr(self, name)
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and value > 0):
+                raise ValidationError(f"{name} must be a number above 0, got {value!r}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -131,10 +139,9 @@ def _pipeline(matrix, config, initial_columns, use_pricing, started, generation_
                 lb_star = rounded
                 best_selection = [model.columns[j] for j in indices]
             problem = PricingProblem(matrix, rmp.duals, config.hit_range)
-            history = {g for comb in model.columns for g in comb.genes}
             t0 = time.perf_counter()
             priced = solve_pricing_with_speedup(
-                problem, history, deadline=deadline, top_q=config.top_q
+                problem, deadline=deadline, top_q=config.top_q
             )
             pricing_time += time.perf_counter() - t0
             pricing_nodes += priced.nodes

@@ -24,7 +24,9 @@ class PricingProblem:
     """One pricing instance: matrix, row prices, size range, gene restriction.
 
     ``allowed_genes`` of ``None`` means all genes; otherwise only the given
-    gene indices may appear in a combination.
+    gene indices may appear in a combination.  Column generation always
+    prices all genes; the benchmark tracer reads this attribute on every
+    :func:`solve_pricing` call.
     """
 
     def __init__(self, matrix, duals, hit_range, allowed_genes=None):
@@ -134,40 +136,12 @@ def solve_pricing(problem, deadline=None, top_q=1):
     return PricingResult(best, best_rc, not aborted, nodes, candidates)
 
 
-def solve_pricing_with_speedup(problem, history, deadline=None, top_q=1):
-    """Two-phase pricing: try the history genes first, then everything.
+def solve_pricing_with_speedup(problem, deadline=None, top_q=1):
+    """Column generation's pricing call: the exact search, nothing more.
 
-    A column found within the previously used genes is returned without
-    touching the rest of the search space; only when that restricted pass
-    yields nothing positive does the full search run, so negative answers
-    keep their optimality proof.
+    A pass-through to :func:`solve_pricing`, kept under this name because the
+    benchmark tracer (``perfbench/tracing.py``) patches
+    ``framework.solve_pricing_with_speedup`` for its ``pricing.*`` spans and
+    times ``pricing.solve_pricing`` inside it.
     """
-    full = (
-        set(range(problem.matrix.n_genes))
-        if problem.allowed_genes is None
-        else set(problem.allowed_genes)
-    )
-    restricted = full & set(history)
-    if restricted and restricted != full:
-        sub = PricingProblem(
-            problem.matrix,
-            problem.duals,
-            problem.hit_range,
-            allowed_genes=restricted,
-        )
-        first = solve_pricing(sub, deadline=deadline, top_q=top_q)
-        if first.best is not None:
-            return PricingResult(
-                first.best, first.reduced_cost, False, first.nodes, first.candidates
-            )
-        rest_nodes = first.nodes
-    else:
-        rest_nodes = 0
-    second = solve_pricing(problem, deadline=deadline, top_q=top_q)
-    return PricingResult(
-        second.best,
-        second.reduced_cost,
-        second.proven_optimal,
-        rest_nodes + second.nodes,
-        second.candidates,
-    )
+    return solve_pricing(problem, deadline=deadline, top_q=top_q)

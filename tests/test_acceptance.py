@@ -127,13 +127,8 @@ def test_criterion_03_pricing_matches_exhaustive_enumeration():
         res = solve_pricing(problem)
         assert res.proven_optimal
         assert abs(res.reduced_cost - want) <= 1e-9
-        if res.best is not None:
-            history = set(res.best.genes)
-            history.add(rng.randrange(m.n_genes))
-        else:
-            history = {rng.randrange(m.n_genes)}
-        sped = solve_pricing_with_speedup(problem, history)
-        assert abs(sped.reduced_cost - want) <= 1e-9
+        priced = solve_pricing_with_speedup(problem)
+        assert abs(priced.reduced_cost - want) <= 1e-9
 
 
 def test_criterion_04_convergence_certificate(bank):

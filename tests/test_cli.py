@@ -173,9 +173,13 @@ def test_env_time_limit_and_flag_precedence(tmp_path, monkeypatch):
     monkeypatch.setenv("MULTIHIT_TOTAL_TIME_LIMIT", "not-a-number")
     rc = main(["solve", "--data", data, "--mode", "colgen", "--hit", "2"])
     assert rc == 1
+    # NaN parses as a float but is no time limit; it must not "solve" nothing.
+    monkeypatch.setenv("MULTIHIT_TOTAL_TIME_LIMIT", "nan")
+    rc = main(["solve", "--data", data, "--mode", "colgen", "--hit", "2"])
+    assert rc == 1
 
 
-def test_validation_exit_codes(tmp_path):
+def test_validation_exit_codes(tmp_path, capsys):
     assert main(["solve", "--data", str(tmp_path / "missing.tsv")]) == 1
     bad = tmp_path / "bad.tsv"
     bad.write_text("sample_id\tlabel\tg1\ns1\tweird\t1\n", encoding="utf-8")
@@ -183,6 +187,27 @@ def test_validation_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["solve"])  # missing required --data
     assert exc.value.code == 1
+    capsys.readouterr()
+    # Sweep configs whose grid keys are not lists, or whose synth entries
+    # lack a size, are refused with an error line instead of a traceback.
+    instance = {"name": "tiny", "synth": {"genes": 6, "tumors": 4, "normals": 2}}
+    for cfg, words in (
+        ({"instances": [instance], "seeds": 5}, "'seeds' must be a list"),
+        ({"instances": [instance], "modes": "exact"}, "'modes' must be a list"),
+        ({"instances": instance}, "'instances' must be a list"),
+        (
+            {"instances": [{"name": "tiny", "synth": {"tumors": 4, "normals": 2}}]},
+            "synth is missing genes",
+        ),
+        ({"instances": [{"name": "tiny", "synth": 6}]}, "'synth' must be an object"),
+    ):
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        out_dir = tmp_path / "results"
+        assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and words in err
+        assert not out_dir.exists()
 
 
 def test_sweep_and_report_commands(tmp_path):
@@ -293,11 +318,24 @@ def test_sweep_refuses_workers_below_one(tmp_path, capsys):
         assert not out_dir.exists()
 
 
-def test_unknown_config_key_rejected(tmp_path):
+def test_unknown_config_key_rejected(tmp_path, capsys):
     data = write_tiny(tmp_path)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"betta": 3}), encoding="utf-8")
     assert main(["solve", "--data", data, "--config", str(cfg)]) == 1
+    # Known keys holding the wrong type are refused too: a string hit range
+    # is not read as its first character, a float top_q does not crash.
+    for bad, words in (
+        ({"hit_ranges": "3-4"}, "'hit_ranges' must be a list"),
+        ({"top_q": 1.5}, "top_q must be an int"),
+        ({"beta": True}, "beta must be an int"),
+        ({"master_time_limit": "30"}, "master_time_limit must be a number"),
+    ):
+        cfg.write_text(json.dumps(bad), encoding="utf-8")
+        argv = ["solve", "--data", data, "--mode", "colgen", "--config", str(cfg)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and words in err
 
 
 def test_module_entry_smoke(tmp_path):

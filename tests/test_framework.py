@@ -21,10 +21,12 @@ from multihit.framework import (
 from multihit.master import MasterModel, solve_relaxation
 from multihit.metrics import objective_value
 from multihit.pricing import PricingResult
+from multihit.synth import SyntheticSpec, generate_synthetic
 
 from oracles import (
     all_combinations,
     best_selection_by_enumeration,
+    reduced_cost_by_loops,
     selection_objective_by_loops,
     tableau_solve,
 )
@@ -243,7 +245,7 @@ def test_stagnation_guard_raises(monkeypatch):
     m = toy_matrix()
     col = m.combination((0, 1))
 
-    def fake_pricing(problem, history, deadline=None, top_q=1):
+    def fake_pricing(problem, deadline=None, top_q=1):
         return PricingResult(col, 0.5, True, 1, [col])
 
     monkeypatch.setattr(framework, "solve_pricing_with_speedup", fake_pricing)
@@ -253,12 +255,40 @@ def test_stagnation_guard_raises(monkeypatch):
     # An in-pool column among the extras breaks the same invariant.
     new = m.combination((2, 3))
 
-    def fake_top_q(problem, history, deadline=None, top_q=1):
+    def fake_top_q(problem, deadline=None, top_q=1):
         return PricingResult(new, 0.5, True, 1, [new, col])
 
     monkeypatch.setattr(framework, "solve_pricing_with_speedup", fake_top_q)
     with pytest.raises(ConsistencyError, match=r"in-pool column \(0, 1\)"):
         framework._pipeline(m, cfg, [col], True, time.perf_counter(), 0.0)
+
+
+def test_colgen_prices_the_best_column_every_round(monkeypatch):
+    # Every round must price exactly: the returned reduced cost is the
+    # maximum over all combinations, not the first positive one found.
+    m = generate_synthetic(
+        SyntheticSpec(12, 16, 8, ((0, 1), (2, 3)), 0.4, 0.15, 0.15), 6
+    )
+    hit = HitRange(2, 3)
+    real = framework.solve_pricing_with_speedup
+    rounds = []
+
+    def checked(problem, *args, **kwargs):
+        res = real(problem, *args, **kwargs)
+        d = problem.duals
+        want = max(
+            reduced_cost_by_loops(m, genes, d.pi, d.mu, d.lam)
+            for genes in all_combinations(m, hit)
+        )
+        rounds.append((res.reduced_cost, want))
+        return res
+
+    monkeypatch.setattr(framework, "solve_pricing_with_speedup", checked)
+    rep = solve_colgen(m, SolverConfig(hit_range=hit, beta=3))
+    assert rep.status == "converged"
+    assert len(rounds) == rep.iterations > 1
+    for got, want in rounds:
+        assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_colgen_determinism():

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import json
+import math
 import os
 
 import jsonschema
@@ -297,3 +298,19 @@ def test_experiment_spec_validation():
         ExperimentSpec(instances=(("a", m),), hit_ranges=(HitRange(2, 2),), modes=())
     with pytest.raises(ValidationError, match="budget"):
         ExperimentSpec(instances=(("a", m),), hit_ranges=(HitRange(2, 2),), beta=-1)
+    # Settings read from config files and the environment: wrong types and
+    # non-numbers are refused, not run or crashed on.
+    for bad in (
+        {"beta": True},
+        {"beta": 2.0},
+        {"gamma1": "10"},
+        {"gamma2": 5.5},
+        {"top_q": 1.5},
+        {"top_q": True},
+        {"master_time_limit": "30"},
+        {"total_time_limit": math.nan},
+        {"total_time_limit": -1.0},
+        {"master_time_limit": True},
+    ):
+        with pytest.raises(ValidationError, match=next(iter(bad))):
+            ExperimentSpec(instances=(("a", m),), hit_ranges=(HitRange(2, 2),), **bad)

@@ -1,4 +1,4 @@
-"""Pricing tests: formula, exactness against enumeration, speedup phases."""
+"""Pricing tests: exactness against enumeration, restriction, top-q, limits."""
 
 import itertools
 import math
@@ -9,11 +9,7 @@ import pytest
 
 from multihit.data import HitRange
 from multihit.master import DualPrices
-from multihit.pricing import (
-    PricingProblem,
-    solve_pricing,
-    solve_pricing_with_speedup,
-)
+from multihit.pricing import PricingProblem, solve_pricing
 
 from oracles import reduced_cost_by_loops
 from util import random_matrix, toy_matrix
@@ -103,75 +99,6 @@ def test_deadline_abort_is_not_proven():
         PricingProblem(m, duals, HitRange(2, 4)), deadline=-1.0
     )
     assert not res.proven_optimal
-
-
-def test_speedup_with_containing_history():
-    rng = random.Random(55)
-    agreements = 0
-    for _ in range(30):
-        m = random_matrix(rng, 9, 8, 4)
-        duals = random_duals(rng, m)
-        hit = HitRange(2, 3)
-        plain = solve_pricing(PricingProblem(m, duals, hit))
-        if plain.best is None:
-            continue
-        history = set(plain.best.genes) | {0}
-        sped = solve_pricing_with_speedup(
-            PricingProblem(m, duals, hit), history
-        )
-        assert sped.reduced_cost == pytest.approx(plain.reduced_cost, abs=1e-9)
-        assert sped.best is not None
-        agreements += 1
-    assert agreements >= 10
-
-
-def test_speedup_disjoint_history_falls_back():
-    rng = random.Random(56)
-    checked = 0
-    for _ in range(30):
-        m = random_matrix(rng, 9, 8, 4)
-        duals = random_duals(rng, m)
-        hit = HitRange(2, 2)
-        plain = solve_pricing(PricingProblem(m, duals, hit))
-        # A history of genes appearing in no positive column: restrict to two
-        # genes and push their prices hopeless by checking rc of their pair.
-        history = {0, 1}
-        pair_rc = reduced_cost_by_loops(m, (0, 1), duals.pi, duals.mu, duals.lam)
-        if pair_rc > 1e-6:
-            continue
-        sped = solve_pricing_with_speedup(PricingProblem(m, duals, hit), history)
-        assert sped.reduced_cost == pytest.approx(plain.reduced_cost, abs=1e-9)
-        assert sped.proven_optimal == plain.proven_optimal
-        checked += 1
-    assert checked >= 10
-
-
-def test_speedup_empty_history_equals_plain():
-    rng = random.Random(57)
-    m = random_matrix(rng, 9, 8, 4)
-    duals = random_duals(rng, m)
-    hit = HitRange(2, 3)
-    plain = solve_pricing(PricingProblem(m, duals, hit))
-    sped = solve_pricing_with_speedup(PricingProblem(m, duals, hit), set())
-    assert sped.reduced_cost == plain.reduced_cost
-    assert sped.proven_optimal
-    assert sped.nodes == plain.nodes
-
-
-def test_restricted_success_is_not_claimed_optimal():
-    rng = random.Random(58)
-    for _ in range(40):
-        m = random_matrix(rng, 9, 8, 4)
-        duals = random_duals(rng, m)
-        hit = HitRange(2, 2)
-        plain = solve_pricing(PricingProblem(m, duals, hit))
-        if plain.best is None:
-            continue
-        history = set(plain.best.genes)
-        sped = solve_pricing_with_speedup(PricingProblem(m, duals, hit), history)
-        assert not sped.proven_optimal
-        return
-    pytest.skip("no positive pricing outcome in the sweep")
 
 
 def test_top_q_candidates_match_enumeration():

@@ -18,13 +18,3 @@ def mask_of(indices):
     for i in indices:
         m |= 1 << i
     return m
-
-
-def weighted_sum(weights, mask):
-    """Sum ``weights[i]`` over the set bits of ``mask``."""
-    total = 0.0
-    while mask:
-        low = mask & -mask
-        total += weights[low.bit_length() - 1]
-        mask ^= low
-    return total

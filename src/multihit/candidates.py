@@ -8,18 +8,12 @@ that ranking until enough distinct combinations exist.
 import math
 import random
 
+from .data import rank_genes_by_tumor_frequency
 from .errors import ValidationError
 
 # Duplicate draws burn attempts; give up after this many times the target so
 # a near-exhausted combination space cannot loop forever.
 ATTEMPT_FACTOR = 20
-
-
-def rank_genes_by_tumor_frequency(matrix):
-    """Gene indices by descending tumor frequency, ties by ascending index."""
-    return sorted(
-        range(matrix.n_genes), key=lambda g: (-matrix.tumor_frequency(g), g)
-    )
 
 
 def generate_candidates(matrix, hit_range, gamma1, gamma2, seed):

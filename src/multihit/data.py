@@ -3,6 +3,8 @@
 A :class:`MutationMatrix` holds a binary gene-by-sample mutation table split
 into tumor and normal samples.  Per-sample rows and per-gene columns are kept
 as int bit sets so that combination coverage is a chain of word-level ANDs.
+Pricing reads the same table as gene-major sparse 0/1 matrices, built on
+first use.
 
 Dense format: UTF-8 TSV with header ``sample_id<TAB>label<TAB><gene>...``,
 labels ``tumor``/``normal`` and entries 0/1, one sample per row.
@@ -19,6 +21,10 @@ import enum
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
+import scipy.sparse as sp
 
 from .bitset import bits, mask_of
 from .errors import ParseError, ValidationError
@@ -104,7 +110,7 @@ class MutationMatrix:
 
     Tumor (normal) columns index bit i to the i-th tumor (normal) sample in
     matrix order.  Do not mutate after construction; derived structures are
-    built once here.
+    built once, here or on first use.
     """
 
     def __init__(self, gene_ids, samples):
@@ -179,6 +185,22 @@ class MutationMatrix:
         """Number of tumor samples in which ``gene`` is mutated."""
         return self.tumor_columns[gene].bit_count()
 
+    @cached_property
+    def gene_major(self):
+        """``(order, tumor rows, normal rows)`` for vectorised pricing.
+
+        ``order`` lists the gene indices by descending tumor frequency, ties
+        by ascending index; row ``r`` of each CSR 0/1 matrix is gene
+        ``order[r]`` over that class's samples in matrix order.  Built on
+        first use, so matrices that are never priced never hold them.
+        """
+        order = rank_genes_by_tumor_frequency(self)
+        return (
+            order,
+            _gene_rows(self.tumor_columns, order, self.tumor_count),
+            _gene_rows(self.normal_columns, order, self.normal_count),
+        )
+
     def coverage(self, genes):
         """Tumor and normal cover bit sets of the combination ``genes``.
 
@@ -207,6 +229,22 @@ class MutationMatrix:
         """New matrix over the given sample positions, order preserved."""
         positions = sorted(positions)
         return MutationMatrix(self.gene_ids, [self.samples[i] for i in positions])
+
+
+def rank_genes_by_tumor_frequency(matrix):
+    """Gene indices by descending tumor frequency, ties by ascending index."""
+    return sorted(
+        range(matrix.n_genes), key=lambda g: (-matrix.tumor_frequency(g), g)
+    )
+
+
+def _gene_rows(columns, order, count):
+    width = (count + 7) // 8
+    packed = np.frombuffer(
+        b"".join(columns[g].to_bytes(width, "little") for g in order), dtype=np.uint8
+    ).reshape(len(order), width)
+    dense = np.unpackbits(packed, axis=1, count=count, bitorder="little")
+    return sp.csr_matrix(dense, dtype=float)
 
 
 def load_dense(path):

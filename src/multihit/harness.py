@@ -88,6 +88,15 @@ class ExperimentSpec(SolverSettings):
         for mode in self.modes:
             if mode not in MODES:
                 raise ValidationError(f"unknown mode {mode!r}; pick from {MODES}")
+        for seed in self.seeds:
+            if isinstance(seed, bool) or not isinstance(seed, int):
+                raise ValidationError(f"seeds must be ints, got {seed!r}")
+        fraction = self.train_fraction
+        number = isinstance(fraction, (int, float)) and not isinstance(fraction, bool)
+        if not (number and 0.0 <= fraction <= 1.0):
+            raise ValidationError(
+                f"train_fraction must be a number in [0, 1], got {fraction!r}"
+            )
 
 
 def _test_view(selection, train, test):

@@ -7,17 +7,20 @@ is an admissible bound for every descendant of a partial combination, which
 drives an exact depth-first branch-and-bound over genes in tumor-frequency
 order.  The search always returns the exact maximum, even when it is not
 positive, so convergence certificates are meaningful.
+
+Each expanded node scores all of its children at once: with the node's
+covered samples weighted by their prices, one sparse matrix-vector product
+over the gene-major matrices of :attr:`MutationMatrix.gene_major` gives
+every child's covered price sum.  ``PricingResult.nodes`` counts these
+children scored.
 """
 
 import math
 import time
 
-from .bitset import weighted_sum
-from .candidates import rank_genes_by_tumor_frequency
-from .data import GeneCombination
+import numpy as np
 
 RC_EPS = 1e-6
-_CLOCK_CHECK_MASK = 0xFF
 
 
 class PricingProblem:
@@ -46,7 +49,8 @@ class PricingResult:
     exceeds ``RC_EPS``, else ``None``.  ``proven_optimal`` is claimed only
     by a search that ran the full admissible set to completion.
     ``candidates`` holds the top distinct positive columns found, best
-    first, so it starts with ``best`` when there is one.
+    first, so it starts with ``best`` when there is one.  ``nodes`` is the
+    number of children scored.
     """
 
     def __init__(self, best, reduced_cost, proven_optimal, nodes, candidates):
@@ -57,22 +61,34 @@ class PricingResult:
         self.candidates = candidates
 
 
+def _masked(weights, rows, r):
+    """``weights`` kept only on the samples where row ``r`` is mutated."""
+    cols = rows.indices[rows.indptr[r] : rows.indptr[r + 1]]
+    out = np.zeros_like(weights)
+    out[cols] = weights[cols]
+    return out
+
+
 def solve_pricing(problem, deadline=None, top_q=1):
     """Exact best-reduced-cost search over the allowed genes.
 
-    ``deadline`` (``time.perf_counter`` scale) aborts the search early; the
-    result then carries the best found so far and ``proven_optimal=False``.
-    ``top_q`` additionally collects that many distinct positive columns.
+    ``deadline`` (``time.perf_counter`` scale, read once per expanded node)
+    aborts the search early; the result then carries the best found so far
+    and ``proven_optimal=False``.  ``top_q`` additionally collects that many
+    distinct positive columns; equal reduced costs rank in search order.
     """
     m = problem.matrix
-    duals = problem.duals
     hit = problem.hit_range
-    order = rank_genes_by_tumor_frequency(m)
+    order, x_t, x_n = m.gene_major
     if problem.allowed_genes is not None:
-        order = [g for g in order if g in problem.allowed_genes]
+        keep = [r for r, g in enumerate(order) if g in problem.allowed_genes]
+        order = [order[r] for r in keep]
+        x_t, x_n = x_t[keep], x_n[keep]
+    duals = problem.duals
     pi, mu, lam = duals.pi, duals.mu, duals.lam
-    # pool entries: (rc, seq, genes, tumor mask, normal mask), sorted best
-    # first with first-found winning ties.
+    n_rows = len(order)
+    # pool entries: (rc, seq, genes), sorted best first with first-found
+    # winning ties.
     pool = []
     seq = 0
     nodes = 0
@@ -82,57 +98,58 @@ def solve_pricing(problem, deadline=None, top_q=1):
     def cut():
         return pool[top_q - 1][0] if len(pool) >= top_q else -math.inf
 
-    def record(rc, tmask, nmask):
+    def record(rc, genes):
         nonlocal seq
-        entry = (rc, seq, tuple(sorted(path)), tmask, nmask)
+        pool.append((float(rc), seq, tuple(sorted(genes))))
         seq += 1
-        pool.append(entry)
         pool.sort(key=lambda e: (-e[0], e[1]))
         del pool[top_q:]
 
-    def walk(pos, count, tmask, nmask, psum):
+    def expand(pos, depth, w_t, w_n, psum):
+        # Children are rows pos..stop-1; later rows leave too few genes to
+        # reach k_min.  Duals are nonnegative, so a child's reduced cost and
+        # that of every descendant is at most its covered tumor price minus
+        # lam, which is also at most this node's.
         nonlocal nodes, aborted
-        for i in range(pos, len(order)):
+        stop = min(n_rows, n_rows - hit.k_min + depth + 1)
+        if pos >= stop or psum - lam <= cut():
+            return
+        if deadline is not None and time.perf_counter() > deadline:
+            aborted = True
+            return
+        nodes += stop - pos
+        p2 = (x_t @ w_t)[pos:stop]
+        if depth + 1 >= hit.k_min:
+            rc = p2 - (x_n @ w_n)[pos:stop] - lam
+        if depth + 1 == hit.k_max:
+            hits = np.flatnonzero(rc > cut())
+            for i in hits[np.argsort(-rc[hits], kind="stable")[:top_q]].tolist():
+                record(rc[i], path + [order[pos + i]])
+            return
+        for i in np.flatnonzero(p2 - lam > cut()).tolist():
             if aborted:
                 return
-            if count + 1 + (len(order) - i - 1) < hit.k_min:
-                break  # later starts have even fewer genes left
-            if psum - lam <= cut():
-                return
-            g = order[i]
-            nodes += 1
-            if deadline is not None and nodes & _CLOCK_CHECK_MASK == 0:
-                if time.perf_counter() > deadline:
-                    aborted = True
-                    return
-            t2 = tmask & m.tumor_columns[g]
-            n2 = nmask & m.normal_columns[g]
-            p2 = psum - weighted_sum(pi, tmask & ~m.tumor_columns[g])
-            path.append(g)
-            if hit.k_min <= count + 1 <= hit.k_max:
-                rc = p2 - weighted_sum(mu, n2) - lam
-                if rc > cut():
-                    record(rc, t2, n2)
-            if count + 1 < hit.k_max and p2 - lam > cut():
-                walk(i + 1, count + 1, t2, n2, p2)
+            if p2[i] - lam <= cut():
+                continue
+            r = pos + i
+            path.append(order[r])
+            if depth + 1 >= hit.k_min and rc[i] > cut():
+                record(rc[i], path)
+            if p2[i] - lam > cut():
+                expand(
+                    r + 1,
+                    depth + 1,
+                    _masked(w_t, x_t, r),
+                    _masked(w_n, x_n, r),
+                    p2[i],
+                )
             path.pop()
 
-    total_psum = weighted_sum(pi, m.all_tumor_mask)
-    if deadline is not None and time.perf_counter() > deadline:
-        aborted = True
-    else:
-        walk(0, 0, m.all_tumor_mask, m.all_normal_mask, total_psum)
+    expand(0, 0, pi, mu, float(pi.sum()))
 
     best_rc = pool[0][0] if pool else -math.inf
-    best = None
-    if pool and best_rc > RC_EPS:
-        _, _, genes, tmask, nmask = pool[0]
-        best = GeneCombination(genes, tmask, nmask)
-    candidates = [
-        GeneCombination(genes, tmask, nmask)
-        for rc, _, genes, tmask, nmask in pool
-        if rc > RC_EPS
-    ]
+    candidates = [m.combination(genes) for rc, _, genes in pool if rc > RC_EPS]
+    best = candidates[0] if candidates else None
     return PricingResult(best, best_rc, not aborted, nodes, candidates)
 
 

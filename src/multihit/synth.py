@@ -25,6 +25,20 @@ class SyntheticSpec:
     normal_rate: float = 0.0
 
     def __post_init__(self):
+        # Sizes and rates also come from sweep config files, so their types
+        # are checked before they are compared; a bool is not a number here.
+        for name in ("n_genes", "n_tumor", "n_normal"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(
+                    f"synthetic {name} must be an int, got {value!r}"
+                )
+        for name in ("planted_rate", "background_rate", "normal_rate"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValidationError(
+                    f"synthetic {name} must be a number, got {value!r}"
+                )
         if self.n_genes < 1 or self.n_tumor < 0 or self.n_normal < 0:
             raise ValidationError("synthetic sizes must be positive")
         for rate in (self.planted_rate, self.background_rate, self.normal_rate):

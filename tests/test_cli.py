@@ -188,9 +188,12 @@ def test_validation_exit_codes(tmp_path, capsys):
         main(["solve"])  # missing required --data
     assert exc.value.code == 1
     capsys.readouterr()
-    # Sweep configs whose grid keys are not lists, or whose synth entries
-    # lack a size, are refused with an error line instead of a traceback.
-    instance = {"name": "tiny", "synth": {"genes": 6, "tumors": 4, "normals": 2}}
+    # Sweep configs whose grid keys are not lists, whose synth entries lack a
+    # size or carry a wrong type, or whose train fraction or seeds are not
+    # numbers, are refused with an error line instead of a traceback or a
+    # failure in every cell.
+    synth = {"genes": 6, "tumors": 4, "normals": 2}
+    instance = {"name": "tiny", "synth": synth}
     for cfg, words in (
         ({"instances": [instance], "seeds": 5}, "'seeds' must be a list"),
         ({"instances": [instance], "modes": "exact"}, "'modes' must be a list"),
@@ -200,6 +203,16 @@ def test_validation_exit_codes(tmp_path, capsys):
             "synth is missing genes",
         ),
         ({"instances": [{"name": "tiny", "synth": 6}]}, "'synth' must be an object"),
+        (
+            {"instances": [{"name": "tiny", "synth": {**synth, "genes": "6"}}]},
+            "n_genes must be an int",
+        ),
+        (
+            {"instances": [{"name": "tiny", "synth": {**synth, "normal_rate": "0.1"}}]},
+            "normal_rate must be a number",
+        ),
+        ({"instances": [instance], "train_fraction": "0.5"}, "train_fraction must be"),
+        ({"instances": [instance], "seeds": ["x"]}, "seeds must be ints"),
     ):
         cfg_path = tmp_path / "sweep.json"
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")

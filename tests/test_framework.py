@@ -1,5 +1,6 @@
 """Framework tests: rounding, exact search, heuristic and column generation."""
 
+import math
 import random
 import time
 import types
@@ -7,7 +8,7 @@ import types
 import numpy as np
 import pytest
 
-from multihit import framework, master
+from multihit import framework, master, pricing
 from multihit.data import HitRange, MutationMatrix, SampleLabel, SampleRecord
 from multihit.errors import ConsistencyError, ValidationError
 from multihit.framework import (
@@ -238,6 +239,36 @@ def test_colgen_deadline_inside_master_lp_withholds_bound(monkeypatch):
     assert rep.status == "time_limit"
     assert rep.upper_bound is None and rep.gap_percent is None
     assert rep.iterations == 2
+    assert objective_value(rep.selection, m) == rep.objective
+
+
+def test_colgen_deadline_inside_pricing_withholds_bound(monkeypatch):
+    # The pricing clock passes the deadline after the first expanded node:
+    # that search stops unproven, and column generation stops there without
+    # a bound.
+    m = random_matrix(random.Random(76), 9, 8, 5)
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return -math.inf if len(reads) == 1 else math.inf
+
+    monkeypatch.setattr(pricing, "time", types.SimpleNamespace(perf_counter=clock))
+    real = framework.solve_pricing_with_speedup
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(framework, "solve_pricing_with_speedup", recorded)
+    rep = solve_colgen(m, SolverConfig(hit_range=HitRange(2, 3), beta=3))
+    assert len(results) == 1 and not results[0].proven_optimal
+    # Only the root was expanded: its children are every gene but the last,
+    # which cannot start a pair.
+    assert len(reads) == 2 and results[0].nodes == m.n_genes - 1
+    assert rep.status == "time_limit"
+    assert rep.upper_bound is None and rep.gap_percent is None
     assert objective_value(rep.selection, m) == rep.objective
 
 

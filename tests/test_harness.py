@@ -103,6 +103,12 @@ def test_synthetic_validation():
         SyntheticSpec(5, 3, 2, planted=((1, 1),))
     with pytest.raises(ValidationError, match="empty"):
         SyntheticSpec(5, 3, 2, planted=((),))
+    with pytest.raises(ValidationError, match="n_genes must be an int"):
+        SyntheticSpec("6", 3, 2)
+    with pytest.raises(ValidationError, match="n_tumor must be an int"):
+        SyntheticSpec(5, True, 2)
+    with pytest.raises(ValidationError, match="normal_rate must be a number"):
+        SyntheticSpec(5, 3, 2, normal_rate="0.1")
 
 
 def test_derive_seed_is_stable_and_purpose_split():
@@ -311,6 +317,12 @@ def test_experiment_spec_validation():
         {"total_time_limit": math.nan},
         {"total_time_limit": -1.0},
         {"master_time_limit": True},
+        {"train_fraction": "0.5"},
+        {"train_fraction": math.nan},
+        {"train_fraction": True},
+        {"train_fraction": 1.5},
+        {"seeds": ("x",)},
+        {"seeds": (0, True)},
     ):
         with pytest.raises(ValidationError, match=next(iter(bad))):
             ExperimentSpec(instances=(("a", m),), hit_ranges=(HitRange(2, 2),), **bad)

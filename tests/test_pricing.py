@@ -7,9 +7,9 @@ import random
 import numpy as np
 import pytest
 
-from multihit.data import HitRange
+from multihit.data import HitRange, MutationMatrix, SampleLabel, SampleRecord
 from multihit.master import DualPrices
-from multihit.pricing import PricingProblem, solve_pricing
+from multihit.pricing import RC_EPS, PricingProblem, solve_pricing
 
 from oracles import reduced_cost_by_loops
 from util import random_matrix, toy_matrix
@@ -52,6 +52,74 @@ def test_solver_matches_enumeration():
             assert got == pytest.approx(want_rc, abs=1e-9)
         else:
             assert res.best is None
+
+
+def hard_instance(rng, hit, variant):
+    """A random matrix with genes mutated nowhere, plus per ``variant``: 0
+    nothing more, 1 no normal samples, 2 no tumor samples, 3 fewer genes
+    than ``hit.k_max``.  Duals lie on a 1e-3 grid, so reduced costs tie
+    often and no positive one is near ``RC_EPS``."""
+    n_genes = hit.k_max - 1 if variant == 3 else rng.randint(hit.k_max, 9)
+    silent = set(rng.sample(range(n_genes), n_genes // 3))
+    samples = [
+        SampleRecord(
+            f"{label.value}{i}",
+            label,
+            sum(
+                1 << g
+                for g in range(n_genes)
+                if g not in silent and rng.random() < 0.5
+            ),
+        )
+        for label, count in (
+            (SampleLabel.TUMOR, 0 if variant == 2 else rng.randint(1, 10)),
+            (SampleLabel.NORMAL, 0 if variant == 1 else rng.randint(1, 6)),
+        )
+        for i in range(count)
+    ]
+    m = MutationMatrix([f"g{j}" for j in range(n_genes)], samples)
+    duals = DualPrices(
+        pi=[rng.randint(0, 1000) / 1000 for _ in range(m.tumor_count)],
+        mu=[rng.randint(0, 1000) / 1000 for _ in range(m.normal_count)],
+        lam=rng.randint(0, 500) / 1000,
+    )
+    return m, duals
+
+
+def test_top_q_search_matches_enumeration_on_hard_inputs():
+    rng = random.Random(61)
+    hits = [HitRange(*bounds) for bounds in ((1, 1), (2, 2), (2, 3), (2, 4), (3, 3))]
+    for hit, top_q, variant in itertools.product(hits, (1, 2, 3), range(4)):
+        m, d = hard_instance(rng, hit, variant)
+        allowed = None
+        if rng.random() < 0.5:
+            allowed = set(rng.sample(range(m.n_genes), rng.randint(0, m.n_genes)))
+        genes = range(m.n_genes) if allowed is None else sorted(allowed)
+        all_rc = sorted(
+            (
+                reduced_cost_by_loops(m, combo, d.pi, d.mu, d.lam)
+                for k in hit.sizes()
+                for combo in itertools.combinations(genes, k)
+            ),
+            reverse=True,
+        )
+        res = solve_pricing(PricingProblem(m, d, hit, allowed), top_q=top_q)
+        assert res.proven_optimal
+        if all_rc:
+            assert res.reduced_cost == pytest.approx(all_rc[0], abs=1e-9)
+        else:
+            assert res.reduced_cost == -math.inf
+        want = [rc for rc in all_rc[:top_q] if rc > RC_EPS]
+        got = [
+            reduced_cost_by_loops(m, c.genes, d.pi, d.mu, d.lam) for c in res.candidates
+        ]
+        assert got == pytest.approx(want, abs=1e-9)
+        assert res.best == (res.candidates[0] if want else None)
+        assert len({c.genes for c in res.candidates}) == len(res.candidates)
+        for c in res.candidates:
+            assert hit.k_min <= len(c.genes) <= hit.k_max
+            assert allowed is None or set(c.genes) <= allowed
+            assert (c.tumor_cover, c.normal_cover) == m.coverage(c.genes)
 
 
 def test_negative_maximum_is_still_exact():

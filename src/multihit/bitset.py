@@ -1,20 +1,31 @@
-"""Small helpers for Python-int bit sets.
+"""The one place where Python-int bit sets meet numpy.
 
-Sample sets are stored as arbitrary-precision ints (bit i = member i), so
-intersection is a single word-level ``&`` regardless of set size.
+Sample and gene sets are stored as arbitrary-precision ints (bit i = member
+i), so intersection is a single word-level ``&`` regardless of set size.
+Code that needs such sets as indices or as a 0/1 array converts them here,
+with :func:`unpack` and :func:`pack`.
 """
 
-
-def bits(mask):
-    """Yield the indices of the set bits of ``mask`` in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+import numpy as np
 
 
-def mask_of(indices):
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
+def unpack(masks, width):
+    """``(len(masks), width)`` uint8 0/1 array: ``[r, i]`` is bit i of ``masks[r]``.
+
+    Every mask must be nonnegative and below ``2**(8 * ceil(width / 8))``;
+    bits at ``width`` and above within the last byte are dropped.
+    """
+    nbytes = (width + 7) // 8
+    packed = np.frombuffer(
+        b"".join(m.to_bytes(nbytes, "little") for m in masks), dtype=np.uint8
+    ).reshape(len(masks), nbytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+
+
+def pack(rows):
+    """One int per row of the 2-D 0/1 array ``rows``: bit i of int r is ``rows[r, i]``.
+
+    The inverse of :func:`unpack`.
+    """
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]

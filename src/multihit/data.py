@@ -4,10 +4,14 @@ A :class:`MutationMatrix` holds a binary gene-by-sample mutation table split
 into tumor and normal samples.  Per-sample rows and per-gene columns are kept
 as int bit sets so that combination coverage is a chain of word-level ANDs.
 Pricing reads the same table as gene-major sparse 0/1 matrices, built on
-first use.
+first use.  Every conversion between the int bit sets and numpy arrays
+(columns from rows, file rows, pruning, the sparse matrices) goes through
+:mod:`multihit.bitset`.
 
 Dense format: UTF-8 TSV with header ``sample_id<TAB>label<TAB><gene>...``,
-labels ``tumor``/``normal`` and entries 0/1, one sample per row.
+labels ``tumor``/``normal`` and entries 0/1, one sample per row; with no
+genes a row is just ``sample_id<TAB>label``.  The file is read one line at a
+time and each row's cells are checked as bytes, in one numpy pass per row.
 
 Sparse format: two CSV files.  The tumor file has header ``gene,sample,count``
 and one triple per line; an entry is mutated iff count >= 1.  The normal file
@@ -26,7 +30,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .bitset import bits, mask_of
+from .bitset import pack, unpack
 from .errors import ParseError, ValidationError
 
 _FORBIDDEN_ID_CHARS = "\t\n\r,"
@@ -144,18 +148,9 @@ class MutationMatrix:
         self.normal_positions = tuple(
             i for i, s in enumerate(samples) if s.label is SampleLabel.NORMAL
         )
-        tumor_cols = [0] * n_genes
-        for ti, pos in enumerate(self.tumor_positions):
-            bit = 1 << ti
-            for g in bits(samples[pos].mutations):
-                tumor_cols[g] |= bit
-        normal_cols = [0] * n_genes
-        for ni, pos in enumerate(self.normal_positions):
-            bit = 1 << ni
-            for g in bits(samples[pos].mutations):
-                normal_cols[g] |= bit
-        self.tumor_columns = tuple(tumor_cols)
-        self.normal_columns = tuple(normal_cols)
+        # One class at a time, so only one class's 0/1 array exists at once.
+        self.tumor_columns = _columns(samples, self.tumor_positions, n_genes)
+        self.normal_columns = _columns(samples, self.normal_positions, n_genes)
 
     @property
     def n_genes(self):
@@ -238,68 +233,69 @@ def rank_genes_by_tumor_frequency(matrix):
     )
 
 
+def _columns(samples, positions, n_genes):
+    rows = unpack([samples[pos].mutations for pos in positions], n_genes)
+    return tuple(pack(rows.T))
+
+
 def _gene_rows(columns, order, count):
-    width = (count + 7) // 8
-    packed = np.frombuffer(
-        b"".join(columns[g].to_bytes(width, "little") for g in order), dtype=np.uint8
-    ).reshape(len(order), width)
-    dense = np.unpackbits(packed, axis=1, count=count, bitorder="little")
-    return sp.csr_matrix(dense, dtype=float)
+    return sp.csr_matrix(unpack([columns[g] for g in order], count), dtype=float)
 
 
 def load_dense(path):
     """Read a dense TSV matrix.  See the module docstring for the format."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty file", path=path, line=1)
-    header = lines[0].split("\t")
-    if len(header) < 2 or header[0] != "sample_id" or header[1] != "label":
-        raise ParseError(
-            "header must start with 'sample_id<TAB>label'", path=path, line=1
-        )
-    gene_ids = header[2:]
-    width = len(header)
     samples = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != width:
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first:
+            raise ParseError("empty file", path=path, line=1)
+        header = first.rstrip("\n").split("\t")
+        if len(header) < 2 or header[0] != "sample_id" or header[1] != "label":
             raise ParseError(
-                f"expected {width} fields, found {len(fields)}", path=path, line=lineno
+                "header must start with 'sample_id<TAB>label'", path=path, line=1
             )
-        sample_id, label_text = fields[0], fields[1]
-        try:
-            label = SampleLabel(label_text)
-        except ValueError:
-            raise ValidationError(
-                f"{path}:{lineno}: unknown label {label_text!r}"
-            ) from None
-        row = 0
-        for j, cell in enumerate(fields[2:]):
-            if cell == "1":
-                row |= 1 << j
-            elif cell != "0":
+        gene_ids = header[2:]
+        width = len(header)
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            found = line.count("\t") + 1
+            if found != width:
                 raise ParseError(
-                    f"matrix entries must be 0 or 1, found {cell!r}",
+                    f"expected {width} fields, found {found}", path=path, line=lineno
+                )
+            # With a tab appended, ``cells`` is every cell followed by a tab,
+            # so a valid row is a 0/1 byte in each even position.
+            sample_id, label_text, cells = (line + "\t").split("\t", 2)
+            try:
+                label = SampleLabel(label_text)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}:{lineno}: unknown label {label_text!r}"
+                ) from None
+            data = cells.encode("utf-8")
+            row = np.frombuffer(data, dtype=np.uint8)[::2] - ord("0")
+            if len(data) != 2 * len(gene_ids) or (row > 1).any():
+                bad = next(c for c in cells.split("\t") if c not in ("0", "1"))
+                raise ParseError(
+                    f"matrix entries must be 0 or 1, found {bad!r}",
                     path=path,
                     line=lineno,
                 )
-        samples.append(SampleRecord(sample_id, label, row))
+            samples.append(SampleRecord(sample_id, label, pack(row[None])[0]))
     return MutationMatrix(gene_ids, samples)
 
 
 def write_dense(matrix, path):
     """Write ``matrix`` in the dense TSV format (round-trips bit-exact)."""
+    # Each cell is a tab then its 0/1 byte; the tabs stay put across rows.
+    cells = np.full(2 * matrix.n_genes, ord("\t"), dtype=np.uint8)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("sample_id\tlabel\t" + "\t".join(matrix.gene_ids) + "\n")
+        fh.write("\t".join(("sample_id", "label") + matrix.gene_ids) + "\n")
         for s in matrix.samples:
-            cells = [
-                "1" if (s.mutations >> j) & 1 else "0"
-                for j in range(matrix.n_genes)
-            ]
-            fh.write(s.sample_id + "\t" + s.label.value + "\t" + "\t".join(cells) + "\n")
+            cells[1::2] = unpack([s.mutations], matrix.n_genes)[0] + ord("0")
+            fh.write(f"{s.sample_id}\t{s.label.value}{cells.tobytes().decode()}\n")
 
 
 def _read_csv_lines(path, expected_header):
@@ -376,13 +372,11 @@ def load_sparse(normal_path, tumor_path):
     index = {g: j for j, g in enumerate(gene_ids)}
     samples = []
     for sid in tumor_ids:
-        samples.append(
-            SampleRecord(sid, SampleLabel.TUMOR, mask_of(index[g] for g in tumor_muts[sid]))
-        )
+        row = sum(1 << index[g] for g in tumor_muts[sid])
+        samples.append(SampleRecord(sid, SampleLabel.TUMOR, row))
     for sid in normal_ids:
-        samples.append(
-            SampleRecord(sid, SampleLabel.NORMAL, mask_of(index[g] for g in normal_muts[sid]))
-        )
+        row = sum(1 << index[g] for g in normal_muts[sid])
+        samples.append(SampleRecord(sid, SampleLabel.NORMAL, row))
     return MutationMatrix(gene_ids, samples)
 
 
@@ -395,16 +389,12 @@ def prune_genes(matrix):
     ]
     if len(keep) == matrix.n_genes:
         return matrix
-    gene_ids = [matrix.gene_ids[j] for j in keep]
-    remap = {old: new for new, old in enumerate(keep)}
-    samples = []
-    for s in matrix.samples:
-        row = 0
-        for g in bits(s.mutations):
-            if g in remap:
-                row |= 1 << remap[g]
-        samples.append(SampleRecord(s.sample_id, s.label, row))
-    return MutationMatrix(gene_ids, samples)
+    rows = unpack([s.mutations for s in matrix.samples], matrix.n_genes)[:, keep]
+    samples = [
+        SampleRecord(s.sample_id, s.label, row)
+        for s, row in zip(matrix.samples, pack(rows))
+    ]
+    return MutationMatrix([matrix.gene_ids[j] for j in keep], samples)
 
 
 def _train_share(fraction, count):

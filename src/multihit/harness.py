@@ -61,8 +61,8 @@ def validate_report(report):
 
 def derive_seed(base, purpose):
     """Stable 64-bit child seed for one purpose string."""
-    digest = hashlib.sha256(f"{base}:{purpose}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+    digest = hashlib.sha256(f"{base}:{purpose}".encode("utf-8")).hexdigest()
+    return int(digest[:16], 16)
 
 
 @dataclass(frozen=True, kw_only=True)

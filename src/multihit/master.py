@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import metrics
-from .bitset import bits
+from .bitset import unpack
 from .errors import ConsistencyError, DuplicateColumnError, ValidationError
 from .lp import (
     STATUS_OPTIMAL,
@@ -88,37 +88,25 @@ class MasterModel:
         """The relaxation LP; cached until the pool changes."""
         if self._cached_lp is not None:
             return self._cached_lp
-        m = self.matrix
-        nt, nn = m.tumor_count, m.normal_count
+        nt, nn = self.matrix.tumor_count, self.matrix.normal_count
         n_z = len(self.columns)
-        rows, cols, vals = [], [], []
-        for t in range(nt):
-            rows.append(t)
-            cols.append(t)
-            vals.append(1.0)
-        for n in range(nn):
-            rows.append(nt + n)
-            cols.append(nt + n)
-            vals.append(-1.0)
-        for k, comb in enumerate(self.columns):
-            var = nt + nn + k
-            for t in bits(comb.tumor_cover):
-                rows.append(t)
-                cols.append(var)
-                vals.append(-1.0)
-            for n in bits(comb.normal_cover):
-                rows.append(nt + n)
-                cols.append(var)
-                vals.append(1.0)
-            rows.append(nt + nn)
-            cols.append(var)
-            vals.append(1.0)
-        a = sp.coo_matrix(
-            (vals, (rows, cols)), shape=(nt + nn + 1, nt + nn + n_z)
-        ).tocsc()
+        off = nt + nn
+        # Unit columns for the cover flags and penalties, then per selection
+        # variable -1 on each tumor it covers, +1 on each normal it covers
+        # and +1 on the budget row.
+        z_t, t = np.nonzero(unpack([c.tumor_cover for c in self.columns], nt))
+        z_n, n = np.nonzero(unpack([c.normal_cover for c in self.columns], nn))
+        rows = np.concatenate([np.arange(off), t, nt + n, np.full(n_z, off)])
+        cols = np.concatenate(
+            [np.arange(off), off + z_t, off + z_n, off + np.arange(n_z)]
+        )
+        vals = np.concatenate(
+            [np.ones(nt), -np.ones(nn), -np.ones(len(t)), np.ones(len(n) + n_z)]
+        )
+        a = sp.csc_matrix((vals, (rows, cols)), shape=(off + 1, off + n_z))
         objective = np.concatenate([np.ones(nt), -np.ones(nn), np.zeros(n_z)])
-        rhs = np.concatenate([np.zeros(nt + nn), [float(self.beta)]])
-        lower = np.zeros(nt + nn + n_z)
+        rhs = np.concatenate([np.zeros(off), [float(self.beta)]])
+        lower = np.zeros(off + n_z)
         upper = np.concatenate([np.ones(nt), np.full(nn + n_z, np.inf)])
         self._cached_lp = LinearProgram(objective, a, rhs, lower, upper)
         return self._cached_lp
@@ -138,9 +126,8 @@ class MasterModel:
         off = nt + self.matrix.normal_count
         for k, v in fixed.items():
             lower[off + k] = upper[off + k] = float(v)
-            if v:
-                for n in bits(self.columns[k].normal_cover):
-                    lower[nt + n] += 1.0
+        pinned = [self.columns[k].normal_cover for k, v in fixed.items() if v]
+        lower[nt:off] += unpack(pinned, off - nt).sum(axis=0)
         return LinearProgram(base.objective, base.a_matrix, base.rhs, lower, upper)
 
 

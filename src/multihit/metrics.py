@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .bitset import unpack
 from .errors import ConsistencyError, ValidationError
 
 GAP_TOL = 1e-6
@@ -72,14 +73,11 @@ def classify(selected, matrix):
     selected = list(selected)
     _check_selection(selected, matrix)
     tumor_hit = 0
-    multiplicity = [0] * matrix.normal_count
     for comb in selected:
         tumor_hit |= comb.tumor_cover
-        cover = comb.normal_cover
-        while cover:
-            low = cover & -cover
-            multiplicity[low.bit_length() - 1] += 1
-            cover ^= low
+    covers = unpack([comb.normal_cover for comb in selected], matrix.normal_count)
+    # Python ints, not numpy ones: callers compare objectives exactly.
+    multiplicity = covers.sum(axis=0, dtype=int).tolist()
     return tumor_hit, multiplicity
 
 

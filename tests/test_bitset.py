@@ -1,0 +1,34 @@
+"""Bit-set conversions: ``pack``/``unpack`` against a per-bit loop."""
+
+import random
+
+import numpy as np
+import pytest
+
+from multihit.bitset import pack, unpack
+
+
+def unpack_by_loops(masks, width):
+    return [[(m >> i) & 1 for i in range(width)] for m in masks]
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 300])
+def test_pack_and_unpack_match_a_per_bit_loop(width):
+    rng = random.Random(width)
+    top = 1 << (width - 1) if width else 0
+    for n in (0, 1, 5):
+        masks = [rng.getrandbits(width) if width else 0 for _ in range(n)]
+        if n:
+            masks[0] = (1 << width) - 1  # every bit, the top one included
+            masks[-1] |= top
+        rows = unpack(masks, width)
+        assert rows.shape == (n, width) and rows.dtype == np.uint8
+        assert rows.tolist() == unpack_by_loops(masks, width)
+        assert pack(rows) == masks
+        # Columns come out as ints too, read from a transposed view.
+        columns = [
+            sum(((m >> i) & 1) << r for r, m in enumerate(masks))
+            for i in range(width)
+        ]
+        assert pack(rows.T) == columns
+    assert pack(np.zeros((3, 0), dtype=np.uint8)) == [0, 0, 0]

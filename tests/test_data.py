@@ -41,6 +41,21 @@ def test_dense_round_trip_bit_exact(tmp_path):
     assert again.samples == m.samples
 
 
+def test_zero_gene_matrix_round_trips(tmp_path):
+    samples = [
+        SampleRecord("t1", SampleLabel.TUMOR, 0),
+        SampleRecord("n1", SampleLabel.NORMAL, 0),
+    ]
+    # Pruning a matrix where no gene is mutated leaves no genes at all.
+    m = prune_genes(MutationMatrix(["g1", "g2"], samples))
+    assert m.n_genes == 0
+    path = tmp_path / "empty.tsv"
+    write_dense(m, path)
+    assert path.read_text() == "sample_id\tlabel\nt1\ttumor\nn1\tnormal\n"
+    again = load_dense(path)
+    assert again.gene_ids == () and again.samples == m.samples
+
+
 def test_dense_parse_errors(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("sample_id\tlabel\tg1\tg2\ns1\ttumor\t1\n")
@@ -51,6 +66,16 @@ def test_dense_parse_errors(tmp_path):
     path.write_text("sample_id\tlabel\tg1\ns1\ttumor\t2\n")
     with pytest.raises(ParseError):
         load_dense(path)
+
+    for cell in ("10", "", " 1", "\u0661"):
+        path.write_text(
+            f"sample_id\tlabel\tg1\tg2\ns1\ttumor\t1\t0\ns2\tnormal\t{cell}\t1\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as err:
+            load_dense(path)
+        assert ":3:" in str(err.value)
+        assert f"found {cell!r}" in str(err.value)
 
     path.write_text("sample_id\tlabel\tg1\ns1\tweird\t1\n")
     with pytest.raises(ValidationError):

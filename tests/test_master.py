@@ -34,6 +34,42 @@ def full_pool(m, hit_range):
     return [m.combination(genes) for genes in all_combinations(m, hit_range)]
 
 
+def a_matrix_by_loops(model):
+    m = model.matrix
+    nt, nn = m.tumor_count, m.normal_count
+    a = np.zeros((nt + nn + 1, nt + nn + len(model.columns)))
+    for t in range(nt):
+        a[t, t] = 1.0
+    for n in range(nn):
+        a[nt + n, nt + n] = -1.0
+    for k, comb in enumerate(model.columns):
+        var = nt + nn + k
+        for t in range(nt):
+            if (comb.tumor_cover >> t) & 1:
+                a[t, var] = -1.0
+        for n in range(nn):
+            if (comb.normal_cover >> n) & 1:
+                a[nt + n, var] = 1.0
+        a[nt + nn, var] = 1.0
+    return a
+
+
+def test_constraint_matrix_matches_a_bit_loop_build():
+    rng = random.Random(41)
+    shapes = [(7, 6, 5)] * 8 + [(6, 0, 4), (6, 5, 0)]
+    for n_genes, n_tumor, n_normal in shapes:
+        m = random_matrix(rng, n_genes, n_tumor, n_normal, density=0.5)
+        pool = full_pool(m, HitRange(1, 3))
+        rng.shuffle(pool)
+        for size in (0, rng.randint(1, len(pool))):
+            model = MasterModel(m, pool[:size], 3)
+            a = model.build_lp().a_matrix
+            expected = a_matrix_by_loops(model)
+            assert np.array_equal(a.toarray(), expected)
+            assert a.nnz == np.count_nonzero(expected)
+            assert a.has_sorted_indices
+
+
 def test_empty_pool_relaxation_is_zero():
     m = toy_matrix()
     model = MasterModel(m, [], 10)

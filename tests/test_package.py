@@ -1,8 +1,10 @@
 """Top-level package surface stays importable and complete."""
 
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import multihit
 
@@ -35,3 +37,18 @@ def test_entry_modules_leave_scipy_optimize_and_linalg_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_bit_set_conversions_live_only_in_bitset():
+    # Int bit sets become numpy arrays (and back) only through
+    # multihit.bitset, so the bit order and byte layout are decided once.
+    package = Path(multihit.__file__).parent
+    pattern = re.compile(r"\b(to_bytes|from_bytes|packbits|unpackbits)\b")
+    offenders = [
+        f"{path.name}:{lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "bitset.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if pattern.search(line)
+    ]
+    assert offenders == []

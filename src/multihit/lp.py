@@ -5,10 +5,12 @@ lower bounds are finite and upper bounds may be infinite.  Every solve
 starts from the slack basis (all slacks basic, every structural variable at
 its lower bound) or from a warm basis, so the slack basis must be feasible:
 ``b - A l >= 0``.  :class:`LinearProgram` refuses any other LP; there is no
-phase one.  The master LPs of this package all satisfy this.  The solver
-keeps an explicit basis inverse (eta updates, periodic refactorization),
-prices with Dantzig's rule and falls back to Bland's rule after a
-degenerate streak, so it cannot cycle.  Every optimal result is verified
+phase one.  The master LPs of this package all satisfy this.  The basis is
+factored by its unit columns (one nonzero: slacks, cover flags, penalties),
+at most one per row, plus the inverse of the k x k core that the other k
+basic columns leave on the remaining rows; a pivot costs O(nnz + m + k^3).
+The solver prices with Dantzig's rule and falls back to Bland's rule after
+a degenerate streak, so it cannot cycle.  Every optimal result is verified
 against strong duality and complementary slackness before being returned.
 
 Row duals are reported with the usual sign convention for a maximization
@@ -127,38 +129,80 @@ class _Simplex:
         self.ub_hat = np.concatenate([p.upper - p.lower, np.full(self.m, np.inf)])
         self.c_hat = np.concatenate([p.objective, np.zeros(self.m)])
         self.movable = self.ub_hat > 0.0  # fixed variables never enter
+        # Row and value of each unit column; -1 marks any other column.
+        a = p.a_matrix
+        one = np.nonzero(np.diff(a.indptr) == 1)[0]
+        one = one[a.data[a.indptr[one]] != 0.0]  # a stored zero is no unit
+        self.unit_row = np.concatenate([np.full(self.n, -1), np.arange(self.m)])
+        self.unit_row[one] = a.indices[a.indptr[one]]
+        self.unit_val = np.ones(self.nf)
+        self.unit_val[one] = a.data[a.indptr[one]]
         self.max_iterations = ITERATION_BASE + ITERATION_PER_DIM * self.nf
         self.deadline = deadline
         self.iterations = 0
         self.basic = None
         self.status = None
         self.beta = None
-        self.b_inv = None
         self.bland = False
         self.degen_run = 0
         self.since_refactor = 0
 
     def column(self, j):
+        """Column ``j`` of ``[A | I]`` as a dense vector."""
+        v = np.zeros(self.m)
         if j < self.n:
             a = self.p.a_matrix
             lo, hi = a.indptr[j], a.indptr[j + 1]
-            return a.indices[lo:hi], a.data[lo:hi]
-        return np.array([j - self.n]), np.array([1.0])
+            v[a.indices[lo:hi]] = a.data[lo:hi]
+        else:
+            v[j - self.n] = 1.0
+        return v
 
     # -- factorization ----------------------------------------------------
 
-    def refactor(self):
-        b = np.zeros((self.m, self.m))
-        for r, j in enumerate(self.basic):
-            rows, vals = self.column(j)
-            b[rows, r] = vals
+    def factor(self):
+        """Split the basis into unit columns and a k x k core; invert the core."""
+        rows = self.unit_row[self.basic]
+        unit = rows >= 0
+        self.pos_u, self.pos_k = np.nonzero(unit)[0], np.nonzero(~unit)[0]
+        self.rows_u = rows[unit]
+        self.d_u = self.unit_val[self.basic[unit]]
+        slot = np.zeros(self.m, dtype=int)
+        slot[self.rows_u] = -1
+        self.free = np.nonzero(slot == 0)[0]
+        k = len(self.pos_k)
+        if len(self.free) != k:
+            raise ConsistencyError("two basic unit columns share a row")
+        slot[self.free] = np.arange(k)
+        # The k other columns are structural: gather them from the CSC arrays.
+        a = self.p.a_matrix
+        lo = a.indptr[self.basic[self.pos_k]]
+        size = a.indptr[self.basic[self.pos_k] + 1] - lo
+        at = np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
+        self.z_rows, self.z_vals = a.indices[at], a.data[at]
+        self.z_cols = np.repeat(np.arange(k), size)
+        core = np.zeros((k, k))
+        in_core = slot[self.z_rows] >= 0
+        core[slot[self.z_rows[in_core]], self.z_cols[in_core]] = self.z_vals[in_core]
         try:
-            self.b_inv = np.linalg.inv(b)
+            self.core_inv = np.linalg.inv(core)
         except np.linalg.LinAlgError as exc:
             raise ConsistencyError("singular basis matrix") from exc
+
+    def ftran(self, v):
+        """``x`` with ``B x = v``, for a dense ``v``."""
+        x_k = self.core_inv @ v[self.free]
+        rest = v - np.bincount(self.z_rows, self.z_vals * x_k[self.z_cols], self.m)
+        x = np.empty(self.m)
+        x[self.pos_k] = x_k
+        x[self.pos_u] = rest[self.rows_u] / self.d_u
+        return x
+
+    def refactor(self):
+        self.factor()
         # Slacks have no upper bound, so only structural variables sit there.
         up = np.nonzero(self.status[: self.n] == AT_UPPER)[0]
-        self.beta = self.b_inv @ (self.b_hat - self.p.a_matrix[:, up] @ self.ub_hat[up])
+        self.beta = self.ftran(self.b_hat - self.p.a_matrix[:, up] @ self.ub_hat[up])
         self.since_refactor = 0
 
     def feasible(self, tol):
@@ -170,7 +214,13 @@ class _Simplex:
     # -- pricing ----------------------------------------------------------
 
     def duals(self):
-        return self.c_hat[self.basic] @ self.b_inv
+        """``y`` with ``B^T y = c_B``."""
+        c = self.c_hat[self.basic]
+        y = np.zeros(self.m)
+        y[self.rows_u] = c[self.pos_u] / self.d_u
+        y_z = np.bincount(self.z_cols, self.z_vals * y[self.z_rows], len(self.pos_k))
+        y[self.free] = (c[self.pos_k] - y_z) @ self.core_inv
+        return y
 
     def reduced_costs(self, y):
         return self.c_hat - np.concatenate([self.at @ y, y])
@@ -222,8 +272,7 @@ class _Simplex:
             return STATUS_OPTIMAL
         at_lower = self.status[j] == AT_LOWER
         sigma = 1.0 if at_lower else -1.0
-        rows, vals = self.column(j)
-        alpha = self.b_inv[:, rows] @ vals
+        alpha = self.ftran(self.column(j))
         delta = sigma * alpha
         leave, t_best = self.ratio_test(delta, self.ub_hat[j])
         if not np.isfinite(t_best):
@@ -241,14 +290,11 @@ class _Simplex:
         self.basic[leave] = j
         self.status[j] = IN_BASIS
         self.beta[leave] = entering_value
-        row_new = self.b_inv[leave] / alpha[leave]  # the ratio test kept it > PIVOT_TOL
-        alpha_rest = alpha.copy()
-        alpha_rest[leave] = 0.0
-        self.b_inv -= np.outer(alpha_rest, row_new)
-        self.b_inv[leave] = row_new
         self.since_refactor += 1
         if self.since_refactor >= REFACTOR_EVERY:
             self.refactor()
+        else:
+            self.factor()
         return None
 
     def run(self):

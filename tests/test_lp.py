@@ -1,15 +1,19 @@
-"""LP kernel tests: fixed cases, duality checks and a random sweep against
-the independent dense tableau oracle.  Every LP here starts feasibly from
-its slack basis, the only kind the kernel accepts."""
+"""LP kernel tests: fixed cases, duality checks, a random sweep against the
+independent dense tableau oracle, and the basis factorization against dense
+linear algebra.  Every LP here starts feasibly from its slack basis, the
+only kind the kernel accepts."""
 
+import itertools
+import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from multihit import lp
-from multihit.errors import ValidationError
+from multihit.errors import ConsistencyError, ValidationError
 from multihit.lp import (
     STATUS_ITERATION_LIMIT,
     STATUS_OPTIMAL,
@@ -19,8 +23,11 @@ from multihit.lp import (
     LinearProgram,
     solve_lp,
 )
+from multihit.master import MasterModel
+from multihit.synth import SyntheticSpec, generate_synthetic
 
 from oracles import tableau_solve
+from util import random_matrix
 
 RNG_SEED = 20240817
 
@@ -188,3 +195,82 @@ def test_garbage_warm_start_falls_back_to_cold():
     assert mangled.objective == pytest.approx(2.0, abs=1e-9)
     assert again.objective == pytest.approx(2.0, abs=1e-9)
 
+
+def random_master_lp(rng, n_tumor, n_normal, n_columns, beta=3):
+    """Root LP of a master over ``n_columns`` random gene pairs."""
+    m = random_matrix(rng, 12, n_tumor, n_normal, density=0.3)
+    pairs = rng.sample(list(itertools.combinations(range(12), 2)), n_columns)
+    return MasterModel(m, [m.combination(p) for p in pairs], beta).build_lp()
+
+
+def test_factorization_solves_the_same_systems_as_dense_algebra(monkeypatch):
+    rng = np.random.default_rng(RNG_SEED + 3)
+    cores = []
+    factor = lp._Simplex.factor
+
+    def checked_factor(s):
+        factor(s)
+        b = np.hstack([s.p.a_matrix.toarray(), np.eye(s.m)])[:, s.basic]
+        for v in (rng.uniform(-1, 1, s.m), s.column(int(rng.integers(s.nf)))):
+            assert np.allclose(s.ftran(v), np.linalg.solve(b, v), rtol=0, atol=1e-9)
+        c_b = s.c_hat[s.basic]
+        assert np.allclose(s.duals(), np.linalg.solve(b.T, c_b), rtol=0, atol=1e-9)
+        cores.append((s.m, len(s.pos_k)))
+
+    monkeypatch.setattr(lp._Simplex, "factor", checked_factor)
+    for _ in range(30):
+        solve_lp(random_lp(rng))
+        solve_lp(random_lp(rng, n=12, m=4))
+    assert (4, 4) in cores  # a basis of structural columns only: k = m
+    assert max(k for m, k in cores if m == 10) >= 5
+    assert min(k for _, k in cores) == 0  # every cold start is the slack basis
+    pools = random.Random(RNG_SEED)
+    for n_columns in (0, 5, 20):
+        cores.clear()
+        sol = solve_lp(random_master_lp(pools, 30, 10, n_columns))
+        assert sol.status == STATUS_OPTIMAL and {m for m, _ in cores} == {41}
+        # Cover flags and penalties are unit columns; selections form the core.
+        assert max(k for _, k in cores) <= n_columns
+
+
+def test_singular_warm_basis_falls_back_to_cold_start():
+    # Tumor row 0's slack and its cover flag (variable 0) both basic: two
+    # unit columns on one row.
+    p = random_master_lp(random.Random(RNG_SEED), 6, 3, 8)
+    basic = -1 - np.arange(p.n_rows)
+    basic[1] = 0  # the cover flag replaces row 1's slack
+    struct = np.zeros(p.n_vars, dtype=np.int8)
+    struct[0] = lp.IN_BASIS
+    slack = np.full(p.n_rows, lp.IN_BASIS, dtype=np.int8)
+    slack[1] = lp.AT_LOWER
+    two_units = Basis(basic, struct, slack)
+    # Two identical structural columns, both basic: a singular core.
+    rows = [[1.0, 1.0, 2.0], [2.0, 2.0, 1.0]]
+    q = make_lp([1.0, 1.0, 1.0], rows, [4.0, 4.0], [0.0] * 3, [np.inf] * 3)
+    twins = Basis([0, 1], [lp.IN_BASIS, lp.IN_BASIS, lp.AT_LOWER], [0, 0])
+    for prog, warm, reason in ((p, two_units, "share a row"), (q, twins, "singular")):
+        s = lp._Simplex(prog, None)
+        s.basic = np.where(warm.basic >= 0, warm.basic, prog.n_vars - 1 - warm.basic)
+        with pytest.raises(ConsistencyError, match=reason):
+            s.factor()
+        cold = solve_lp(prog)
+        again = solve_lp(prog, warm_start=warm)
+        assert again.iterations == cold.iterations
+        assert np.array_equal(again.x, cold.x) and again.objective == cold.objective
+
+
+def test_large_master_root_lp_needs_no_dense_basis():
+    # 1,502 rows: a dense basis inverse alone would take 18 MB.
+    spec = SyntheticSpec(12, 400, 1101, ((0, 1), (2, 3)), 0.4, 0.2, 0.02)
+    m = generate_synthetic(spec, 1)
+    pool = [m.combination(p) for p in itertools.combinations(range(12), 2)][:20]
+    p = MasterModel(m, pool, 5).build_lp()
+    assert p.n_rows == 1502
+    tracemalloc.start()
+    try:
+        sol = solve_lp(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status == STATUS_OPTIMAL and sol.objective == pytest.approx(229.0)
+    assert peak < 2e6

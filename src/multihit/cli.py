@@ -209,6 +209,12 @@ def cmd_split(args):
 
 def cmd_solve(args):
     config = _load_config(args.config)
+    # solve runs one cell: one matrix, seed, hit range and mode.
+    for key, most in (("instances", 0), ("seeds", 0), ("hit_ranges", 1), ("modes", 1)):
+        if len(config.get(key, ())) > most:
+            raise ValidationError(
+                f"solve runs one cell; use sweep for the config's {key!r}"
+            )
     hit_text = _pick(
         args.hit,
         config["hit_ranges"][0] if config.get("hit_ranges") else None,

@@ -6,8 +6,8 @@ starts from the slack basis (all slacks basic, every structural variable at
 its lower bound) or from a warm basis, so the slack basis must be feasible:
 ``b - A l >= 0``.  :class:`LinearProgram` refuses any other LP; there is no
 phase one.  The master LPs of this package all satisfy this.  The basis is
-factored by its unit columns (one nonzero: slacks, cover flags, penalties),
-at most one per row, plus the inverse of the k x k core that the other k
+factored by its unit columns (one nonzero: slacks and cover flags), at
+most one per row, plus the inverse of the k x k core that the other k
 basic columns leave on the remaining rows; a pivot costs O(nnz + m + k^3).
 The solver prices with Dantzig's rule and falls back to Bland's rule after
 a degenerate streak, so it cannot cycle.  Every optimal result is verified

@@ -1,11 +1,12 @@
 """Restricted master problem over a pool of candidate combinations.
 
-The LP maximizes covered tumors minus multiplicity-counted normal coverings:
-one row per tumor links its cover flag to the selection variables, one row
-per normal sample accumulates coverings into a penalty variable, and a final
-budget row caps how many combinations may be picked.  ``solve_binary`` runs
-a branch-and-bound over the selection variables only; cover flags and
-penalties are forced integral automatically once the selection is binary.
+The LP maximizes covered tumors minus multiplicity-counted normal coverings.
+A combination's normal coverings are linear in its selection variable, so
+they are its objective cost: ``-normal_cover.bit_count()``.  One row per
+tumor links its cover flag to the selection variables, and a final budget
+row caps how many combinations may be picked.  ``solve_binary`` runs a
+branch-and-bound over the selection variables only; cover flags are forced
+integral automatically once the selection is binary.
 """
 
 import math
@@ -28,7 +29,10 @@ INT_TOL = 1e-6
 
 
 class DualPrices:
-    """Row prices of the relaxation: per-tumor, per-normal and budget."""
+    """Prices for pricing: per-tumor ``pi``, per-normal ``mu``, budget ``lam``.
+
+    ``solve_relaxation`` gives ``mu = 1``, the objective cost of a covering.
+    """
 
     def __init__(self, pi, mu, lam):
         self.pi = np.asarray(pi, dtype=float)
@@ -59,7 +63,7 @@ class MasterModel:
     """Matrix + duplicate-free column pool + budget, with a cached LP."""
 
     def __init__(self, matrix, columns, beta):
-        if not isinstance(beta, int) or beta < 0:
+        if isinstance(beta, bool) or not isinstance(beta, int) or beta < 0:
             raise ValidationError(f"budget must be a nonnegative int, got {beta!r}")
         self.matrix = matrix
         self.beta = beta
@@ -88,46 +92,34 @@ class MasterModel:
         """The relaxation LP; cached until the pool changes."""
         if self._cached_lp is not None:
             return self._cached_lp
-        nt, nn = self.matrix.tumor_count, self.matrix.normal_count
-        n_z = len(self.columns)
-        off = nt + nn
-        # Unit columns for the cover flags and penalties, then per selection
-        # variable -1 on each tumor it covers, +1 on each normal it covers
-        # and +1 on the budget row.
-        z_t, t = np.nonzero(unpack([c.tumor_cover for c in self.columns], nt))
-        z_n, n = np.nonzero(unpack([c.normal_cover for c in self.columns], nn))
-        rows = np.concatenate([np.arange(off), t, nt + n, np.full(n_z, off)])
-        cols = np.concatenate(
-            [np.arange(off), off + z_t, off + z_n, off + np.arange(n_z)]
-        )
-        vals = np.concatenate(
-            [np.ones(nt), -np.ones(nn), -np.ones(len(t)), np.ones(len(n) + n_z)]
-        )
-        a = sp.csc_matrix((vals, (rows, cols)), shape=(off + 1, off + n_z))
-        objective = np.concatenate([np.ones(nt), -np.ones(nn), np.zeros(n_z)])
-        rhs = np.concatenate([np.zeros(off), [float(self.beta)]])
-        lower = np.zeros(off + n_z)
-        upper = np.concatenate([np.ones(nt), np.full(nn + n_z, np.inf)])
+        nt, n_z = self.matrix.tumor_count, len(self.columns)
+        # Unit columns for the cover flags, then per selection variable -1 on
+        # each tumor it covers and +1 on the budget row.
+        z, t = np.nonzero(unpack([c.tumor_cover for c in self.columns], nt))
+        rows = np.concatenate([np.arange(nt), t, np.full(n_z, nt)])
+        cols = np.concatenate([np.arange(nt), nt + z, nt + np.arange(n_z)])
+        vals = np.concatenate([np.ones(nt), -np.ones(len(t)), np.ones(n_z)])
+        a = sp.csc_matrix((vals, (rows, cols)), shape=(nt + 1, nt + n_z))
+        cost = [-c.normal_cover.bit_count() for c in self.columns]
+        objective = np.concatenate([np.ones(nt), cost])
+        rhs = np.concatenate([np.zeros(nt), [float(self.beta)]])
+        lower = np.zeros(nt + n_z)
+        upper = np.concatenate([np.ones(nt), np.full(n_z, np.inf)])
         self._cached_lp = LinearProgram(objective, a, rhs, lower, upper)
         return self._cached_lp
 
     def node_lp(self, fixed):
         """Relaxation with some selection variables pinned to 0 or 1.
 
-        Each normal's penalty variable starts at the number of pinned-in
-        columns covering it, a bound its row already implies; so the slack
-        basis stays feasible and the optimum is unchanged.  At most
-        ``beta`` columns may be pinned to 1.
+        At most ``beta`` columns may be pinned to 1, so the slack basis
+        stays feasible.
         """
         base = self.build_lp()
         lower = base.lower.copy()
         upper = base.upper.copy()
         nt = self.matrix.tumor_count
-        off = nt + self.matrix.normal_count
         for k, v in fixed.items():
-            lower[off + k] = upper[off + k] = float(v)
-        pinned = [self.columns[k].normal_cover for k, v in fixed.items() if v]
-        lower[nt:off] += unpack(pinned, off - nt).sum(axis=0)
+            lower[nt + k] = upper[nt + k] = float(v)
         return LinearProgram(base.objective, base.a_matrix, base.rhs, lower, upper)
 
 
@@ -145,15 +137,15 @@ def solve_relaxation(model, warm_start=None, deadline=None):
             f"master relaxation ended with status {sol.status}; "
             "this LP is always feasible and bounded"
         )
-    nt, nn = model.matrix.tumor_count, model.matrix.normal_count
+    nt = model.matrix.tumor_count
     duals = DualPrices(
         pi=np.maximum(sol.duals[:nt], 0.0),
-        mu=np.maximum(sol.duals[nt : nt + nn], 0.0),
-        lam=max(float(sol.duals[nt + nn]), 0.0),
+        mu=np.ones(model.matrix.normal_count),
+        lam=max(float(sol.duals[nt]), 0.0),
     )
     return RmpSolution(
         objective=sol.objective,
-        z=sol.x[nt + nn :].copy(),
+        z=sol.x[nt:].copy(),
         duals=duals,
         basis=sol.basis,
         iterations=sol.iterations,
@@ -220,8 +212,7 @@ def solve_binary(model, time_limit=30.0):
         bound = sol.objective
         if incumbent_obj is not None and math.floor(bound + INT_TOL) <= incumbent_obj:
             continue
-        off = model.matrix.tumor_count + model.matrix.normal_count
-        z = sol.x[off:]
+        z = sol.x[model.matrix.tumor_count :]
         fract = [_fractionality(v) for v in z]
         if all(f <= INT_TOL for f in fract):
             selection = [k for k, v in enumerate(z) if v > 0.5]

@@ -221,6 +221,28 @@ def test_validation_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and words in err
         assert not out_dir.exists()
+    # solve runs one cell, so it refuses the grid keys it would ignore or
+    # cut to their first entry; one hit range and one mode are fine.
+    out = tmp_path / "solve.json"
+    argv = ["solve", "--data", write_tiny(tmp_path), "--config", str(cfg_path)]
+    argv += ["--out", str(out)]
+    for cfg, key in (
+        ({"seeds": [5]}, "'seeds'"),
+        ({"instances": [instance]}, "'instances'"),
+        ({"hit_ranges": ["2", "2-3"]}, "'hit_ranges'"),
+        ({"modes": ["exact", "colgen"]}, "'modes'"),
+    ):
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not out.exists()
+    cfg = {"hit_ranges": ["2"], "modes": ["exact"], "beta": 2}
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(argv) == 0
+    with open(out, encoding="utf-8") as fh:
+        report = json.load(fh)
+    assert report["hit_range"] == "2" and report["mode"] == "exact"
 
 
 def test_sweep_and_report_commands(tmp_path):

@@ -228,8 +228,8 @@ def test_factorization_solves_the_same_systems_as_dense_algebra(monkeypatch):
     for n_columns in (0, 5, 20):
         cores.clear()
         sol = solve_lp(random_master_lp(pools, 30, 10, n_columns))
-        assert sol.status == STATUS_OPTIMAL and {m for m, _ in cores} == {41}
-        # Cover flags and penalties are unit columns; selections form the core.
+        assert sol.status == STATUS_OPTIMAL and {m for m, _ in cores} == {31}
+        # Cover flags are unit columns; selections form the core.
         assert max(k for _, k in cores) <= n_columns
 
 
@@ -261,7 +261,7 @@ def test_singular_warm_basis_falls_back_to_cold_start():
 
 def test_large_master_root_lp_needs_no_dense_basis():
     # 1,502 rows: a dense basis inverse alone would take 18 MB.
-    spec = SyntheticSpec(12, 400, 1101, ((0, 1), (2, 3)), 0.4, 0.2, 0.02)
+    spec = SyntheticSpec(12, 1501, 400, ((0, 1), (2, 3)), 0.4, 0.2, 0.02)
     m = generate_synthetic(spec, 1)
     pool = [m.combination(p) for p in itertools.combinations(range(12), 2)][:20]
     p = MasterModel(m, pool, 5).build_lp()
@@ -272,5 +272,5 @@ def test_large_master_root_lp_needs_no_dense_basis():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sol.status == STATUS_OPTIMAL and sol.objective == pytest.approx(229.0)
+    assert sol.status == STATUS_OPTIMAL and sol.objective == pytest.approx(2506 / 3)
     assert peak < 2e6

@@ -11,6 +11,7 @@ from multihit import master
 from multihit.candidates import generate_candidates
 from multihit.data import HitRange
 from multihit.errors import DuplicateColumnError, ValidationError
+from multihit.lp import LinearProgram
 from multihit.master import MasterModel, solve_binary, solve_relaxation
 from multihit.metrics import objective_value
 from multihit.synth import SyntheticSpec, generate_synthetic
@@ -34,27 +35,45 @@ def full_pool(m, hit_range):
     return [m.combination(genes) for genes in all_combinations(m, hit_range)]
 
 
-def a_matrix_by_loops(model):
+def penalty_lp_by_loops(model, fixed=()):
+    """The master LP with a penalty variable and a row per normal, by loops.
+
+    Maximize covered tumors minus penalties over cover flags, penalties and
+    selections: ``flag_t <= selections covering t``, ``selections covering
+    n <= penalty_n`` and ``selections <= beta``.  Selections in ``fixed`` are
+    pinned to their values.  Returns dense ``(objective, a, rhs, lower,
+    upper)``; the package's LP substitutes the penalties out.
+    """
     m = model.matrix
     nt, nn = m.tumor_count, m.normal_count
-    a = np.zeros((nt + nn + 1, nt + nn + len(model.columns)))
+    off = nt + nn
+    n_vars = off + len(model.columns)
+    a = np.zeros((off + 1, n_vars))
+    objective = np.zeros(n_vars)
+    lower, upper = np.zeros(n_vars), np.full(n_vars, np.inf)
     for t in range(nt):
-        a[t, t] = 1.0
+        a[t, t] = objective[t] = upper[t] = 1.0
     for n in range(nn):
-        a[nt + n, nt + n] = -1.0
+        a[nt + n, nt + n] = objective[nt + n] = -1.0
     for k, comb in enumerate(model.columns):
-        var = nt + nn + k
+        var = off + k
         for t in range(nt):
             if (comb.tumor_cover >> t) & 1:
                 a[t, var] = -1.0
         for n in range(nn):
             if (comb.normal_cover >> n) & 1:
                 a[nt + n, var] = 1.0
-        a[nt + nn, var] = 1.0
-    return a
+        a[off, var] = 1.0
+    for k, v in dict(fixed).items():
+        lower[off + k] = upper[off + k] = v
+    rhs = np.zeros(off + 1)
+    rhs[off] = model.beta
+    return objective, a, rhs, lower, upper
 
 
 def test_constraint_matrix_matches_a_bit_loop_build():
+    # The LP is the penalty LP with each penalty replaced by its normal row:
+    # a column costs one per normal it covers.
     rng = random.Random(41)
     shapes = [(7, 6, 5)] * 8 + [(6, 0, 4), (6, 5, 0)]
     for n_genes, n_tumor, n_normal in shapes:
@@ -63,11 +82,19 @@ def test_constraint_matrix_matches_a_bit_loop_build():
         rng.shuffle(pool)
         for size in (0, rng.randint(1, len(pool))):
             model = MasterModel(m, pool[:size], 3)
-            a = model.build_lp().a_matrix
-            expected = a_matrix_by_loops(model)
-            assert np.array_equal(a.toarray(), expected)
-            assert a.nnz == np.count_nonzero(expected)
-            assert a.has_sorted_indices
+            lp = model.build_lp()
+            c, a, rhs, lower, upper = penalty_lp_by_loops(model)
+            penalties = range(n_tumor, n_tumor + n_normal)
+            normal_rows = a[n_tumor : n_tumor + n_normal, n_tumor + n_normal :]
+            a = np.delete(np.delete(a, penalties, axis=0), penalties, axis=1)
+            cost = -normal_rows.sum(axis=0)
+            assert np.array_equal(lp.a_matrix.toarray(), a)
+            assert lp.a_matrix.nnz == np.count_nonzero(a)
+            assert lp.a_matrix.has_sorted_indices
+            assert np.array_equal(lp.objective, np.concatenate([c[:n_tumor], cost]))
+            assert np.array_equal(lp.rhs, np.delete(rhs, penalties))
+            assert np.array_equal(lp.lower, np.delete(lower, penalties))
+            assert np.array_equal(lp.upper, np.delete(upper, penalties))
 
 
 def test_empty_pool_relaxation_is_zero():
@@ -104,6 +131,8 @@ def test_column_validation():
         MasterModel(m, [], -1)
     with pytest.raises(ValidationError):
         MasterModel(m, [], 1.5)
+    with pytest.raises(ValidationError):
+        MasterModel(m, [], True)
 
 
 def test_adding_columns_never_decreases_relaxation():
@@ -244,13 +273,13 @@ def test_binary_deadline_inside_a_node_lp_keeps_that_bound_open(monkeypatch):
 
 
 def test_node_lp_starts_feasible_and_keeps_the_optimum():
-    # Pinning a column to 1 raises the penalty lower bound of each normal it
-    # covers, which keeps the slack basis feasible.  The optimum must equal
-    # the oracle's on the same node LP without the raised bounds.
+    # A node LP starts from a feasible slack basis, and its optimum equals
+    # the oracle's on the penalty LP with the same columns pinned; so does
+    # the root relaxation's.  Pools include a class with no samples.
     rng = random.Random(36)
-    raised = 0
-    for _ in range(20):
-        m = random_matrix(rng, 7, 6, 5, density=0.5)
+    shapes = [(7, 6, 5)] * 20 + [(7, 0, 5), (7, 6, 0)] * 3
+    for n_genes, n_tumor, n_normal in shapes:
+        m = random_matrix(rng, n_genes, n_tumor, n_normal, density=0.5)
         pool = full_pool(m, HitRange(2, 3))
         rng.shuffle(pool)
         model = MasterModel(m, pool[:10], rng.randint(1, 3))
@@ -261,29 +290,26 @@ def test_node_lp_starts_feasible_and_keeps_the_optimum():
         assert np.all(node.rhs - node.a_matrix @ node.lower >= 0.0)
         sol = master.solve_lp(node)
         assert sol.status == "optimal"
-        base = model.build_lp()
-        lower, upper = base.lower.copy(), base.upper.copy()
-        off = m.tumor_count + m.normal_count
-        for k, v in fixed.items():
-            lower[off + k] = upper[off + k] = v
-        raised += bool(np.any(node.lower != lower))
-        status, obj, _ = tableau_solve(
-            base.objective, base.a_matrix.toarray(), base.rhs, lower, upper
-        )
+        status, obj, _ = tableau_solve(*penalty_lp_by_loops(model, fixed))
         assert status == "optimal"
         assert sol.objective == pytest.approx(obj, abs=1e-6)
-    assert raised > 0
+        status, root, _ = tableau_solve(*penalty_lp_by_loops(model))
+        assert status == "optimal"
+        assert solve_relaxation(model).objective == pytest.approx(root, abs=1e-6)
 
 
 def test_slow_degenerate_root_lp_reaches_its_optimum():
-    # This root LP creeps along in steps of 1e-10 to 1e-7.  Counted as
-    # progress, such steps keep resetting the degenerate streak, so the
-    # simplex never stays in Bland's rule and cycles to its iteration cap.
-    rates = (0.9372949718998201, 0.3798616480545074, 0.3952104907566846)
-    spec = SyntheticSpec(25, 55, 21, ((0, 1), (2, 3)), *rates)
-    m = generate_synthetic(spec, 140)
-    pool = generate_candidates(m, HitRange(2, 3), 100, 159, 140)
-    model = MasterModel(m, pool, 2)
+    # In the penalty form these root LPs creep along in steps of 1e-10 to
+    # 1e-7.  Counted as progress, such steps keep resetting the degenerate
+    # streak, so the simplex never stays in Bland's rule and cycles to its
+    # iteration cap; the second still does when only steps up to 1e-10
+    # count as degenerate.  The package's form needs under a tenth of the
+    # pivots.  Each form must reach the optimum, and so must the
+    # branch-and-bound.
+    cases = (  # tumors, normals, seed, optimum, rates
+        (55, 21, 140, 52, (0.9372949718998201, 0.3798616480545074, 0.3952104907566846)),
+        (38, 22, 1295, 25, (0.36724343180090974, 0.40755039019885053, 0.4780177141561597)),
+    )
 
     def value(selection):  # covered tumors minus normal coverings
         tumors = 0
@@ -291,12 +317,18 @@ def test_slow_degenerate_root_lp_reaches_its_optimum():
             tumors |= c.tumor_cover
         return tumors.bit_count() - sum(c.normal_cover.bit_count() for c in selection)
 
-    best = max(
-        value(sel) for k in (0, 1, 2) for sel in itertools.combinations(pool, k)
-    )
-    assert best == 52
-    root = master.solve_lp(model.build_lp())
-    assert root.status == "optimal"
-    assert root.objective == pytest.approx(best, abs=1e-6)
-    res = solve_binary(model)
-    assert res.status == "optimal" and res.objective == best
+    for n_tumor, n_normal, seed, optimum, rates in cases:
+        spec = SyntheticSpec(25, n_tumor, n_normal, ((0, 1), (2, 3)), *rates)
+        m = generate_synthetic(spec, seed)
+        pool = generate_candidates(m, HitRange(2, 3), 100, 159, seed)
+        model = MasterModel(m, pool, 2)
+        best = max(
+            value(sel) for k in (0, 1, 2) for sel in itertools.combinations(pool, k)
+        )
+        assert best == optimum
+        for p in (model.build_lp(), LinearProgram(*penalty_lp_by_loops(model))):
+            root = master.solve_lp(p)
+            assert root.status == "optimal"
+            assert root.objective == pytest.approx(best, abs=1e-6)
+        res = solve_binary(model)
+        assert res.status == "optimal" and res.objective == best

@@ -55,7 +55,7 @@ def test_tracer_targets_exist_and_probes_read_real_solves(tmp_path):
     assert colgen["pricing.nodes"] == report.pricing_nodes
     assert colgen["master.bnb.nodes"] == report.binary_nodes
     assert colgen["lp.warm_calls"] == report.iterations - 1
-    assert colgen["lp.max_rows"] == matrix.tumor_count + matrix.normal_count + 1
+    assert colgen["lp.max_rows"] == matrix.tumor_count + 1
     pool = tracing.solve_metrics(tracer, 2)
     assert pool["candidates.columns"] == 50
     assert pool["pricing.calls"] == 0 and pool["master.bnb.nodes"] >= 1

@@ -285,11 +285,13 @@ def _sweep_instances(config, config_dir):
                     f"instance {name}: synth is missing {', '.join(missing)}"
                 )
             seed = params.pop("seed", 0)
+            if type(seed) is not int:
+                raise ValidationError(f"instance {name}: synth seed must be an int")
             spec = SyntheticSpec(
                 n_genes=params.pop("genes"),
                 n_tumor=params.pop("tumors"),
                 n_normal=params.pop("normals"),
-                planted=tuple(tuple(c) for c in params.pop("planted", [])),
+                planted=params.pop("planted", ()),
                 **{key: params.pop(key, rate) for key, rate in _SYNTH_RATES.items()},
             )
             if params:

@@ -58,9 +58,10 @@ class HitRange:
     k_max: int
 
     def __post_init__(self):
-        if not (1 <= self.k_min <= self.k_max):
+        ints = all(type(k) is int for k in (self.k_min, self.k_max))
+        if not (ints and 1 <= self.k_min <= self.k_max):
             raise ValidationError(
-                f"hit range must satisfy 1 <= k_min <= k_max, got {self.k_min}-{self.k_max}"
+                f"hit range must be ints 1 <= k_min <= k_max, got {self.k_min!r}-{self.k_max!r}"
             )
 
     @classmethod

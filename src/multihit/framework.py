@@ -55,10 +55,10 @@ class SolverSettings:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValidationError(f"{name} must be an int, got {value!r}")
+            if name != "beta" and value < 1:
+                raise ValidationError(f"{name} must be at least 1, got {value}")
         if self.beta < 0:
             raise ValidationError(f"budget must be nonnegative, got {self.beta}")
-        if self.top_q < 1:
-            raise ValidationError(f"top_q must be at least 1, got {self.top_q}")
         for name in ("master_time_limit", "total_time_limit"):
             value = getattr(self, name)
             number = isinstance(value, (int, float)) and not isinstance(value, bool)

@@ -8,10 +8,14 @@ drives an exact depth-first branch-and-bound over genes in tumor-frequency
 order.  The search always returns the exact maximum, even when it is not
 positive, so convergence certificates are meaningful.
 
-Each expanded node scores all of its children at once: with the node's
-covered samples weighted by their prices, one sparse matrix-vector product
-over the gene-major matrices of :attr:`MutationMatrix.gene_major` gives
-every child's covered price sum.  ``PricingResult.nodes`` counts these
+Each expanded node takes one step: it scores all of its children at once,
+pools the best of them, then descends.  With the node's covered samples
+weighted by their prices, one sparse matrix-vector product over the
+gene-major matrices of :attr:`MutationMatrix.gene_major` gives every
+child's covered price sum.  When the children are combinations (at least
+``k_min`` genes), the batch's best ``top_q`` above the pool's cut enter the
+pool together; the node then stops at ``k_max`` or expands the children
+whose bound still beats the cut.  ``PricingResult.nodes`` counts the
 children scored.
 """
 
@@ -75,7 +79,10 @@ def solve_pricing(problem, deadline=None, top_q=1):
     ``deadline`` (``time.perf_counter`` scale, read once per expanded node)
     aborts the search early; the result then carries the best found so far
     and ``proven_optimal=False``.  ``top_q`` additionally collects that many
-    distinct positive columns; equal reduced costs rank in search order.
+    distinct positive columns.  Each expanded node scores its children,
+    pools their best, then descends, so among equal reduced costs the
+    earlier record ranks first and a node's children rank before their
+    descendants.  ``nodes`` counts the children scored.
     """
     m = problem.matrix
     hit = problem.hit_range
@@ -87,25 +94,16 @@ def solve_pricing(problem, deadline=None, top_q=1):
     duals = problem.duals
     pi, mu, lam = duals.pi, duals.mu, duals.lam
     n_rows = len(order)
-    # pool entries: (rc, seq, genes), sorted best first with first-found
-    # winning ties.
+    # pool entries: (rc, path genes), best first; a stable sort keeps the
+    # earlier record first among equal reduced costs.
     pool = []
-    seq = 0
     nodes = 0
     aborted = False
-    path = []
 
     def cut():
         return pool[top_q - 1][0] if len(pool) >= top_q else -math.inf
 
-    def record(rc, genes):
-        nonlocal seq
-        pool.append((float(rc), seq, tuple(sorted(genes))))
-        seq += 1
-        pool.sort(key=lambda e: (-e[0], e[1]))
-        del pool[top_q:]
-
-    def expand(pos, depth, w_t, w_n, psum):
+    def expand(pos, depth, w_t, w_n, psum, path):
         # Children are rows pos..stop-1; later rows leave too few genes to
         # reach k_min.  Duals are nonnegative, so a child's reduced cost and
         # that of every descendant is at most its covered tumor price minus
@@ -121,34 +119,24 @@ def solve_pricing(problem, deadline=None, top_q=1):
         p2 = (x_t @ w_t)[pos:stop]
         if depth + 1 >= hit.k_min:
             rc = p2 - (x_n @ w_n)[pos:stop] - lam
-        if depth + 1 == hit.k_max:
             hits = np.flatnonzero(rc > cut())
-            for i in hits[np.argsort(-rc[hits], kind="stable")[:top_q]].tolist():
-                record(rc[i], path + [order[pos + i]])
+            if hits.size:
+                for i in hits[np.argsort(-rc[hits], kind="stable")[:top_q]].tolist():
+                    pool.append((float(rc[i]), path + (order[pos + i],)))
+                pool.sort(key=lambda e: -e[0])
+                del pool[top_q:]
+        if depth + 1 == hit.k_max:
             return
         for i in np.flatnonzero(p2 - lam > cut()).tolist():
-            if aborted:
-                return
-            if p2[i] - lam <= cut():
-                continue
             r = pos + i
-            path.append(order[r])
-            if depth + 1 >= hit.k_min and rc[i] > cut():
-                record(rc[i], path)
-            if p2[i] - lam > cut():
-                expand(
-                    r + 1,
-                    depth + 1,
-                    _masked(w_t, x_t, r),
-                    _masked(w_n, x_n, r),
-                    p2[i],
-                )
-            path.pop()
+            if not aborted and p2[i] - lam > cut():
+                w_t2, w_n2 = _masked(w_t, x_t, r), _masked(w_n, x_n, r)
+                expand(r + 1, depth + 1, w_t2, w_n2, p2[i], path + (order[r],))
 
-    expand(0, 0, pi, mu, float(pi.sum()))
+    expand(0, 0, pi, mu, float(pi.sum()), ())
 
     best_rc = pool[0][0] if pool else -math.inf
-    candidates = [m.combination(genes) for rc, _, genes in pool if rc > RC_EPS]
+    candidates = [m.combination(genes) for rc, genes in pool if rc > RC_EPS]
     best = candidates[0] if candidates else None
     return PricingResult(best, best_rc, not aborted, nodes, candidates)
 

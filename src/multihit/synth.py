@@ -44,17 +44,19 @@ class SyntheticSpec:
         for rate in (self.planted_rate, self.background_rate, self.normal_rate):
             if not 0.0 <= rate <= 1.0:
                 raise ValidationError(f"rate {rate} outside [0, 1]")
-        object.__setattr__(
-            self, "planted", tuple(tuple(c) for c in self.planted)
-        )
+        if not isinstance(self.planted, (list, tuple)):
+            raise ValidationError(f"synthetic planted must be a list: {self.planted!r}")
         for combo in self.planted:
+            if not isinstance(combo, (list, tuple)):
+                raise ValidationError(f"planted combination {combo!r} is not a list")
             if not combo:
                 raise ValidationError("planted combination cannot be empty")
+            for g in combo:
+                if type(g) is not int or not 0 <= g < self.n_genes:
+                    raise ValidationError(f"planted gene index {g!r} out of range")
             if len(set(combo)) != len(combo):
                 raise ValidationError(f"planted combination {combo} repeats a gene")
-            for g in combo:
-                if not 0 <= g < self.n_genes:
-                    raise ValidationError(f"planted gene index {g} out of range")
+        object.__setattr__(self, "planted", tuple(map(tuple, self.planted)))
 
 
 def _ident(prefix, index, count):

@@ -213,6 +213,16 @@ def test_validation_exit_codes(tmp_path, capsys):
         ),
         ({"instances": [instance], "train_fraction": "0.5"}, "train_fraction must be"),
         ({"instances": [instance], "seeds": ["x"]}, "seeds must be ints"),
+        ({"instances": [instance], "gamma1": 0}, "gamma1 must be at least 1"),
+        ({"instances": [instance], "gamma2": -5}, "gamma2 must be at least 1"),
+        (
+            {"instances": [{"name": "tiny", "synth": {**synth, "seed": "x"}}]},
+            "synth seed must be an int",
+        ),
+        *(
+            ({"instances": [{"name": "tiny", "synth": {**synth, "planted": p}}]}, "planted")
+            for p in ([[0, 1.5]], [["a", 1]], [5], [[0, True]])
+        ),
     ):
         cfg_path = tmp_path / "sweep.json"
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -239,6 +249,9 @@ def test_validation_exit_codes(tmp_path, capsys):
         assert not out.exists()
     cfg = {"hit_ranges": ["2"], "modes": ["exact"], "beta": 2}
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(argv + ["--mode", "colgen", "--gamma1", "0"]) == 1
+    assert "gamma1 must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
     assert main(argv) == 0
     with open(out, encoding="utf-8") as fh:
         report = json.load(fh)

@@ -281,3 +281,7 @@ def test_hit_range_parse():
         HitRange.parse("x")
     with pytest.raises(ValidationError):
         HitRange(0, 1)
+    # A bool or a float is not a size, though both compare like one.
+    for bounds in ((True, 2), (1.5, 3)):
+        with pytest.raises(ValidationError, match="ints"):
+            HitRange(*bounds)

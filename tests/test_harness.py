@@ -109,6 +109,11 @@ def test_synthetic_validation():
         SyntheticSpec(5, True, 2)
     with pytest.raises(ValidationError, match="normal_rate must be a number"):
         SyntheticSpec(5, 3, 2, normal_rate="0.1")
+    # Planted combinations come from sweep config files too: each must be a
+    # list of int gene indices, and a bool is not one.
+    for planted in ([[0, 1.5]], [["a", 1]], [5], [[0, True]], 5):
+        with pytest.raises(ValidationError, match="planted"):
+            SyntheticSpec(5, 3, 2, planted=planted)
 
 
 def test_derive_seed_is_stable_and_purpose_split():
@@ -311,6 +316,8 @@ def test_experiment_spec_validation():
         {"beta": 2.0},
         {"gamma1": "10"},
         {"gamma2": 5.5},
+        {"gamma1": 0},
+        {"gamma2": -5},
         {"top_q": 1.5},
         {"top_q": True},
         {"master_time_limit": "30"},

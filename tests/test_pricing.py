@@ -54,11 +54,14 @@ def test_solver_matches_enumeration():
             assert res.best is None
 
 
-def hard_instance(rng, hit, variant):
+def hard_instance(rng, hit, variant, cg_prices=False):
     """A random matrix with genes mutated nowhere, plus per ``variant``: 0
     nothing more, 1 no normal samples, 2 no tumor samples, 3 fewer genes
     than ``hit.k_max``.  Duals lie on a 1e-3 grid, so reduced costs tie
-    often and no positive one is near ``RC_EPS``."""
+    often and no positive one is near ``RC_EPS``.  ``cg_prices`` draws the
+    prices column generation meets instead: tumor prices in {0, 0.5, 1},
+    every normal price 1 and ``lam`` in {0, 1}, so equal reduced costs are
+    the rule."""
     n_genes = hit.k_max - 1 if variant == 3 else rng.randint(hit.k_max, 9)
     silent = set(rng.sample(range(n_genes), n_genes // 3))
     samples = [
@@ -78,6 +81,9 @@ def hard_instance(rng, hit, variant):
         for i in range(count)
     ]
     m = MutationMatrix([f"g{j}" for j in range(n_genes)], samples)
+    if cg_prices:
+        pi = [rng.choice((0, 0.5, 1)) for _ in range(m.tumor_count)]
+        return m, DualPrices(pi, [1] * m.normal_count, rng.choice((0, 1)))
     duals = DualPrices(
         pi=[rng.randint(0, 1000) / 1000 for _ in range(m.tumor_count)],
         mu=[rng.randint(0, 1000) / 1000 for _ in range(m.normal_count)],
@@ -89,8 +95,10 @@ def hard_instance(rng, hit, variant):
 def test_top_q_search_matches_enumeration_on_hard_inputs():
     rng = random.Random(61)
     hits = [HitRange(*bounds) for bounds in ((1, 1), (2, 2), (2, 3), (2, 4), (3, 3))]
-    for hit, top_q, variant in itertools.product(hits, (1, 2, 3), range(4)):
-        m, d = hard_instance(rng, hit, variant)
+    for hit, top_q, variant, cg_prices in itertools.product(
+        hits, (1, 2, 3), range(4), (False, True)
+    ):
+        m, d = hard_instance(rng, hit, variant, cg_prices)
         allowed = None
         if rng.random() < 0.5:
             allowed = set(rng.sample(range(m.n_genes), rng.randint(0, m.n_genes)))
@@ -120,6 +128,31 @@ def test_top_q_search_matches_enumeration_on_hard_inputs():
             assert hit.k_min <= len(c.genes) <= hit.k_max
             assert allowed is None or set(c.genes) <= allowed
             assert (c.tumor_cover, c.normal_cover) == m.coverage(c.genes)
+
+
+def test_children_rank_before_their_descendants_on_ties():
+    # Gene 0 is the most frequent in tumors, then gene 1, then gene 2.  The
+    # triple {0, 1, 2} grows from the pair {0, 1}, an earlier sibling of the
+    # pair {0, 2}, and ties it at the maximum 2; the node of gene 0 pools
+    # both pairs before it descends, so the pair wins the tie.
+    tumors = [0b111, 0b111, 0b011, 0b011, 0b001]
+    normals = [0b011, 0b011, 0b011]
+    samples = [
+        SampleRecord(f"t{i}", SampleLabel.TUMOR, row) for i, row in enumerate(tumors)
+    ] + [
+        SampleRecord(f"n{i}", SampleLabel.NORMAL, row)
+        for i, row in enumerate(normals)
+    ]
+    m = MutationMatrix(["g0", "g1", "g2"], samples)
+    d = DualPrices(np.ones(len(tumors)), np.ones(len(normals)), 0.0)
+    for combo in ((0, 2), (0, 1, 2), (1, 2)):
+        assert reduced_cost_by_loops(m, combo, d.pi, d.mu, d.lam) == 2
+    assert reduced_cost_by_loops(m, (0, 1), d.pi, d.mu, d.lam) == 1
+    problem = PricingProblem(m, d, HitRange(2, 3))
+    res = solve_pricing(problem)
+    assert res.reduced_cost == 2 and res.best.genes == (0, 2)
+    res = solve_pricing(problem, top_q=2)
+    assert [c.genes for c in res.candidates] == [(0, 2), (0, 1, 2)]
 
 
 def test_negative_maximum_is_still_exact():

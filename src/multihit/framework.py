@@ -83,6 +83,10 @@ class SolveReport:
     ``status`` is ``"converged"`` when every proving step finished inside
     its limit, else ``"time_limit"``.  ``pool_size`` is the number of
     columns the final selection search chose from, in every mode.
+    ``iterations`` counts pricing rounds, ``pricing_nodes`` the children
+    they scored, ``binary_nodes`` the branch-and-bound nodes solved, and
+    ``lp_iterations`` the simplex pivots of every master relaxation that
+    finished plus those of every branch-and-bound node LP.
     """
 
     selection: list
@@ -95,6 +99,7 @@ class SolveReport:
     timings: dict
     pricing_nodes: int
     binary_nodes: int
+    lp_iterations: int
 
 
 def rounding_heuristic(relaxation, model):
@@ -125,6 +130,7 @@ def _pipeline(matrix, config, initial_columns, use_pricing, started, generation_
     pricing_time = 0.0
     pricing_nodes = 0
     iterations = 0
+    lp_iterations = 0
     warm = None
     if use_pricing:
         while time.perf_counter() <= deadline:
@@ -134,6 +140,7 @@ def _pipeline(matrix, config, initial_columns, use_pricing, started, generation_
             if rmp is None:
                 break  # the deadline passed inside the LP; no bound
             warm = rmp.basis
+            lp_iterations += rmp.iterations
             indices, rounded = rounding_heuristic(rmp, model)
             if rounded > lb_star:
                 lb_star = rounded
@@ -191,6 +198,7 @@ def _pipeline(matrix, config, initial_columns, use_pricing, started, generation_
         },
         pricing_nodes=pricing_nodes,
         binary_nodes=binary.nodes,
+        lp_iterations=lp_iterations + binary.lp_iterations,
     )
 
 
@@ -316,4 +324,5 @@ def solve_exact(matrix, config):
         },
         pricing_nodes=0,
         binary_nodes=0,
+        lp_iterations=0,
     )

@@ -10,6 +10,7 @@ reported instead of killing the sweep.
 """
 
 import concurrent.futures
+import functools
 import hashlib
 import json
 import os
@@ -39,24 +40,24 @@ _SOLVERS = {
 
 _METRIC_KEYS = ("mcc", "spec", "sens", "f1", "precision")
 
-_schema = None
-
-
-def report_schema():
-    global _schema
-    if _schema is None:
-        text = (
-            resources.files("multihit")
-            .joinpath("report_schema.json")
-            .read_text(encoding="utf-8")
-        )
-        _schema = json.loads(text)
-    return _schema
+@functools.cache
+def _report_validator():
+    """The bundled schema's validator, built and schema-checked once."""
+    text = resources.files("multihit").joinpath("report_schema.json").read_text(
+        encoding="utf-8"
+    )
+    schema = json.loads(text)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def validate_report(report):
-    """Schema-check one cell report; jsonschema raises on violation."""
-    jsonschema.validate(report, report_schema())
+    """Schema-check one cell report; raises the error ``jsonschema.validate``
+    would, its best match."""
+    error = jsonschema.exceptions.best_match(_report_validator().iter_errors(report))
+    if error is not None:
+        raise error
 
 
 def derive_seed(base, purpose):
@@ -139,6 +140,10 @@ def run_cell(name, matrix, hit_range, mode, seed, spec):
         "lb": report.objective,
         "ub": report.upper_bound,
         "gap_percent": None if gap is None else round(gap, 2),
+        "iterations": report.iterations,
+        "pricing_nodes": report.pricing_nodes,
+        "binary_nodes": report.binary_nodes,
+        "lp_iterations": report.lp_iterations,
         "time_seconds": {k: float(v) for k, v in report.timings.items()},
         "metrics_train": m_train,
         "metrics_test": m_test,

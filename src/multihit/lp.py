@@ -1,17 +1,24 @@
 """Self-contained LP kernel: bounded-variable revised simplex with duals.
 
 Solves ``max c.x  s.t.  A x <= b,  l <= x <= u`` where ``A`` is sparse,
-lower bounds are finite and upper bounds may be infinite.  Every solve
+lower bounds are finite and upper bounds may be infinite.  A cold solve
 starts from the slack basis (all slacks basic, every structural variable at
-its lower bound) or from a warm basis, so the slack basis must be feasible:
+its lower bound), except that a unit column with positive cost and value
+that is the only entry of its row takes that row at once: basic at ``b/d``,
+or nonbasic at its upper bound when ``b/d`` exceeds it.  In a master LP
+that is the cover flag of a tumor no pool column covers.  A warm solve
+starts from a given basis.  The slack basis must be feasible:
 ``b - A l >= 0``.  :class:`LinearProgram` refuses any other LP; there is no
 phase one.  The master LPs of this package all satisfy this.  The basis is
 factored by its unit columns (one nonzero: slacks and cover flags), at
 most one per row, plus the inverse of the k x k core that the other k
-basic columns leave on the remaining rows; a pivot costs O(nnz + m + k^3).
-The solver prices with Dantzig's rule and falls back to Bland's rule after
-a degenerate streak, so it cannot cycle.  Every optimal result is verified
-against strong duality and complementary slackness before being returned.
+basic columns leave on the remaining rows.  A pivot that swaps one unit
+column for another on the same row only rescales that row, at O(1); any
+other pivot refactors, at O(nnz + m + k^3).  Pricing and the ratio test
+add O(nnz + m) per pivot.  The solver prices with Dantzig's rule and falls
+back to Bland's rule after a degenerate streak, so it cannot cycle.  Every
+optimal result is verified against strong duality and complementary
+slackness before being returned.
 
 Row duals are reported with the usual sign convention for a maximization
 with ``<=`` rows: nonnegative at optimality (up to tolerance).
@@ -36,6 +43,8 @@ ITERATION_PER_DIM = 50
 _CLOCK_CHECK_MASK = 0xFF  # read the clock every 256 pivots
 
 AT_LOWER, AT_UPPER, IN_BASIS = 0, 1, 2
+# Direction in which a nonbasic variable with each status may move.
+_SIGN = np.array([1.0, -1.0, 0.0])
 
 STATUS_OPTIMAL = "optimal"
 STATUS_UNBOUNDED = "unbounded"
@@ -142,6 +151,7 @@ class _Simplex:
         self.iterations = 0
         self.basic = None
         self.status = None
+        self.sign = None  # movable * _SIGN[status], kept in step with status
         self.beta = None
         self.bland = False
         self.degen_run = 0
@@ -226,17 +236,12 @@ class _Simplex:
         return self.c_hat - np.concatenate([self.at @ y, y])
 
     def pick_entering(self, d):
-        gain = np.where(
-            (self.status == AT_LOWER) & (d > OPT_TOL),
-            d,
-            np.where((self.status == AT_UPPER) & (d < -OPT_TOL), -d, 0.0),
-        )
-        gain[~self.movable] = 0.0
-        if not np.any(gain > 0.0):
+        """Dantzig's largest improving reduced cost, or Bland's lowest index."""
+        gain = d * self.sign
+        if not gain.size:
             return None
-        if self.bland:
-            return int(np.nonzero(gain > 0.0)[0][0])
-        return int(np.argmax(gain))
+        j = int(np.argmax(gain > OPT_TOL) if self.bland else np.argmax(gain))
+        return j if gain[j] > OPT_TOL else None
 
     # -- pivoting ---------------------------------------------------------
 
@@ -284,15 +289,19 @@ class _Simplex:
         entering_value = (0.0 if at_lower else self.ub_hat[j]) + sigma * t_best
         if leave < 0:
             # Bound flip: the entering variable runs to its other bound.
-            self.status[j] = AT_UPPER if at_lower else AT_LOWER
+            self.set_status(j, AT_UPPER if at_lower else AT_LOWER)
             return None
-        self.status[self.basic[leave]] = AT_UPPER if delta[leave] < 0 else AT_LOWER
+        out = self.basic[leave]
+        self.set_status(out, AT_UPPER if delta[leave] < 0 else AT_LOWER)
         self.basic[leave] = j
-        self.status[j] = IN_BASIS
+        self.set_status(j, IN_BASIS)
         self.beta[leave] = entering_value
         self.since_refactor += 1
         if self.since_refactor >= REFACTOR_EVERY:
             self.refactor()
+        elif self.unit_row[j] >= 0 and self.unit_row[j] == self.unit_row[out]:
+            # One unit column for another on its row: only its d_u changes.
+            self.d_u[np.searchsorted(self.pos_u, leave)] = self.unit_val[j]
         else:
             self.factor()
         return None
@@ -314,11 +323,42 @@ class _Simplex:
 
     # -- setup ------------------------------------------------------------
 
-    def cold_start(self):
-        self.basic = np.arange(self.n, self.nf)
-        self.status = np.full(self.nf, AT_LOWER, dtype=np.int8)
-        self.status[self.basic] = IN_BASIS
+    def set_status(self, j, status):
+        self.status[j] = status
+        self.sign[j] = _SIGN[status] if self.movable[j] else 0.0
+
+    def set_basis(self, basic, status):
+        self.basic = basic
+        self.status = status
+        self.sign = self.movable * _SIGN[status]
         self.refactor()
+
+    def cold_start(self):
+        """The slack basis, except on a row whose only entry is a unit column
+        with positive cost and value: that column takes the row at ``b/d``,
+        or stays out at its upper bound when ``b/d`` exceeds it.  Such a row
+        and column touch nothing else, so this is their optimum."""
+        n = self.n
+        basic = np.arange(n, self.nf)
+        status = np.full(self.nf, AT_LOWER, dtype=np.int8)
+        status[basic] = IN_BASIS
+        a = self.p.a_matrix
+        alone = np.bincount(a.indices[a.data != 0], minlength=self.m) == 1
+        rows = self.unit_row[:n]
+        j = np.nonzero(
+            (rows >= 0)
+            & (self.c_hat[:n] > 0.0)
+            & (self.unit_val[:n] > 0.0)
+            & self.movable[:n]
+        )[0]
+        j = j[alone[rows[j]]]
+        i = rows[j]
+        fits = self.b_hat[i] / self.unit_val[j] <= self.ub_hat[j]
+        basic[i[fits]] = j[fits]
+        status[j[fits]] = IN_BASIS
+        status[n + i[fits]] = AT_LOWER
+        status[j[~fits]] = AT_UPPER
+        self.set_basis(basic, status)
 
     def try_warm_start(self, warm):
         if warm is None:
@@ -341,10 +381,10 @@ class _Simplex:
             return False
         if np.any((status == AT_UPPER) & ~np.isfinite(self.ub_hat)):
             return False
-        self.basic = basic.astype(int)
-        self.status = status
+        if np.any((status < AT_LOWER) | (status > IN_BASIS)):
+            return False
         try:
-            self.refactor()
+            self.set_basis(basic.astype(int), status)
         except ConsistencyError:
             return False
         return self.feasible(CHECK_TOL)

@@ -112,7 +112,7 @@ class MasterModel:
         """Relaxation with some selection variables pinned to 0 or 1.
 
         At most ``beta`` columns may be pinned to 1, so the slack basis
-        stays feasible.
+        stays feasible and the LP can start cold.
         """
         base = self.build_lp()
         lower = base.lower.copy()
@@ -171,13 +171,14 @@ def solve_binary(model, time_limit=30.0):
 
     Node selection is best-bound-first after an initial depth-first dive
     finds the first incumbent; branching picks the most fractional selection
-    variable, ties to the lowest column index.  Node LPs start cold: the
-    parent's basis holds the branched variable at a fractional value, so it
-    is infeasible for both children.  Incumbents are accepted only after
-    exact integer re-evaluation of their objective.  When the wall-clock
-    limit passes, between nodes or inside a node's LP, the best
-    incumbent so far is returned (the empty selection if there is none) with
-    the best bound still open.
+    variable, ties to the lowest column index.  Node LPs start cold, from
+    the slack basis with the cover flag of every tumor no pool column
+    covers already basic: the parent's basis holds the branched variable
+    at a fractional value, so it is infeasible for both children.
+    Incumbents are accepted only after exact integer re-evaluation of
+    their objective.  When the wall-clock limit passes, between nodes or
+    inside a node's LP, the best incumbent so far is returned (the empty
+    selection if there is none) with the best bound still open.
     """
     deadline = time.perf_counter() + time_limit
     incumbent = None

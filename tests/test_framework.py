@@ -335,6 +335,26 @@ def test_colgen_determinism():
     assert a.pool_size == b.pool_size
 
 
+def test_lp_iterations_count_every_simplex_pivot(monkeypatch):
+    pivots = []
+    solve_lp = master.solve_lp
+
+    def counted(*args, **kwargs):
+        sol = solve_lp(*args, **kwargs)
+        pivots.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(master, "solve_lp", counted)
+    m = random_matrix(random.Random(78), 10, 12, 6)
+    cfg = SolverConfig(hit_range=HitRange(2, 3), beta=3, gamma1=10, gamma2=40)
+    for solve in (solve_colgen, solve_mip_heuristic, solve_exact):
+        pivots.clear()
+        rep = solve(m, cfg)
+        assert rep.lp_iterations == sum(pivots)
+        assert (rep.lp_iterations > 0) == (solve is not solve_exact)
+        assert rep.binary_nodes >= (solve is not solve_exact)
+
+
 def test_timings_cover_phases():
     m = toy_matrix()
     cfg = SolverConfig(hit_range=HitRange(2, 2), beta=2)

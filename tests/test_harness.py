@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import math
 import os
+from importlib import resources
 
 import jsonschema
 import pytest
@@ -151,6 +152,8 @@ def test_run_cell_produces_schema_valid_report():
         for gid in ids:
             assert gid in matrix.gene_ids
     assert cell["ub"] is None and cell["gap_percent"] is None
+    assert cell["iterations"] == cell["pricing_nodes"] == 0
+    assert cell["binary_nodes"] >= 1 and cell["lp_iterations"] >= 1
 
 
 def test_run_cell_colgen_carries_bound():
@@ -167,18 +170,24 @@ def test_validate_report_rejects_tampering():
     spec = small_experiment(None, modes=("mip_heuristic",))
     name, matrix = spec.instances[0]
     cell = run_cell(name, matrix, HitRange(2, 2), "mip_heuristic", 3, spec)
-    bad = dict(cell)
-    bad["mode"] = "magic"
-    with pytest.raises(jsonschema.ValidationError):
-        validate_report(bad)
-    bad = dict(cell)
-    del bad["objective"]
-    with pytest.raises(jsonschema.ValidationError):
-        validate_report(bad)
-    bad = dict(cell)
-    bad["metrics_train"] = dict(cell["metrics_train"], extra=1.0)
-    with pytest.raises(jsonschema.ValidationError):
-        validate_report(bad)
+    schema = json.loads(
+        resources.files("multihit").joinpath("report_schema.json").read_text()
+    )
+    tampered = [
+        dict(cell, mode="magic"),
+        {k: v for k, v in cell.items() if k != "objective"},
+        dict(cell, metrics_train=dict(cell["metrics_train"], extra=1.0)),
+        dict(cell, lp_iterations=-1),
+        {k: v for k, v in cell.items() if k != "binary_nodes"},
+    ]
+    for bad in tampered:
+        with pytest.raises(jsonschema.ValidationError) as ours:
+            validate_report(bad)
+        # The same error that jsonschema.validate picks as its best match.
+        with pytest.raises(jsonschema.ValidationError) as reference:
+            jsonschema.validate(bad, schema)
+        assert ours.value.message == reference.value.message
+        assert list(ours.value.path) == list(reference.value.path)
 
 
 def test_run_experiment_serial(tmp_path):

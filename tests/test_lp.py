@@ -58,6 +58,10 @@ def test_no_rows_optimum_at_bounds():
     assert sol.status == STATUS_OPTIMAL
     assert sol.objective == pytest.approx(3 * 2 + 2 * 5 - 1 * (-2), abs=1e-9)
     assert np.allclose(sol.x, [2.0, 5.0, -2.0], atol=1e-9)
+    status, obj, _ = tableau_solve(p.objective, np.zeros((0, 3)), [], p.lower, p.upper)
+    assert status == STATUS_OPTIMAL and obj == pytest.approx(sol.objective)
+    empty = LinearProgram([], sp.csc_matrix((0, 0)), [], [], [])
+    assert solve_lp(empty).status == STATUS_OPTIMAL
 
 
 def test_inconsistent_bounds_report_infeasible():
@@ -149,8 +153,10 @@ def random_lp(rng, n=10, m=10):
 def test_random_lps_match_tableau_oracle():
     rng = np.random.default_rng(RNG_SEED + 1)
     outcomes = {"optimal": 0, "unbounded": 0}
-    for _ in range(80):
-        p = random_lp(rng)
+    # In the unit LPs, a unit column alone in its row starts basic or at
+    # its upper bound.
+    for make in [random_lp] * 80 + [random_unit_lp] * 60:
+        p = make(rng)
         sol = solve_lp(p)
         status, obj, _ = tableau_solve(
             p.objective, p.a_matrix.toarray(), p.rhs, p.lower, p.upper
@@ -189,11 +195,12 @@ def test_garbage_warm_start_falls_back_to_cold():
     p = make_lp([1.0, 1.0], [[1.0, 1.0]], [2.0], [0.0, 0.0], [np.inf, np.inf])
     ref = solve_lp(p)
     mangled = solve_lp(p, warm_start=Basis([0, 1], [2, 2], [0]))  # 2 basics, 1 row
+    unknown = solve_lp(p, warm_start=Basis([-1], [7, -1], [2]))  # no such status
     bad = ref.basis
     bad.basic = np.array([99])
     again = solve_lp(p, warm_start=bad)
-    assert mangled.objective == pytest.approx(2.0, abs=1e-9)
-    assert again.objective == pytest.approx(2.0, abs=1e-9)
+    for sol in (mangled, unknown, again):
+        assert sol.objective == pytest.approx(2.0, abs=1e-9)
 
 
 def random_master_lp(rng, n_tumor, n_normal, n_columns, beta=3):
@@ -203,13 +210,35 @@ def random_master_lp(rng, n_tumor, n_normal, n_columns, beta=3):
     return MasterModel(m, [m.combination(p) for p in pairs], beta).build_lp()
 
 
+def random_unit_lp(rng, n=6, m=8):
+    """``random_lp`` plus one unit column of random value and cost per row;
+    about a third of the rows hold nothing else."""
+    p = random_lp(rng, n, m)
+    a = p.a_matrix.toarray()
+    a[rng.random(m) < 0.35] = 0.0
+    d = np.round(rng.uniform(0.5, 3.0, m) * rng.choice([-1.0, 1.0], m), 3)
+    # Finite bounds on the base columns and on negative unit columns keep
+    # most of these LPs bounded.
+    upper = np.where(
+        (d > 0) & (rng.random(m) < 0.4), np.inf, np.round(rng.uniform(0.2, 2, m), 3)
+    )
+    return LinearProgram(
+        np.append(p.objective, np.round(rng.uniform(-1, 3, m), 3)),
+        sp.hstack([sp.csc_matrix(a), sp.diags(d)]).tocsc(),
+        np.maximum(p.rhs, a @ p.lower),
+        np.append(p.lower, np.zeros(m)),
+        np.append(np.minimum(p.upper, 4.0), upper),
+    )
+
+
 def test_factorization_solves_the_same_systems_as_dense_algebra(monkeypatch):
     rng = np.random.default_rng(RNG_SEED + 3)
     cores = []
-    factor = lp._Simplex.factor
+    swaps = []
+    step = lp._Simplex.step
+    refactor = lp._Simplex.refactor
 
-    def checked_factor(s):
-        factor(s)
+    def check(s):
         b = np.hstack([s.p.a_matrix.toarray(), np.eye(s.m)])[:, s.basic]
         for v in (rng.uniform(-1, 1, s.m), s.column(int(rng.integers(s.nf)))):
             assert np.allclose(s.ftran(v), np.linalg.solve(b, v), rtol=0, atol=1e-9)
@@ -217,13 +246,44 @@ def test_factorization_solves_the_same_systems_as_dense_algebra(monkeypatch):
         assert np.allclose(s.duals(), np.linalg.solve(b.T, c_b), rtol=0, atol=1e-9)
         cores.append((s.m, len(s.pos_k)))
 
-    monkeypatch.setattr(lp._Simplex, "factor", checked_factor)
+    def checked_refactor(s):
+        refactor(s)
+        check(s)
+
+    def checked_step(s):
+        # After every pivot, also those that swap one unit column for
+        # another on its row and so only rescale that row.
+        before = s.basic.copy()
+        outcome = step(s)
+        changed = np.nonzero(s.basic != before)[0]
+        if changed.size:
+            j, out = s.basic[changed[0]], before[changed[0]]
+            row = s.unit_row[j]
+            swaps.append(
+                row >= 0
+                and row == s.unit_row[out]
+                and s.unit_val[j] != s.unit_val[out]
+                and s.since_refactor > 0
+            )
+            check(s)
+        return outcome
+
+    monkeypatch.setattr(lp._Simplex, "refactor", checked_refactor)
+    monkeypatch.setattr(lp._Simplex, "step", checked_step)
     for _ in range(30):
         solve_lp(random_lp(rng))
         solve_lp(random_lp(rng, n=12, m=4))
     assert (4, 4) in cores  # a basis of structural columns only: k = m
     assert max(k for m, k in cores if m == 10) >= 5
-    assert min(k for _, k in cores) == 0  # every cold start is the slack basis
+    # Every cold start has unit columns only: slacks, or a unit column
+    # alone in its row.
+    assert min(k for _, k in cores) == 0
+    swaps.clear()
+    for _ in range(30):
+        solve_lp(random_unit_lp(rng))
+    # Swaps between a slack and a unit column of another value, made
+    # without refactoring, were checked.
+    assert sum(swaps) >= 10
     pools = random.Random(RNG_SEED)
     for n_columns in (0, 5, 20):
         cores.clear()
@@ -231,6 +291,33 @@ def test_factorization_solves_the_same_systems_as_dense_algebra(monkeypatch):
         assert sol.status == STATUS_OPTIMAL and {m for m, _ in cores} == {31}
         # Cover flags are unit columns; selections form the core.
         assert max(k for _, k in cores) <= n_columns
+
+
+def test_unit_column_alone_in_its_row_starts_at_its_optimum():
+    # Row 0 holds only variable 0 (d = 2, b = 3): b/d = 1.5 exceeds its
+    # upper bound 1, so it starts at that bound with the slack basic.  Row 1
+    # holds only variable 1 (b/d = 2 fits under 5), which starts basic.
+    # Variable 2 shares row 2 with variable 3, so the slack keeps that row.
+    rows = [
+        [2.0, 0.0, 0.0, 0.0],
+        [0.0, 0.5, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 1.0],
+    ]
+    upper = [1.0, 5.0, 9.0, 3.0]
+    p = make_lp([1.0, 1.0, 1.0, 2.0], rows, [3.0, 1.0, 4.0], [0.0] * 4, upper)
+    s = lp._Simplex(p, None)
+    s.cold_start()
+    at = [lp.AT_UPPER, lp.IN_BASIS, lp.AT_LOWER, lp.AT_LOWER]
+    assert list(s.status[:4]) == at
+    assert list(s.basic) == [4, 1, 6]
+    assert np.allclose(s.beta, [1.0, 2.0, 4.0])
+    sol = solve_lp(p)
+    status, obj, _ = tableau_solve(p.objective, rows, p.rhs, p.lower, upper)
+    assert status == sol.status == STATUS_OPTIMAL
+    assert sol.objective == pytest.approx(obj) == pytest.approx(1.0 + 2.0 + 1.0 + 6.0)
+    # Only row 2 pivots: variable 3 flips to its bound, then 2 enters.
+    assert sol.iterations == 2
+    assert sol.x[:2] == pytest.approx([1.0, 2.0])
 
 
 def test_singular_warm_basis_falls_back_to_cold_start():
@@ -274,3 +361,7 @@ def test_large_master_root_lp_needs_no_dense_basis():
         tracemalloc.stop()
     assert sol.status == STATUS_OPTIMAL and sol.objective == pytest.approx(2506 / 3)
     assert peak < 2e6
+    # The slack basis takes 1,970 pivots; a start with every cover flag
+    # basic stalls when they reach their upper bounds together and takes
+    # over 10,000.
+    assert sol.iterations <= 1970

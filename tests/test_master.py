@@ -103,6 +103,10 @@ def test_empty_pool_relaxation_is_zero():
     sol = solve_relaxation(model)
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
     assert sol.z.shape == (0,)
+    # Every cover flag is alone in its row, so the cold start is optimal.
+    assert sol.iterations == 0
+    assert np.array_equal(sol.duals.pi, np.ones(m.tumor_count))
+    assert sol.duals.lam == 0.0
 
 
 def test_toy_relaxation_value():

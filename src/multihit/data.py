@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .bitset import pack, unpack
+from .bitset import nonzero, pack, unpack
 from .errors import ParseError, ValidationError
 
 _FORBIDDEN_ID_CHARS = "\t\n\r,"
@@ -215,6 +215,15 @@ class MutationMatrix:
                 break
         return t, n
 
+    def check(self, comb):
+        """Refuse a combination whose genes or covers do not fit this matrix."""
+        for g in comb.genes:
+            if not 0 <= g < self.n_genes:
+                raise ValidationError(f"combination gene index {g} out of range")
+        t, n = comb.tumor_cover, comb.normal_cover
+        if t >> self.tumor_count or n >> self.normal_count:
+            raise ValidationError("combination cover does not fit the matrix")
+
     def combination(self, genes):
         """Canonical :class:`GeneCombination` for the given gene indices."""
         genes = tuple(sorted(set(genes)))
@@ -240,7 +249,8 @@ def _columns(samples, positions, n_genes):
 
 
 def _gene_rows(columns, order, count):
-    return sp.csr_matrix(unpack([columns[g] for g in order], count), dtype=float)
+    r, i = nonzero([columns[g] for g in order], count)
+    return sp.csr_matrix((np.ones(len(r)), (r, i)), shape=(len(order), count))
 
 
 def load_dense(path):

@@ -2,10 +2,11 @@
 
 One cell is (instance, hit range, mode, seed).  Each cell splits its matrix,
 prunes never-mutated genes from the training half, solves in the requested
-mode and evaluates the selection on both halves.  Reports are validated
-against the bundled JSON schema before they reach disk, serialized with
-sorted keys so reruns are byte-identical apart from the timing block, and
-rolled up into one tab-separated summary.  A crashing cell is captured and
+mode and evaluates the selection on both halves.  ``run_cell`` checks each
+report against the bundled JSON schema once, before returning it, so every
+report written is valid.  Reports are serialized with sorted keys so reruns
+are byte-identical apart from the timing block, and rolled up into one
+tab-separated summary.  A crashing cell is captured and
 reported instead of killing the sweep.
 """
 
@@ -158,8 +159,8 @@ def cell_id(name, hit_range, mode, seed):
 
 
 def emit_report(report, path):
-    """Validate and write one report with sorted keys and a trailing newline."""
-    validate_report(report)
+    """Write one report, which ``run_cell`` has validated, with sorted keys
+    and a trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
 

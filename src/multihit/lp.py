@@ -425,25 +425,26 @@ def solve_lp(p, warm_start=None, deadline=None, _retry=True):
     A structurally or numerically unusable warm basis falls back to the
     slack basis, so warm starting can change work done but never the answer.
     When ``deadline`` (``time.perf_counter`` scale) has passed at a clock
-    check, the solve stops with status ``time_limit`` and no solution.
+    check, the solve stops with status ``time_limit``.  Only an optimal
+    solution is returned, refactored, drift-checked and verified; every
+    other stop gives NaN values and no basis.
     """
     n, m = p.n_vars, p.n_rows
     s = _Simplex(p, deadline)
     if not s.try_warm_start(warm_start):
         s.cold_start()  # feasible, as LinearProgram checked
     outcome = s.run()
-    if outcome in (STATUS_UNBOUNDED, STATUS_TIME_LIMIT):
+    if outcome != STATUS_OPTIMAL:
         return _failed(outcome, n, m, s.iterations)
     s.refactor()
-    if outcome == STATUS_OPTIMAL and not s.feasible(CHECK_TOL):
+    if not s.feasible(CHECK_TOL):
         # Accumulated drift; one clean retry from a cold start.
         if _retry:
             return solve_lp(p, None, deadline, _retry=False)
         raise ConsistencyError("basis drifted out of feasibility")
     x_hat = s.primal_values()
     y = s.duals()
+    s.verify_optimal(x_hat, y, s.reduced_costs(y))
     x = p.lower + x_hat[:n]
     objective = float(p.objective @ x)
-    if outcome == STATUS_OPTIMAL:
-        s.verify_optimal(x_hat, y, s.reduced_costs(y))
     return LpSolution(outcome, objective, x, y, s.export_basis(), s.iterations)

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import metrics
-from .bitset import unpack
+from .bitset import nonzero
 from .errors import ConsistencyError, DuplicateColumnError, ValidationError
 from .lp import (
     STATUS_OPTIMAL,
@@ -77,12 +77,7 @@ class MasterModel:
         """Append a combination; a repeat of an in-pool column is rejected."""
         if comb.genes in self._keys:
             raise DuplicateColumnError(f"column {comb.genes} already in pool")
-        m = self.matrix
-        for g in comb.genes:
-            if not 0 <= g < m.n_genes:
-                raise ValidationError(f"column gene index {g} out of range")
-        if comb.tumor_cover >> m.tumor_count or comb.normal_cover >> m.normal_count:
-            raise ValidationError("column cover does not fit the matrix")
+        self.matrix.check(comb)
         self.columns.append(comb)
         self._keys.add(comb.genes)
         self._cached_lp = None
@@ -95,7 +90,7 @@ class MasterModel:
         nt, n_z = self.matrix.tumor_count, len(self.columns)
         # Unit columns for the cover flags, then per selection variable -1 on
         # each tumor it covers and +1 on the budget row.
-        z, t = np.nonzero(unpack([c.tumor_cover for c in self.columns], nt))
+        z, t = nonzero([c.tumor_cover for c in self.columns], nt)
         rows = np.concatenate([np.arange(nt), t, np.full(n_z, nt)])
         cols = np.concatenate([np.arange(nt), nt + z, nt + np.arange(n_z)])
         vals = np.concatenate([np.ones(nt), -np.ones(len(t)), np.ones(n_z)])
@@ -152,20 +147,6 @@ def solve_relaxation(model, warm_start=None, deadline=None):
     )
 
 
-class _Node:
-    __slots__ = ("node_id", "fixed", "bound")
-
-    def __init__(self, node_id, fixed, bound):
-        self.node_id = node_id
-        self.fixed = fixed
-        self.bound = bound
-
-
-def _fractionality(value):
-    f = value - math.floor(value)
-    return min(f, 1.0 - f)
-
-
 def solve_binary(model, time_limit=30.0):
     """Best integral selection over the pool by branch-and-bound.
 
@@ -176,33 +157,27 @@ def solve_binary(model, time_limit=30.0):
     covers already basic: the parent's basis holds the branched variable
     at a fractional value, so it is infeasible for both children.
     Incumbents are accepted only after exact integer re-evaluation of
-    their objective.  When the wall-clock limit passes, between nodes or
-    inside a node's LP, the best incumbent so far is returned (the empty
-    selection if there is none) with the best bound still open.
+    their objective.  The search ends when no node is open (status
+    ``optimal``, bound = objective) or when the wall-clock limit passes,
+    between nodes or inside a node's LP (status ``time_limit``): then the
+    best incumbent so far is returned, the empty selection if there is
+    none, with the best bound still open.
     """
     deadline = time.perf_counter() + time_limit
-    incumbent = None
-    incumbent_obj = None
-    nodes_solved = 0
-    lp_iterations = 0
-    next_id = 0
-    open_nodes = [_Node(next_id, {}, math.inf)]
-    next_id += 1
-
+    incumbent = incumbent_obj = None
+    nodes_solved = lp_iterations = 0
+    # Open nodes as (columns pinned to 0 or 1, parent's bound), oldest first;
+    # every one has a bound above the incumbent's objective.
+    open_nodes = [({}, math.inf)]
     while open_nodes and time.perf_counter() <= deadline:
-        if incumbent_obj is None:
-            node = open_nodes.pop()
-        else:
-            pick = max(
-                range(len(open_nodes)),
-                key=lambda i: (open_nodes[i].bound, -open_nodes[i].node_id),
+        if incumbent is None:
+            node = open_nodes.pop()  # the dive takes the include-child first
+        else:  # the best bound, the oldest of equal ones
+            node = open_nodes.pop(
+                max(range(len(open_nodes)), key=lambda i: open_nodes[i][1])
             )
-            node = open_nodes.pop(pick)
-        if incumbent_obj is not None and math.floor(node.bound + INT_TOL) <= incumbent_obj:
-            continue
-        if sum(node.fixed.values()) > model.beta:
-            continue
-        sol = solve_lp(model.node_lp(node.fixed), deadline=deadline)
+        fixed = node[0]
+        sol = solve_lp(model.node_lp(fixed), deadline=deadline)
         lp_iterations += sol.iterations
         if sol.status == STATUS_TIME_LIMIT:
             open_nodes.append(node)  # unsolved, so its bound stays open
@@ -211,59 +186,42 @@ def solve_binary(model, time_limit=30.0):
         if sol.status != STATUS_OPTIMAL:
             raise ConsistencyError(f"node relaxation status {sol.status}")
         bound = sol.objective
-        if incumbent_obj is not None and math.floor(bound + INT_TOL) <= incumbent_obj:
+        if incumbent is not None and math.floor(bound + INT_TOL) <= incumbent_obj:
             continue
         z = sol.x[model.matrix.tumor_count :]
-        fract = [_fractionality(v) for v in z]
-        if all(f <= INT_TOL for f in fract):
-            selection = [k for k, v in enumerate(z) if v > 0.5]
-            chosen = [model.columns[k] for k in selection]
-            exact = metrics.objective_value(chosen, model.matrix)
-            if abs(exact - bound) > 1e-4 * (1.0 + abs(bound)):
-                raise ConsistencyError(
-                    f"integral node value {bound} does not match exact "
-                    f"objective {exact}"
-                )
-            if incumbent_obj is None or exact > incumbent_obj:
-                incumbent = selection
-                incumbent_obj = exact
-                open_nodes = [
-                    n
-                    for n in open_nodes
-                    if math.floor(n.bound + INT_TOL) > incumbent_obj
-                ]
+        up = z - np.floor(z)
+        fract = np.minimum(up, 1.0 - up)
+        if fract.max(initial=0.0) > INT_TOL:
+            branch = int(np.argmax(fract))  # the first of the most fractional
+            open_nodes += [({**fixed, branch: v}, bound) for v in (0, 1)]
             continue
-        branch = max(range(len(z)), key=lambda k: (fract[k], -k))
-        for value in (0, 1):
-            child_fixed = dict(node.fixed)
-            child_fixed[branch] = value
-            open_nodes.append(_Node(next_id, child_fixed, bound))
-            next_id += 1
-        # The stack pops the include-child first during the initial dive.
+        selection = np.flatnonzero(z > 0.5).tolist()
+        chosen = [model.columns[k] for k in selection]
+        exact = metrics.objective_value(chosen, model.matrix)
+        if abs(exact - bound) > 1e-4 * (1.0 + abs(bound)):
+            raise ConsistencyError(
+                f"integral node value {bound} does not match exact objective {exact}"
+            )
+        if incumbent is None or exact > incumbent_obj:
+            incumbent, incumbent_obj = selection, exact
+            open_nodes = [
+                n for n in open_nodes if math.floor(n[1] + INT_TOL) > incumbent_obj
+            ]
 
-    if open_nodes:  # stopped by the time limit
-        bound = max(n.bound for n in open_nodes)
-        if incumbent_obj is None:
-            incumbent, incumbent_obj = [], 0
-        else:
-            bound = max(bound, float(incumbent_obj))
-        return BinarySolveResult(
-            sorted(incumbent),
-            incumbent_obj,
-            bound,
-            "time_limit",
-            nodes_solved,
-            lp_iterations,
-        )
-    if incumbent_obj is None:
-        # Every node infeasible cannot happen: the all-zero selection is
-        # always feasible, so reaching here means the tree was mispruned.
-        raise ConsistencyError("branch-and-bound finished without an incumbent")
+    bounds = [b for _, b in open_nodes]
+    if incumbent is None:
+        # The all-zero selection is always feasible, so a closed tree
+        # without an incumbent means it was mispruned.
+        if not open_nodes:
+            raise ConsistencyError("branch-and-bound finished without an incumbent")
+        incumbent, incumbent_obj = [], 0
+    else:
+        bounds.append(float(incumbent_obj))
     return BinarySolveResult(
-        sorted(incumbent),
+        incumbent,
         incumbent_obj,
-        float(incumbent_obj),
-        "optimal",
+        max(bounds),
+        "time_limit" if open_nodes else "optimal",
         nodes_solved,
         lp_iterations,
     )

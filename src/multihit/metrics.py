@@ -3,7 +3,9 @@
 A selection covers a tumor if any of its combinations covers it (union), but
 every covering of a normal sample is counted (multiplicity).  The training
 objective is ``tp - total normal multiplicity``; confusion-based metrics use
-the set-counted false positives instead.  Ratios with a zero denominator are
+the set-counted false positives instead.  All three are bit counts of the
+covers: the union of tumor covers, the sum of the normal covers' counts and
+the union of normal covers.  Ratios with a zero denominator are
 undefined and reported as ``None`` (JSON ``null``), never as 0.
 """
 
@@ -11,7 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .bitset import unpack
 from .errors import ConsistencyError, ValidationError
 
 GAP_TOL = 1e-6
@@ -52,39 +53,22 @@ class Metrics:
         }
 
 
-def _check_selection(selected, matrix):
-    for comb in selected:
-        for g in comb.genes:
-            if not 0 <= g < matrix.n_genes:
-                raise ValidationError(f"combination gene index {g} out of range")
-        if comb.tumor_cover >> matrix.tumor_count:
-            raise ValidationError("tumor cover does not fit the matrix")
-        if comb.normal_cover >> matrix.normal_count:
-            raise ValidationError("normal cover does not fit the matrix")
+def _bit_counts(selected, matrix):
+    """Covered tumors, summed normal coverings and covered normals.
 
-
-def classify(selected, matrix):
-    """Union tumor cover and per-normal covering multiplicities.
-
-    Returns ``(tumor_hit, multiplicity)`` where ``tumor_hit`` is a bit set
-    over tumor positions and ``multiplicity[i]`` counts how many selected
-    combinations cover normal i.
+    Each combination must fit ``matrix`` (:meth:`MutationMatrix.check`).
     """
-    selected = list(selected)
-    _check_selection(selected, matrix)
-    tumor_hit = 0
+    tumors = normals = coverings = 0
     for comb in selected:
-        tumor_hit |= comb.tumor_cover
-    covers = unpack([comb.normal_cover for comb in selected], matrix.normal_count)
-    # Python ints, not numpy ones: callers compare objectives exactly.
-    multiplicity = covers.sum(axis=0, dtype=int).tolist()
-    return tumor_hit, multiplicity
+        matrix.check(comb)
+        tumors |= comb.tumor_cover
+        normals |= comb.normal_cover
+        coverings += comb.normal_cover.bit_count()
+    return tumors.bit_count(), coverings, normals.bit_count()
 
 
 def confusion(selected, matrix):
-    tumor_hit, multiplicity = classify(selected, matrix)
-    tp = tumor_hit.bit_count()
-    fp = sum(1 for m in multiplicity if m > 0)
+    tp, _, fp = _bit_counts(selected, matrix)
     return ConfusionCounts(
         tp=tp, fp=fp, tn=matrix.normal_count - fp, fn=matrix.tumor_count - tp
     )
@@ -92,8 +76,8 @@ def confusion(selected, matrix):
 
 def objective_value(selected, matrix):
     """Covered tumors minus multiplicity-counted normal coverings (an int)."""
-    tumor_hit, multiplicity = classify(selected, matrix)
-    return tumor_hit.bit_count() - sum(multiplicity)
+    tp, coverings, _ = _bit_counts(selected, matrix)
+    return tp - coverings
 
 
 def compute_metrics(counts):

@@ -1,11 +1,11 @@
-"""Bit-set conversions: ``pack``/``unpack`` against a per-bit loop."""
+"""Bit-set conversions: ``pack``/``unpack``/``nonzero`` against a per-bit loop."""
 
 import random
 
 import numpy as np
 import pytest
 
-from multihit.bitset import pack, unpack
+from multihit.bitset import nonzero, pack, unpack
 
 
 def unpack_by_loops(masks, width):
@@ -25,6 +25,9 @@ def test_pack_and_unpack_match_a_per_bit_loop(width):
         assert rows.shape == (n, width) and rows.dtype == np.uint8
         assert rows.tolist() == unpack_by_loops(masks, width)
         assert pack(rows) == masks
+        r, i = nonzero(masks, width)
+        want_r, want_i = np.nonzero(rows)
+        assert np.array_equal(r, want_r) and np.array_equal(i, want_i)
         # Columns come out as ints too, read from a transposed view.
         columns = [
             sum(((m >> i) & 1) << r for r, m in enumerate(masks))

@@ -211,6 +211,19 @@ def test_run_experiment_serial(tmp_path):
         assert len(line.split("\t")) == len(header)
 
 
+def test_serial_sweep_validates_each_report_once(tmp_path, monkeypatch):
+    # run_cell validates the cell it returns; writing it adds no second check.
+    calls = []
+    real = harness.validate_report
+    monkeypatch.setattr(
+        harness, "validate_report", lambda report: calls.append(1) or real(report)
+    )
+    spec = small_experiment(tmp_path, modes=("mip_heuristic",), seeds=(0, 1))
+    reports, failures = run_experiment(spec, str(tmp_path / "sweep"), workers=1)
+    assert failures == [] and len(reports) == 2
+    assert len(calls) == 2
+
+
 def test_parallel_matches_serial(tmp_path):
     spec = small_experiment(tmp_path, modes=("mip_heuristic", "exact"), seeds=(0, 1))
     serial, f1 = run_experiment(spec, str(tmp_path / "a"), workers=1)

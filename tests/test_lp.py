@@ -110,6 +110,8 @@ def test_iteration_limit_status(monkeypatch):
     sol = solve_lp(p)
     assert sol.status == STATUS_ITERATION_LIMIT
     assert sol.iterations == 1
+    # A stop short of optimal carries no solution, as for time limits.
+    assert sol.basis is None and np.isnan(sol.x).all()
 
 
 def test_passed_deadline_stops_an_lp_that_needs_pivots():

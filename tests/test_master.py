@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,21 @@ def test_constraint_matrix_matches_a_bit_loop_build():
             assert np.array_equal(lp.rhs, np.delete(rhs, penalties))
             assert np.array_equal(lp.lower, np.delete(lower, penalties))
             assert np.array_equal(lp.upper, np.delete(upper, penalties))
+
+
+def test_build_lp_allocates_less_than_a_dense_pool_by_tumor_array():
+    # About two tumors per column: finding them by unpacking every tumor
+    # cover to one byte per (column, tumor) pair would take 14.9 MB here.
+    m = generate_synthetic(SyntheticSpec(200, 750, 10, background_rate=0.05), 3)
+    pool = [m.combination(g) for g in itertools.combinations(range(200), 2)]
+    model = MasterModel(m, pool, 10)
+    tracemalloc.start()
+    try:
+        model.build_lp()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(pool) * m.tumor_count
 
 
 def test_empty_pool_relaxation_is_zero():
@@ -336,3 +352,41 @@ def test_slow_degenerate_root_lp_reaches_its_optimum():
             assert root.objective == pytest.approx(best, abs=1e-6)
         res = solve_binary(model)
         assert res.status == "optimal" and res.objective == best
+
+
+def test_branch_and_bound_visits_nodes_in_a_fixed_order(monkeypatch):
+    # The columns each node LP pins to 1 and to 0, in solve order, and the
+    # selection returned, as literals: a depth-first dive taking the
+    # include-child first, then best bound first (the oldest of equal
+    # bounds), branching on the most fractional column, ties to the lowest.
+    def pool_of(seed):
+        rng = random.Random(seed)
+        m = random_matrix(rng, 9, 16, 8, density=0.45)
+        pool = full_pool(m, HitRange(2, 3))
+        rng.shuffle(pool)
+        return m, pool[:40]
+
+    m45 = random_matrix(random.Random(45), 8, 12, 6)
+    cases = [
+        ((m45, full_pool(m45, HitRange(2, 3))), [5, 14, 73],
+         [([], []), ([3], []), ([3, 5], []), ([], [3]), ([], [3, 4]), ([4], [3]),
+          ([], [3, 4, 5]), ([5], [3, 4])]),
+        (pool_of(207), [9, 19, 33],
+         [([], []), ([35], []), ([9, 35], []), ([], [35]), ([], [9, 35]),
+          ([9], [35])]),
+        (pool_of(241), [8, 34, 35],
+         [([], []), ([0], []), ([0, 34], []), ([], [0]), ([], [0, 6])]),
+    ]
+    real = master.solve_lp
+    for (m, pool), selection, order in cases:
+        nt, visits = m.tumor_count, []
+
+        def recording(p, warm_start=None, deadline=None):
+            pinned = (p.lower[nt:] == 1.0, p.upper[nt:] == 0.0)
+            visits.append(tuple(np.flatnonzero(k).tolist() for k in pinned))
+            return real(p, warm_start, deadline=deadline)
+
+        monkeypatch.setattr(master, "solve_lp", recording)
+        res = solve_binary(MasterModel(m, pool, 3))
+        assert res.status == "optimal" and res.nodes == len(order)
+        assert visits == order and res.selection == selection

@@ -8,7 +8,6 @@ from multihit.errors import ConsistencyError, ValidationError
 from multihit.metrics import (
     ConfusionCounts,
     Metrics,
-    classify,
     compute_metrics,
     confusion,
     objective_value,
@@ -91,9 +90,6 @@ def test_toy_selection_classify_and_objective():
     m = toy_matrix()
     c1 = m.combination((0, 1))
     c2 = m.combination((2, 3))
-    tumor_hit, multiplicity = classify([c1, c2], m)
-    assert tumor_hit == 0b011
-    assert multiplicity == [1, 0]
     counts = confusion([c1, c2], m)
     assert (counts.tp, counts.fp, counts.tn, counts.fn) == (2, 1, 1, 1)
     assert counts.tp + counts.fn == m.tumor_count
@@ -125,13 +121,13 @@ def test_classify_validates_masks():
     alien = other.combination((0, 1))
     if alien.tumor_cover >> m.tumor_count:
         with pytest.raises(ValidationError):
-            classify([alien], m)
+            confusion([alien], m)
     class Fake:
         genes = (99,)
         tumor_cover = 0
         normal_cover = 0
     with pytest.raises(ValidationError):
-        classify([Fake()], m)
+        objective_value([Fake()], m)
     assert objective_value([good], m) == 1
 
 

@@ -1,5 +1,6 @@
 """Top-level package surface stays importable and complete."""
 
+import ast
 import os
 import re
 import subprocess
@@ -52,3 +53,32 @@ def test_bit_set_conversions_live_only_in_bitset():
         if pattern.search(line)
     ]
     assert offenders == []
+
+
+def test_every_definition_is_named_outside_itself():
+    # Code that nothing but its own test calls is deleted, not kept: each
+    # function, method and class of the package must be named somewhere in
+    # the package or the benchmark outside its own definition.  Dunder
+    # methods are called by Python itself and are exempt.
+    root = Path(__file__).resolve().parents[1]
+    modules = sorted((root / "src" / "multihit").glob("*.py"))
+    sources = {
+        path: path.read_text().splitlines()
+        for path in modules + sorted((root / "perfbench").glob("*.py"))
+    }
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unused = []
+    for path in modules:
+        for node in ast.walk(ast.parse("\n".join(sources[path]))):
+            if not isinstance(node, kinds) or re.fullmatch(r"__\w+__", node.name):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(
+                word.search(line)
+                for other, lines in sources.items()
+                for lineno, line in enumerate(lines, start=1)
+                if other != path or lineno not in own
+            ):
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unused == []

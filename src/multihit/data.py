@@ -4,9 +4,10 @@ A :class:`MutationMatrix` holds a binary gene-by-sample mutation table split
 into tumor and normal samples.  Per-sample rows and per-gene columns are kept
 as int bit sets so that combination coverage is a chain of word-level ANDs.
 Pricing reads the same table as gene-major sparse 0/1 matrices, built on
-first use.  Every conversion between the int bit sets and numpy arrays
-(columns from rows, file rows, pruning, the sparse matrices) goes through
-:mod:`multihit.bitset`.
+first use.  Every conversion between the int bit sets and numpy arrays goes
+through :mod:`multihit.bitset`: ``transpose`` for columns from rows,
+``pack``/``unpack`` for file rows and pruning, ``nonzero`` for the sparse
+matrices.
 
 Dense format: UTF-8 TSV with header ``sample_id<TAB>label<TAB><gene>...``,
 labels ``tumor``/``normal`` and entries 0/1, one sample per row; with no
@@ -30,7 +31,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .bitset import nonzero, pack, unpack
+from .bitset import nonzero, pack, transpose, unpack
 from .errors import ParseError, ValidationError
 
 _FORBIDDEN_ID_CHARS = "\t\n\r,"
@@ -103,11 +104,31 @@ class GeneCombination:
             raise ValidationError("combination genes must be sorted and distinct")
 
 
-def _check_identifier(kind, value):
+def _check_identifier(kind, value, seen):
+    """Refuse a bad id or one already in ``seen``; add it to ``seen``."""
     if not value or value != value.strip():
         raise ValidationError(f"bad {kind} id {value!r}")
     if any(ch in value for ch in _FORBIDDEN_ID_CHARS):
         raise ValidationError(f"{kind} id {value!r} contains a reserved character")
+    if value in seen:
+        raise ValidationError(f"duplicate {kind} id {value!r}")
+    seen.add(value)
+
+
+def _plain_ids(ids):
+    """True if every id is a distinct nonempty str with no whitespace or comma.
+
+    One pass over the joined text: splitting it at whitespace gives the ids
+    back unchanged only if none is empty or holds whitespace, so such ids
+    pass :func:`_check_identifier`.  False means "check one id at a time",
+    not "invalid": an id with an inner space is valid but gives False.
+    """
+    try:
+        text = " ".join(ids)
+    except TypeError:
+        return False
+    ids = list(ids)
+    return "," not in text and text.split() == ids and len(set(ids)) == len(ids)
 
 
 class MutationMatrix:
@@ -121,19 +142,17 @@ class MutationMatrix:
     def __init__(self, gene_ids, samples):
         gene_ids = tuple(gene_ids)
         samples = tuple(samples)
-        seen = set()
-        for g in gene_ids:
-            _check_identifier("gene", g)
-            if g in seen:
-                raise ValidationError(f"duplicate gene id {g!r}")
-            seen.add(g)
+        if not _plain_ids(gene_ids):
+            seen = set()
+            for g in gene_ids:
+                _check_identifier("gene", g, seen)
         n_genes = len(gene_ids)
-        ids = set()
+        # Clean ids skip the per-sample id checks; otherwise each sample's id
+        # is checked before its label and bits, so the first fault is named.
+        seen = None if _plain_ids([s.sample_id for s in samples]) else set()
         for s in samples:
-            _check_identifier("sample", s.sample_id)
-            if s.sample_id in ids:
-                raise ValidationError(f"duplicate sample id {s.sample_id!r}")
-            ids.add(s.sample_id)
+            if seen is not None:
+                _check_identifier("sample", s.sample_id, seen)
             if not isinstance(s.label, SampleLabel):
                 raise ValidationError(f"unknown label {s.label!r}")
             if s.mutations < 0 or s.mutations >> n_genes:
@@ -149,7 +168,6 @@ class MutationMatrix:
         self.normal_positions = tuple(
             i for i, s in enumerate(samples) if s.label is SampleLabel.NORMAL
         )
-        # One class at a time, so only one class's 0/1 array exists at once.
         self.tumor_columns = _columns(samples, self.tumor_positions, n_genes)
         self.normal_columns = _columns(samples, self.normal_positions, n_genes)
 
@@ -244,8 +262,7 @@ def rank_genes_by_tumor_frequency(matrix):
 
 
 def _columns(samples, positions, n_genes):
-    rows = unpack([samples[pos].mutations for pos in positions], n_genes)
-    return tuple(pack(rows.T))
+    return tuple(transpose([samples[pos].mutations for pos in positions], n_genes))
 
 
 def _gene_rows(columns, order, count):

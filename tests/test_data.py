@@ -1,9 +1,11 @@
 """Data model tests: formats, pruning, splitting and coverage."""
 
 import random
+import tracemalloc
 
 import pytest
 
+from multihit.bitset import pack, unpack
 from multihit.data import (
     HitRange,
     MutationMatrix,
@@ -160,6 +162,75 @@ def test_matrix_validation():
         MutationMatrix(["g1"], [SampleRecord("s", SampleLabel.TUMOR, 0b10)])
     with pytest.raises(ValidationError):
         MutationMatrix(["g,1"], [])
+
+
+def first_id_fault(kind, ids):
+    """The message of the first bad or repeated id, checked one id at a time."""
+    seen = set()
+    for value in ids:
+        if not value or value != value.strip():
+            return f"bad {kind} id {value!r}"
+        if any(ch in value for ch in "\t\n\r,"):
+            return f"{kind} id {value!r} contains a reserved character"
+        if value in seen:
+            return f"duplicate {kind} id {value!r}"
+        seen.add(value)
+    return None
+
+
+@pytest.mark.parametrize(
+    "bad", ["", " g", "g ", "g\th", "g,h", "g\nh", "a", "\u00a0g", "g\u3000"]
+)
+@pytest.mark.parametrize("kind", ["gene", "sample"])
+def test_id_faults_name_the_first_bad_id(kind, bad):
+    # "a" repeats the first id; the later faults ("x,y", the second "d")
+    # must not be named instead.
+    ids = ["a", "b", bad, "d", "x,y", "d"]
+    want = first_id_fault(kind, ids)
+    assert want is not None and repr(bad) in want
+    if kind == "gene":
+        args = (ids, [])
+    else:
+        args = (["g"], [SampleRecord(i, SampleLabel.TUMOR, 0) for i in ids])
+    with pytest.raises(ValidationError) as err:
+        MutationMatrix(*args)
+    assert type(err.value) is ValidationError and str(err.value) == want
+
+
+def test_ids_with_inner_spaces_are_accepted():
+    samples = [SampleRecord("sample 1", SampleLabel.TUMOR, 1)]
+    m = MutationMatrix(["gene A", "gene\u00a0B"], samples)
+    assert m.gene_ids == ("gene A", "gene\u00a0B") and m.tumor_columns == (1, 0)
+
+
+def test_building_columns_keeps_no_unpacked_array():
+    # 1,000 tumors by 4,000 genes at ~1% density: the 0/1 array of the
+    # tumor rows alone would take tumor_count * n_genes bytes.
+    rng = random.Random(7)
+    n_genes = 4000
+    samples = [
+        SampleRecord(
+            f"{label.value}{i}",
+            label,
+            sum(1 << j for j in rng.sample(range(n_genes), 40)),
+        )
+        for label, count in ((SampleLabel.TUMOR, 1000), (SampleLabel.NORMAL, 100))
+        for i in range(count)
+    ]
+    gene_ids = [f"g{j}" for j in range(n_genes)]
+    tracemalloc.start()
+    try:
+        m = MutationMatrix(gene_ids, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m.tumor_count * m.n_genes
+    for positions, columns in (
+        (m.tumor_positions, m.tumor_columns),
+        (m.normal_positions, m.normal_columns),
+    ):
+        rows = unpack([samples[i].mutations for i in positions], n_genes)
+        assert columns == tuple(pack(rows.T))
 
 
 def test_train_share_rounding():

@@ -161,7 +161,6 @@ class MutationMatrix:
                 )
         self.gene_ids = gene_ids
         self.samples = samples
-        self.gene_index = {g: j for j, g in enumerate(gene_ids)}
         self.tumor_positions = tuple(
             i for i, s in enumerate(samples) if s.label is SampleLabel.TUMOR
         )
@@ -198,6 +197,11 @@ class MutationMatrix:
     def tumor_frequency(self, gene):
         """Number of tumor samples in which ``gene`` is mutated."""
         return self.tumor_columns[gene].bit_count()
+
+    @cached_property
+    def gene_index(self):
+        """Gene id to column index; built on first use."""
+        return {g: j for j, g in enumerate(self.gene_ids)}
 
     @cached_property
     def gene_major(self):

@@ -4,8 +4,9 @@
 bound it reports is trusted only when pricing proves that no combination
 with positive reduced cost remains, so a timed-out run carries no bound.
 ``solve_mip_heuristic`` skips pricing and optimizes over a randomly
-generated pool.  Both finish with a branch-and-bound over the final pool
-and report the best integral selection seen anywhere along the way.
+generated pool.  Both finish with an integer solve over the final pool
+(``master.solve_binary``) and report the best integral selection seen
+anywhere along the way.
 ``solve_exact`` enumerates selections outright and is capped to small
 instances; it exists to certify the other two, not to compete with them.
 """
@@ -84,9 +85,10 @@ class SolveReport:
     its limit, else ``"time_limit"``.  ``pool_size`` is the number of
     columns the final selection search chose from, in every mode.
     ``iterations`` counts pricing rounds, ``pricing_nodes`` the children
-    they scored, ``binary_nodes`` the branch-and-bound nodes solved, and
-    ``lp_iterations`` the simplex pivots of every master relaxation that
-    finished plus those of every branch-and-bound node LP.
+    they scored, ``binary_nodes`` the final pool's relaxation (1, or 0 when
+    it was cut off) plus HiGHS's branch-and-bound nodes, and
+    ``lp_iterations`` the own simplex's pivots over every master relaxation
+    that finished, the final pool's included; HiGHS's are not counted.
     """
 
     selection: list

@@ -214,11 +214,10 @@ def run_experiment(spec, out_dir, workers=1):
     """Run every cell of ``spec``, write reports under ``out_dir``.
 
     ``workers`` above 1 fans cells out to a process pool of at most one
-    worker per cell; ``None`` uses the machine's core count.  Returns
-    ``(reports, failures)`` where failures carry the cell id, exception type
-    and message of each crashed cell.
+    worker per cell.  Returns ``(reports, failures)`` where failures carry
+    the cell id, exception type and message of each crashed cell.
     """
-    if workers is not None and workers < 1:
+    if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
     os.makedirs(out_dir, exist_ok=True)
     tasks = [
@@ -228,8 +227,6 @@ def run_experiment(spec, out_dir, workers=1):
         for mode in spec.modes
         for seed in spec.seeds
     ]
-    if workers is None:
-        workers = os.cpu_count() or 1
     workers = min(workers, len(tasks))
     outcomes = []
     if workers <= 1:

@@ -4,9 +4,10 @@ The LP maximizes covered tumors minus multiplicity-counted normal coverings.
 A combination's normal coverings are linear in its selection variable, so
 they are its objective cost: ``-normal_cover.bit_count()``.  One row per
 tumor links its cover flag to the selection variables, and a final budget
-row caps how many combinations may be picked.  ``solve_binary`` runs a
-branch-and-bound over the selection variables only; cover flags are forced
-integral automatically once the selection is binary.
+row caps how many combinations may be picked.  ``solve_binary`` returns
+the relaxation's selection when it is integral and otherwise hands the
+same LP, with binary selection variables, to HiGHS; cover flags are
+integral at an optimum once the selection is binary.
 """
 
 import math
@@ -18,12 +19,7 @@ import scipy.sparse as sp
 from . import metrics
 from .bitset import nonzero
 from .errors import ConsistencyError, DuplicateColumnError, ValidationError
-from .lp import (
-    STATUS_OPTIMAL,
-    STATUS_TIME_LIMIT,
-    LinearProgram,
-    solve_lp,
-)
+from .lp import STATUS_OPTIMAL, STATUS_TIME_LIMIT, LinearProgram, solve_lp
 
 INT_TOL = 1e-6
 
@@ -103,20 +99,6 @@ class MasterModel:
         self._cached_lp = LinearProgram(objective, a, rhs, lower, upper)
         return self._cached_lp
 
-    def node_lp(self, fixed):
-        """Relaxation with some selection variables pinned to 0 or 1.
-
-        At most ``beta`` columns may be pinned to 1, so the slack basis
-        stays feasible and the LP can start cold.
-        """
-        base = self.build_lp()
-        lower = base.lower.copy()
-        upper = base.upper.copy()
-        nt = self.matrix.tumor_count
-        for k, v in fixed.items():
-            lower[nt + k] = upper[nt + k] = float(v)
-        return LinearProgram(base.objective, base.a_matrix, base.rhs, lower, upper)
-
 
 def solve_relaxation(model, warm_start=None, deadline=None):
     """LP-relax the master and hand back selection values plus clamped duals.
@@ -148,80 +130,79 @@ def solve_relaxation(model, warm_start=None, deadline=None):
 
 
 def solve_binary(model, time_limit=30.0):
-    """Best integral selection over the pool by branch-and-bound.
+    """Best integral selection over the pool.
 
-    Node selection is best-bound-first after an initial depth-first dive
-    finds the first incumbent; branching picks the most fractional selection
-    variable, ties to the lowest column index.  Node LPs start cold, from
-    the slack basis with the cover flag of every tumor no pool column
-    covers already basic: the parent's basis holds the branched variable
-    at a fractional value, so it is infeasible for both children.
-    Incumbents are accepted only after exact integer re-evaluation of
-    their objective.  The search ends when no node is open (status
-    ``optimal``, bound = objective) or when the wall-clock limit passes,
-    between nodes or inside a node's LP (status ``time_limit``): then the
-    best incumbent so far is returned, the empty selection if there is
-    none, with the best bound still open.
+    The own simplex solves the pool's relaxation first.  When its selection
+    values are integral to ``INT_TOL``, that selection is optimal (one
+    node).  Otherwise HiGHS (``scipy.optimize.milp``, imported only then)
+    solves the same LP with binary selection variables in the time left;
+    the cover flags stay continuous, as a binary selection makes them
+    integral at an optimum.  ``nodes`` is 1 plus HiGHS's nodes, and
+    ``lp_iterations`` counts the own simplex's pivots only.  Selections
+    are accepted only after exact integer re-evaluation.  When the
+    wall-clock limit passes, the status is ``time_limit``: the selection
+    is HiGHS's incumbent, or empty when there is none, and the bound is
+    the smaller of the root LP's and HiGHS's dual bound (infinite when the
+    root LP itself was cut off).
     """
     deadline = time.perf_counter() + time_limit
-    incumbent = incumbent_obj = None
-    nodes_solved = lp_iterations = 0
-    # Open nodes as (columns pinned to 0 or 1, parent's bound), oldest first;
-    # every one has a bound above the incumbent's objective.
-    open_nodes = [({}, math.inf)]
-    while open_nodes and time.perf_counter() <= deadline:
-        if incumbent is None:
-            node = open_nodes.pop()  # the dive takes the include-child first
-        else:  # the best bound, the oldest of equal ones
-            node = open_nodes.pop(
-                max(range(len(open_nodes)), key=lambda i: open_nodes[i][1])
-            )
-        fixed = node[0]
-        sol = solve_lp(model.node_lp(fixed), deadline=deadline)
-        lp_iterations += sol.iterations
-        if sol.status == STATUS_TIME_LIMIT:
-            open_nodes.append(node)  # unsolved, so its bound stays open
-            break
-        nodes_solved += 1
-        if sol.status != STATUS_OPTIMAL:
-            raise ConsistencyError(f"node relaxation status {sol.status}")
-        bound = sol.objective
-        if incumbent is not None and math.floor(bound + INT_TOL) <= incumbent_obj:
-            continue
-        z = sol.x[model.matrix.tumor_count :]
-        up = z - np.floor(z)
-        fract = np.minimum(up, 1.0 - up)
-        if fract.max(initial=0.0) > INT_TOL:
-            branch = int(np.argmax(fract))  # the first of the most fractional
-            open_nodes += [({**fixed, branch: v}, bound) for v in (0, 1)]
-            continue
-        selection = np.flatnonzero(z > 0.5).tolist()
-        chosen = [model.columns[k] for k in selection]
-        exact = metrics.objective_value(chosen, model.matrix)
-        if abs(exact - bound) > 1e-4 * (1.0 + abs(bound)):
-            raise ConsistencyError(
-                f"integral node value {bound} does not match exact objective {exact}"
-            )
-        if incumbent is None or exact > incumbent_obj:
-            incumbent, incumbent_obj = selection, exact
-            open_nodes = [
-                n for n in open_nodes if math.floor(n[1] + INT_TOL) > incumbent_obj
-            ]
+    lp = model.build_lp()
+    root = solve_lp(lp, deadline=deadline)
+    if root.status == STATUS_TIME_LIMIT:
+        return _checked(model, None, 0.0, math.inf, "time_limit", 0, root.iterations)
+    if root.status != STATUS_OPTIMAL:
+        raise ConsistencyError(f"root relaxation status {root.status}")
+    nt = model.matrix.tumor_count
+    z = root.x[nt:]
+    if np.all(np.abs(z - np.round(z)) <= INT_TOL):
+        return _checked(
+            model, z, root.objective, root.objective, "optimal", 1, root.iterations
+        )
+    if time.perf_counter() > deadline:
+        return _checked(
+            model, None, 0.0, root.objective, "time_limit", 1, root.iterations
+        )
+    from scipy.optimize import Bounds, LinearConstraint, milp
 
-    bounds = [b for _, b in open_nodes]
-    if incumbent is None:
-        # The all-zero selection is always feasible, so a closed tree
-        # without an incumbent means it was mispruned.
-        if not open_nodes:
-            raise ConsistencyError("branch-and-bound finished without an incumbent")
-        incumbent, incumbent_obj = [], 0
-    else:
-        bounds.append(float(incumbent_obj))
-    return BinarySolveResult(
-        incumbent,
-        incumbent_obj,
-        max(bounds),
-        "time_limit" if open_nodes else "optimal",
-        nodes_solved,
-        lp_iterations,
+    res = milp(
+        -lp.objective,
+        integrality=np.concatenate([np.zeros(nt), np.ones(len(z))]),
+        bounds=Bounds(0.0, 1.0),
+        constraints=LinearConstraint(lp.a_matrix, -np.inf, lp.rhs),
+        options={
+            "mip_rel_gap": 0.0,
+            "time_limit": max(0.0, deadline - time.perf_counter()),
+        },
     )
+    if res.status not in (0, 1):  # 1: the time limit passed
+        raise ConsistencyError(f"HiGHS ended with status {res.status}: {res.message}")
+    if res.x is None:  # stopped before HiGHS found a selection
+        z, value = None, 0.0
+    else:
+        z, value = res.x[nt:], -res.fun
+    bound = root.objective
+    if res.mip_dual_bound is not None and math.isfinite(res.mip_dual_bound):
+        bound = min(bound, -res.mip_dual_bound)
+    status = "optimal" if res.status == 0 else "time_limit"
+    nodes = 1 + (res.mip_node_count or 0)
+    return _checked(model, z, value, bound, status, nodes, root.iterations)
+
+
+def _checked(model, z, value, bound, status, nodes, lp_iterations):
+    """The result for the columns with ``z`` above 1/2 (none for ``None``).
+
+    Their exact objective must lie between the solver's ``value`` for the
+    point and ``bound``, to a relative 1e-4; an optimal result's bound is
+    that exact objective.
+    """
+    selection = [] if z is None else np.flatnonzero(z > 0.5).tolist()
+    exact = metrics.objective_value([model.columns[k] for k in selection], model.matrix)
+    tol = 1e-4 * (1.0 + abs(value))
+    if not value - tol <= exact <= bound + tol:
+        raise ConsistencyError(
+            f"selection's exact objective {exact} is not between its solver "
+            f"value {value} and the bound {bound}"
+        )
+    if status == "optimal":
+        bound = float(exact)
+    return BinarySolveResult(selection, exact, bound, status, nodes, lp_iterations)

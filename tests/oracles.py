@@ -197,13 +197,21 @@ def selection_objective_by_loops(matrix, selections):
     return len(covered) - penalty
 
 
-def best_selection_by_enumeration(matrix, hit_range, beta):
-    """True optimum over all selections of at most beta combinations."""
-    combos = all_combinations(matrix, hit_range)
+def best_selection_by_enumeration(matrix, hit_range, beta, combos=None):
+    """True optimum over all selections of at most beta combinations.
+
+    ``combos`` (gene tuples) defaults to every combination in ``hit_range``.
+    Each combination's coverage is found by loops once, then every
+    selection is scored by set unions.
+    """
+    if combos is None:
+        combos = all_combinations(matrix, hit_range)
+    hits = {genes: coverage_by_loops(matrix, genes) for genes in combos}
     best_obj, best_sel = 0, ()
     for size in range(1, beta + 1):
         for pick in itertools.combinations(combos, size):
-            obj = selection_objective_by_loops(matrix, pick)
+            covered = set().union(*(hits[genes][0] for genes in pick))
+            obj = len(covered) - sum(len(hits[genes][1]) for genes in pick)
             if obj > best_obj:
                 best_obj, best_sel = obj, pick
     return best_obj, best_sel

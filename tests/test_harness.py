@@ -266,19 +266,16 @@ def test_workers_capped_at_cell_count_and_refused_below_one(tmp_path, monkeypatc
     monkeypatch.setattr(
         harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool
     )
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
     spec = small_experiment(tmp_path, modes=("mip_heuristic", "exact"))
     reports, failures = run_experiment(spec, str(tmp_path / "a"), workers=64)
     assert sizes == [2] and failures == [] and len(reports) == 2
-    run_experiment(spec, str(tmp_path / "b"), workers=None)
-    assert sizes == [2, 2]
     one_cell = small_experiment(tmp_path, modes=("exact",))
     reports, _ = run_experiment(one_cell, str(tmp_path / "c"), workers=8)
-    assert sizes == [2, 2] and len(reports) == 1  # one cell runs in-process
+    assert sizes == [2] and len(reports) == 1  # one cell runs in-process
     for bad in (0, -3):
         with pytest.raises(ValidationError, match="workers"):
             run_experiment(spec, str(tmp_path / "d"), workers=bad)
-    assert sizes == [2, 2] and not (tmp_path / "d").exists()
+    assert sizes == [2] and not (tmp_path / "d").exists()
 
 
 def test_reports_byte_stable_apart_from_timing(tmp_path):

@@ -1,7 +1,10 @@
-"""Master problem tests: construction, relaxation, duals, branch-and-bound."""
+"""Master problem tests: construction, relaxation, duals, binary solve."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -19,6 +22,7 @@ from multihit.synth import SyntheticSpec, generate_synthetic
 
 from oracles import (
     all_combinations,
+    best_selection_by_enumeration,
     reduced_cost_by_loops,
     selection_objective_by_loops,
     tableau_solve,
@@ -36,14 +40,37 @@ def full_pool(m, hit_range):
     return [m.combination(genes) for genes in all_combinations(m, hit_range)]
 
 
-def penalty_lp_by_loops(model, fixed=()):
+def pool_slice(seed):
+    """A random matrix and a shuffled 40-column slice of its 2-3 gene pool."""
+    rng = random.Random(seed)
+    m = random_matrix(rng, 9, 16, 8, density=0.45)
+    pool = full_pool(m, HitRange(2, 3))
+    rng.shuffle(pool)
+    return m, pool[:40]
+
+
+def counting_milp(monkeypatch):
+    """Count the calls ``solve_binary`` makes to HiGHS."""
+    import scipy.optimize
+
+    calls, real = [], scipy.optimize.milp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", counting)
+    return calls
+
+
+def penalty_lp_by_loops(model):
     """The master LP with a penalty variable and a row per normal, by loops.
 
     Maximize covered tumors minus penalties over cover flags, penalties and
     selections: ``flag_t <= selections covering t``, ``selections covering
-    n <= penalty_n`` and ``selections <= beta``.  Selections in ``fixed`` are
-    pinned to their values.  Returns dense ``(objective, a, rhs, lower,
-    upper)``; the package's LP substitutes the penalties out.
+    n <= penalty_n`` and ``selections <= beta``.  Returns dense
+    ``(objective, a, rhs, lower, upper)``; the package's LP substitutes the
+    penalties out.
     """
     m = model.matrix
     nt, nn = m.tumor_count, m.normal_count
@@ -65,8 +92,6 @@ def penalty_lp_by_loops(model, fixed=()):
             if (comb.normal_cover >> n) & 1:
                 a[nt + n, var] = 1.0
         a[off, var] = 1.0
-    for k, v in dict(fixed).items():
-        lower[off + k] = upper[off + k] = v
     rhs = np.zeros(off + 1)
     rhs[off] = model.beta
     return objective, a, rhs, lower, upper
@@ -265,67 +290,14 @@ def test_binary_empty_pool():
     assert res.selection == [] and res.objective == 0
 
 
-def test_binary_deadline_inside_a_node_lp_keeps_that_bound_open(monkeypatch):
-    # Expire the deadline inside the k-th node LP: the search stops there
-    # with status time_limit, and its bound must still cover the unsolved
-    # node, so it never falls below the optimum.
-    m = random_matrix(random.Random(45), 8, 12, 6)
-    pool = full_pool(m, HitRange(2, 3))
-    done = solve_binary(MasterModel(m, pool, 3))
-    assert done.status == "optimal" and done.nodes == 8
-    real = master.solve_lp
-    for k in (1, 2, 5, 8):
-        calls = []
-
-        def expiring(p, warm_start=None, deadline=None):
-            calls.append(p)
-            if len(calls) == k:
-                deadline = time.perf_counter() - 1.0
-            return real(p, warm_start, deadline=deadline)
-
-        monkeypatch.setattr(master, "solve_lp", expiring)
-        res = solve_binary(MasterModel(m, pool, 3))
-        assert res.status == "time_limit"
-        assert res.nodes == k - 1
-        assert res.objective <= done.objective <= res.bound
-        chosen = [pool[j] for j in res.selection]
-        assert objective_value(chosen, m) == res.objective
-
-
-def test_node_lp_starts_feasible_and_keeps_the_optimum():
-    # A node LP starts from a feasible slack basis, and its optimum equals
-    # the oracle's on the penalty LP with the same columns pinned; so does
-    # the root relaxation's.  Pools include a class with no samples.
-    rng = random.Random(36)
-    shapes = [(7, 6, 5)] * 20 + [(7, 0, 5), (7, 6, 0)] * 3
-    for n_genes, n_tumor, n_normal in shapes:
-        m = random_matrix(rng, n_genes, n_tumor, n_normal, density=0.5)
-        pool = full_pool(m, HitRange(2, 3))
-        rng.shuffle(pool)
-        model = MasterModel(m, pool[:10], rng.randint(1, 3))
-        ones = rng.sample(range(10), rng.randint(0, model.beta))
-        zeros = rng.sample([k for k in range(10) if k not in ones], 2)
-        fixed = {**dict.fromkeys(ones, 1), **dict.fromkeys(zeros, 0)}
-        node = model.node_lp(fixed)
-        assert np.all(node.rhs - node.a_matrix @ node.lower >= 0.0)
-        sol = master.solve_lp(node)
-        assert sol.status == "optimal"
-        status, obj, _ = tableau_solve(*penalty_lp_by_loops(model, fixed))
-        assert status == "optimal"
-        assert sol.objective == pytest.approx(obj, abs=1e-6)
-        status, root, _ = tableau_solve(*penalty_lp_by_loops(model))
-        assert status == "optimal"
-        assert solve_relaxation(model).objective == pytest.approx(root, abs=1e-6)
-
-
 def test_slow_degenerate_root_lp_reaches_its_optimum():
     # In the penalty form these root LPs creep along in steps of 1e-10 to
     # 1e-7.  Counted as progress, such steps keep resetting the degenerate
     # streak, so the simplex never stays in Bland's rule and cycles to its
     # iteration cap; the second still does when only steps up to 1e-10
     # count as degenerate.  The package's form needs under a tenth of the
-    # pivots.  Each form must reach the optimum, and so must the
-    # branch-and-bound.
+    # pivots.  Each form must reach the optimum, and so must the binary
+    # solve.
     cases = (  # tumors, normals, seed, optimum, rates
         (55, 21, 140, 52, (0.9372949718998201, 0.3798616480545074, 0.3952104907566846)),
         (38, 22, 1295, 25, (0.36724343180090974, 0.40755039019885053, 0.4780177141561597)),
@@ -354,39 +326,89 @@ def test_slow_degenerate_root_lp_reaches_its_optimum():
         assert res.status == "optimal" and res.objective == best
 
 
-def test_branch_and_bound_visits_nodes_in_a_fixed_order(monkeypatch):
-    # The columns each node LP pins to 1 and to 0, in solve order, and the
-    # selection returned, as literals: a depth-first dive taking the
-    # include-child first, then best bound first (the oldest of equal
-    # bounds), branching on the most fractional column, ties to the lowest.
-    def pool_of(seed):
-        rng = random.Random(seed)
-        m = random_matrix(rng, 9, 16, 8, density=0.45)
-        pool = full_pool(m, HitRange(2, 3))
-        rng.shuffle(pool)
-        return m, pool[:40]
+def test_fractional_pools_reach_highs_and_match_enumeration(monkeypatch):
+    # Few full pools have a fractional relaxation, so draw slices and keep
+    # those that do: every one of them goes to HiGHS, whose selection must
+    # reach the enumerated optimum, and a second solve must repeat it.
+    calls = counting_milp(monkeypatch)
+    solved = 0
+    for seed in range(160):
+        m, pool = pool_slice(seed)
+        model = MasterModel(m, pool, 3)
+        z = solve_relaxation(model).z
+        if np.all(np.abs(z - np.round(z)) <= master.INT_TOL):
+            continue
+        res = solve_binary(model)
+        assert res.status == "optimal" and res.nodes > 1
+        want, _ = best_selection_by_enumeration(
+            m, HitRange(2, 3), 3, [c.genes for c in pool]
+        )
+        assert res.objective == want == res.bound
+        chosen = [pool[k].genes for k in res.selection]
+        assert len(chosen) <= 3
+        assert selection_objective_by_loops(m, chosen) == want
+        again = solve_binary(model)
+        assert (again.selection, again.nodes) == (res.selection, res.nodes)
+        solved += 1
+    assert solved >= 15
+    assert len(calls) == 2 * solved
 
-    m45 = random_matrix(random.Random(45), 8, 12, 6)
-    cases = [
-        ((m45, full_pool(m45, HitRange(2, 3))), [5, 14, 73],
-         [([], []), ([3], []), ([3, 5], []), ([], [3]), ([], [3, 4]), ([4], [3]),
-          ([], [3, 4, 5]), ([5], [3, 4])]),
-        (pool_of(207), [9, 19, 33],
-         [([], []), ([35], []), ([9, 35], []), ([], [35]), ([], [9, 35]),
-          ([9], [35])]),
-        (pool_of(241), [8, 34, 35],
-         [([], []), ([0], []), ([0, 34], []), ([], [0]), ([], [0, 6])]),
-    ]
+
+def test_highs_is_imported_only_for_a_fractional_root():
+    # An integral relaxation ends the solve without importing
+    # scipy.optimize (~26 MB of resident memory); a fractional one loads it.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(master.__file__))
+    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
+    for seed, branched in ((0, False), (13, True)):
+        code = (
+            "import sys\n"
+            "from multihit.master import MasterModel, solve_binary\n"
+            "from test_master import pool_slice\n"
+            f"res = solve_binary(MasterModel(*pool_slice({seed}), 3))\n"
+            "print(res.nodes > 1, 'scipy.optimize' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(branched)] * 2
+
+
+def test_binary_deadline_inside_the_root_lp(monkeypatch):
+    # The root LP runs out of time: nothing is known, so the selection is
+    # empty, the bound open and HiGHS is not called.
+    calls = counting_milp(monkeypatch)
     real = master.solve_lp
-    for (m, pool), selection, order in cases:
-        nt, visits = m.tumor_count, []
 
-        def recording(p, warm_start=None, deadline=None):
-            pinned = (p.lower[nt:] == 1.0, p.upper[nt:] == 0.0)
-            visits.append(tuple(np.flatnonzero(k).tolist() for k in pinned))
-            return real(p, warm_start, deadline=deadline)
+    def expiring(p, warm_start=None, deadline=None):
+        return real(p, warm_start, deadline=time.perf_counter() - 1.0)
 
-        monkeypatch.setattr(master, "solve_lp", recording)
-        res = solve_binary(MasterModel(m, pool, 3))
-        assert res.status == "optimal" and res.nodes == len(order)
-        assert visits == order and res.selection == selection
+    monkeypatch.setattr(master, "solve_lp", expiring)
+    res = solve_binary(MasterModel(*pool_slice(13), 3))
+    assert res.status == "time_limit" and res.nodes == 0
+    assert res.selection == [] and res.objective == 0
+    assert res.bound == float("inf")
+    assert calls == []
+
+
+def test_binary_time_limit_inside_highs_keeps_a_valid_bound(monkeypatch):
+    # HiGHS proves 178 on this hub pool in ~4.5 s on a 2-vCPU VM, far
+    # beyond the limit, while the root LP takes ~0.25 s.  A stop inside
+    # HiGHS keeps the time limit, and its selection and bound bracket the
+    # optimum.
+    calls = counting_milp(monkeypatch)
+    planted = ((0, 1), (2, 3), (4, 5, 6)) + tuple((7 + i,) for i in range(25))
+    m = generate_synthetic(SyntheticSpec(300, 200, 60, planted, 0.3, 0.01, 0.01), 1)
+    pool = generate_candidates(m, HitRange(2, 3), 30, 400, 1)
+    limit = 1.0
+    t0 = time.perf_counter()
+    res = solve_binary(MasterModel(m, pool, 10), time_limit=limit)
+    assert time.perf_counter() - t0 <= limit + 1.0
+    assert res.status == "time_limit" and len(calls) == 1
+    assert res.objective <= 178 <= res.bound
+    assert objective_value([pool[k] for k in res.selection], m) == res.objective

@@ -17,10 +17,11 @@ def test_public_surface():
 
 
 def test_entry_modules_leave_scipy_optimize_and_linalg_unloaded():
-    # The package keeps its own LP kernel because importing HiGHS
-    # (scipy.optimize) adds ~26 MB of resident memory and an LU
-    # factorisation (scipy.linalg) ~7.6 MB; a new import of either would
-    # silently bring that cost back to every run.
+    # Importing HiGHS (scipy.optimize) adds ~26 MB of resident memory and
+    # an LU factorisation (scipy.linalg) ~7.6 MB.  The own simplex solves
+    # every LP, and master.solve_binary imports HiGHS inside the call, only
+    # for a pool whose relaxation is fractional; a module-level import of
+    # either would bring that cost back to every run.
     src = os.path.dirname(os.path.dirname(multihit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (

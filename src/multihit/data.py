@@ -3,11 +3,12 @@
 A :class:`MutationMatrix` holds a binary gene-by-sample mutation table split
 into tumor and normal samples.  Per-sample rows and per-gene columns are kept
 as int bit sets so that combination coverage is a chain of word-level ANDs.
-Pricing reads the same table as gene-major sparse 0/1 matrices, built on
+Pricing reads the same table as :class:`GeneRows`, index arrays of each
+class's gene-by-sample 0/1 matrix both row-major and sample-major, built on
 first use.  Every conversion between the int bit sets and numpy arrays goes
 through :mod:`multihit.bitset`: ``transpose`` for columns from rows,
-``pack``/``unpack`` for file rows and pruning, ``nonzero`` for the sparse
-matrices.
+``pack``/``unpack`` for file rows and pruning, ``nonzero`` for the index
+arrays.
 
 Dense format: UTF-8 TSV with header ``sample_id<TAB>label<TAB><gene>...``,
 labels ``tumor``/``normal`` and entries 0/1, one sample per row; with no
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bitset import nonzero, pack, transpose, unpack
 from .errors import ParseError, ValidationError
@@ -205,16 +205,19 @@ class MutationMatrix:
 
     @cached_property
     def gene_major(self):
-        """``(order, tumor rows, normal rows)`` for vectorised pricing.
+        """``(order, tumor rows, normal rows)`` for pricing.
 
         ``order`` lists the gene indices by descending tumor frequency, ties
-        by ascending index; row ``r`` of each CSR 0/1 matrix is gene
-        ``order[r]`` over that class's samples in matrix order.  Built on
-        first use, so matrices that are never priced never hold them.
+        by ascending index; the two :class:`GeneRows` are
+        :meth:`gene_rows` of that order.  Built on first use, so matrices
+        that are never priced never hold them.
         """
         order = rank_genes_by_tumor_frequency(self)
+        return (order, *self.gene_rows(order))
+
+    def gene_rows(self, order):
+        """Tumor and normal :class:`GeneRows` whose row ``r`` is gene ``order[r]``."""
         return (
-            order,
             _gene_rows(self.tumor_columns, order, self.tumor_count),
             _gene_rows(self.normal_columns, order, self.normal_count),
         )
@@ -269,9 +272,31 @@ def _columns(samples, positions, n_genes):
     return tuple(transpose([samples[pos].mutations for pos in positions], n_genes))
 
 
+@dataclass(frozen=True)
+class GeneRows:
+    """A 0/1 gene-by-sample matrix of one class as index arrays, both ways.
+
+    Row-major: row ``r`` is mutated in the samples
+    ``row_samples[row_ptr[r]:row_ptr[r + 1]]``.  Sample-major: sample ``s``
+    is mutated in the rows ``sample_rows[sample_ptr[s]:sample_ptr[s + 1]]``.
+    Both kinds of segment are in ascending order.
+    """
+
+    row_ptr: np.ndarray
+    row_samples: np.ndarray
+    sample_ptr: np.ndarray
+    sample_rows: np.ndarray
+
+
+def _pointers(ids, size):
+    """Where each value ``0..size-1`` starts in ``ids`` sorted, plus the end."""
+    return np.concatenate([[0], np.cumsum(np.bincount(ids, minlength=size))])
+
+
 def _gene_rows(columns, order, count):
     r, i = nonzero([columns[g] for g in order], count)
-    return sp.csr_matrix((np.ones(len(r)), (r, i)), shape=(len(order), count))
+    by_sample = np.argsort(i, kind="stable")
+    return GeneRows(_pointers(r, len(order)), i, _pointers(i, count), r[by_sample])
 
 
 def load_dense(path):

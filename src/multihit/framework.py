@@ -172,7 +172,11 @@ def _pipeline(matrix, config, initial_columns, use_pricing, started, generation_
                     ) from exc
     t0 = time.perf_counter()
     remaining = max(0.0, deadline - t0)
-    binary = solve_binary(model, time_limit=min(config.master_time_limit, remaining))
+    # The last relaxation's basis: when pricing converged, it is already
+    # optimal for the final pool.
+    binary = solve_binary(
+        model, time_limit=min(config.master_time_limit, remaining), warm_start=warm
+    )
     binary_time = time.perf_counter() - t0
     if binary.objective > lb_star:
         lb_star = binary.objective

@@ -1,7 +1,9 @@
 """Self-contained LP kernel: bounded-variable revised simplex with duals.
 
 Solves ``max c.x  s.t.  A x <= b,  l <= x <= u`` where ``A`` is sparse,
-lower bounds are finite and upper bounds may be infinite.  A cold solve
+lower bounds are finite and upper bounds may be infinite.  ``A`` is held as
+plain numpy CSC arrays; ``A x`` and ``A^T y`` are one ``np.bincount`` over
+its stored entries each, so no solve imports ``scipy.sparse``.  A cold solve
 starts from the slack basis (all slacks basic, every structural variable at
 its lower bound), except that a unit column with positive cost and value
 that is the only entry of its row takes that row at once: basic at ``b/d``,
@@ -27,7 +29,6 @@ with ``<=`` rows: nonnegative at optimality (up to tolerance).
 import time
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConsistencyError, ValidationError
 
@@ -55,23 +56,26 @@ STATUS_TIME_LIMIT = "time_limit"
 class LinearProgram:
     """Data for one LP.  All rows are ``<=`` rows; the sense is maximize.
 
+    ``a_matrix`` is a dense 2-D array, a scipy sparse matrix (anything with
+    ``tocsc()`` and ``sum_duplicates()``), or the canonical CSC triple
+    ``(data, indices, indptr)`` with one column per variable and one row
+    per ``rhs`` entry.  It is kept as canonical CSC arrays ``indptr``,
+    ``indices`` and ``data``: row indices strictly increasing within each
+    column, duplicate entries of a scipy matrix summed, stored zeros kept.
+    ``col`` holds the column of each stored entry, so :meth:`dot` and
+    :meth:`tdot` are one ``np.bincount`` each.
     No lower bound may exceed its upper bound, and the slack basis must be
     feasible: ``rhs - A @ lower >= 0`` on every row.
     """
 
     def __init__(self, objective, a_matrix, rhs, lower, upper):
         self.objective = np.asarray(objective, dtype=float)
-        self.a_matrix = sp.csc_matrix(a_matrix)
         self.rhs = np.asarray(rhs, dtype=float)
         self.lower = np.asarray(lower, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
         n = self.objective.shape[0]
         m = self.rhs.shape[0]
-        if self.a_matrix.shape != (m, n):
-            raise ValidationError(
-                f"constraint matrix shape {self.a_matrix.shape} does not match "
-                f"{m} rows x {n} variables"
-            )
+        self.indptr, self.indices, self.data, self.col = _csc(a_matrix, (m, n))
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ValidationError("bound vectors must have one entry per variable")
         for name, arr in (("objective", self.objective), ("rhs", self.rhs)):
@@ -83,7 +87,7 @@ class LinearProgram:
             raise ValidationError("lower bounds must be finite")
         if np.any(self.lower > self.upper):
             raise ValidationError("a lower bound lies above its upper bound")
-        short = np.nonzero(self.rhs - self.a_matrix @ self.lower < -FEAS_TOL)[0]
+        short = np.nonzero(self.rhs - self.dot(self.lower) < -FEAS_TOL)[0]
         if short.size:
             raise ValidationError(
                 f"slack basis infeasible: row {short[0]} has rhs - A @ lower < 0"
@@ -96,6 +100,61 @@ class LinearProgram:
     @property
     def n_rows(self):
         return self.rhs.shape[0]
+
+    def dot(self, x):
+        """``A x`` for a finite dense ``x``."""
+        return np.bincount(self.indices, self.data * x[self.col], self.n_rows)
+
+    def tdot(self, y):
+        """``A^T y`` for a finite dense ``y``."""
+        return np.bincount(self.col, self.data * y[self.indices], self.n_vars)
+
+    @property
+    def a_matrix(self):
+        """``A`` as a scipy CSC matrix over the same arrays, for HiGHS.
+
+        Imports ``scipy.sparse``; the simplex never reads it.
+        """
+        import scipy.sparse as sp
+
+        shape = (self.n_rows, self.n_vars)
+        return sp.csc_matrix((self.data, self.indices, self.indptr), shape=shape)
+
+
+def _csc(a, shape):
+    """Canonical CSC arrays ``(indptr, indices, data)`` of ``a``, which must
+    have ``shape``, plus the column of each entry; see
+    :class:`LinearProgram` for the accepted forms."""
+    m, n = shape
+    if isinstance(a, tuple):
+        data, indices, indptr = a
+        found = (m, len(indptr) - 1)
+    elif hasattr(a, "tocsc"):
+        a = a.tocsc(copy=True)
+        a.sum_duplicates()  # and sorts the row indices
+        data, indices, indptr, found = a.data, a.indices, a.indptr, a.shape
+    else:
+        dense = np.asarray(a, dtype=float)
+        if dense.ndim != 2:
+            raise ValidationError("a dense constraint matrix must be 2-D")
+        col, indices = np.nonzero(dense.T)
+        data, found = dense[indices, col], dense.shape
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n))])
+    if found != (m, n):
+        raise ValidationError(
+            f"constraint matrix shape {found} does not match "
+            f"{m} rows x {n} variables"
+        )
+    indptr = np.asarray(indptr, dtype=np.intp)
+    indices = np.asarray(indices, dtype=np.intp)
+    if len(data) != len(indices) or len(indices) != indptr[-1]:
+        raise ValidationError("constraint matrix arrays do not match in length")
+    if np.any(np.diff(indptr) < 0) or np.any(indices < 0) or np.any(indices >= m):
+        raise ValidationError("constraint matrix index out of range")
+    col = np.repeat(np.arange(n), np.diff(indptr))
+    if np.any(np.diff(col * m + indices) <= 0):
+        raise ValidationError("row indices must increase within each column")
+    return indptr, indices, np.asarray(data, dtype=float), col
 
 
 class Basis:
@@ -133,19 +192,17 @@ class _Simplex:
         self.m = p.n_rows
         self.nf = self.n + self.m  # structural + slack
         self.p = p
-        self.at = p.a_matrix.T.tocsr()
-        self.b_hat = p.rhs - p.a_matrix @ p.lower
+        self.b_hat = p.rhs - p.dot(p.lower)
         self.ub_hat = np.concatenate([p.upper - p.lower, np.full(self.m, np.inf)])
         self.c_hat = np.concatenate([p.objective, np.zeros(self.m)])
         self.movable = self.ub_hat > 0.0  # fixed variables never enter
         # Row and value of each unit column; -1 marks any other column.
-        a = p.a_matrix
-        one = np.nonzero(np.diff(a.indptr) == 1)[0]
-        one = one[a.data[a.indptr[one]] != 0.0]  # a stored zero is no unit
+        one = np.nonzero(np.diff(p.indptr) == 1)[0]
+        one = one[p.data[p.indptr[one]] != 0.0]  # a stored zero is no unit
         self.unit_row = np.concatenate([np.full(self.n, -1), np.arange(self.m)])
-        self.unit_row[one] = a.indices[a.indptr[one]]
+        self.unit_row[one] = p.indices[p.indptr[one]]
         self.unit_val = np.ones(self.nf)
-        self.unit_val[one] = a.data[a.indptr[one]]
+        self.unit_val[one] = p.data[p.indptr[one]]
         self.max_iterations = ITERATION_BASE + ITERATION_PER_DIM * self.nf
         self.deadline = deadline
         self.iterations = 0
@@ -161,9 +218,9 @@ class _Simplex:
         """Column ``j`` of ``[A | I]`` as a dense vector."""
         v = np.zeros(self.m)
         if j < self.n:
-            a = self.p.a_matrix
-            lo, hi = a.indptr[j], a.indptr[j + 1]
-            v[a.indices[lo:hi]] = a.data[lo:hi]
+            p = self.p
+            lo, hi = p.indptr[j], p.indptr[j + 1]
+            v[p.indices[lo:hi]] = p.data[lo:hi]
         else:
             v[j - self.n] = 1.0
         return v
@@ -185,11 +242,11 @@ class _Simplex:
             raise ConsistencyError("two basic unit columns share a row")
         slot[self.free] = np.arange(k)
         # The k other columns are structural: gather them from the CSC arrays.
-        a = self.p.a_matrix
-        lo = a.indptr[self.basic[self.pos_k]]
-        size = a.indptr[self.basic[self.pos_k] + 1] - lo
+        p = self.p
+        lo = p.indptr[self.basic[self.pos_k]]
+        size = p.indptr[self.basic[self.pos_k] + 1] - lo
         at = np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
-        self.z_rows, self.z_vals = a.indices[at], a.data[at]
+        self.z_rows, self.z_vals = p.indices[at], p.data[at]
         self.z_cols = np.repeat(np.arange(k), size)
         core = np.zeros((k, k))
         in_core = slot[self.z_rows] >= 0
@@ -211,8 +268,8 @@ class _Simplex:
     def refactor(self):
         self.factor()
         # Slacks have no upper bound, so only structural variables sit there.
-        up = np.nonzero(self.status[: self.n] == AT_UPPER)[0]
-        self.beta = self.ftran(self.b_hat - self.p.a_matrix[:, up] @ self.ub_hat[up])
+        x_up = np.where(self.status[: self.n] == AT_UPPER, self.ub_hat[: self.n], 0.0)
+        self.beta = self.ftran(self.b_hat - self.p.dot(x_up))
         self.since_refactor = 0
 
     def feasible(self, tol):
@@ -233,7 +290,7 @@ class _Simplex:
         return y
 
     def reduced_costs(self, y):
-        return self.c_hat - np.concatenate([self.at @ y, y])
+        return self.c_hat - np.concatenate([self.p.tdot(y), y])
 
     def pick_entering(self, d):
         """Dantzig's largest improving reduced cost, or Bland's lowest index."""
@@ -342,8 +399,8 @@ class _Simplex:
         basic = np.arange(n, self.nf)
         status = np.full(self.nf, AT_LOWER, dtype=np.int8)
         status[basic] = IN_BASIS
-        a = self.p.a_matrix
-        alone = np.bincount(a.indices[a.data != 0], minlength=self.m) == 1
+        p = self.p
+        alone = np.bincount(p.indices[p.data != 0], minlength=self.m) == 1
         rows = self.unit_row[:n]
         j = np.nonzero(
             (rows >= 0)
@@ -414,7 +471,7 @@ class _Simplex:
             raise ConsistencyError(
                 f"strong duality violated: primal {primal}, dual {dual}"
             )
-        slack = self.b_hat - self.p.a_matrix @ (x_hat[: self.n]) - x_hat[self.n :]
+        slack = self.b_hat - self.p.dot(x_hat[: self.n]) - x_hat[self.n :]
         if np.any(np.abs(y * slack) > CHECK_TOL * scale):
             raise ConsistencyError("complementary slackness violated")
 

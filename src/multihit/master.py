@@ -14,7 +14,6 @@ import math
 import time
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import metrics
 from .bitset import nonzero
@@ -84,19 +83,28 @@ class MasterModel:
         if self._cached_lp is not None:
             return self._cached_lp
         nt, n_z = self.matrix.tumor_count, len(self.columns)
-        # Unit columns for the cover flags, then per selection variable -1 on
-        # each tumor it covers and +1 on the budget row.
+        # CSC arrays: unit columns for the cover flags, then per selection
+        # variable -1 on each tumor it covers and +1 on the budget row.
+        # ``nonzero`` gives each column's tumors in order, column by column.
         z, t = nonzero([c.tumor_cover for c in self.columns], nt)
-        rows = np.concatenate([np.arange(nt), t, np.full(n_z, nt)])
-        cols = np.concatenate([np.arange(nt), nt + z, nt + np.arange(n_z)])
-        vals = np.concatenate([np.ones(nt), -np.ones(len(t)), np.ones(n_z)])
-        a = sp.csc_matrix((vals, (rows, cols)), shape=(nt + 1, nt + n_z))
+        indptr = np.concatenate(
+            [np.arange(nt + 1), nt + np.cumsum(np.bincount(z, minlength=n_z) + 1)]
+        )
+        indices = np.full(indptr[-1], nt)
+        indices[:nt] = np.arange(nt)
+        data = np.ones(indptr[-1])
+        # Tumor entry k follows the nt flags, k tumor entries and the budget
+        # entries of the z[k] columns before its own.
+        at = nt + z + np.arange(len(t))
+        indices[at], data[at] = t, -1.0
         cost = [-c.normal_cover.bit_count() for c in self.columns]
         objective = np.concatenate([np.ones(nt), cost])
         rhs = np.concatenate([np.zeros(nt), [float(self.beta)]])
         lower = np.zeros(nt + n_z)
         upper = np.concatenate([np.ones(nt), np.full(n_z, np.inf)])
-        self._cached_lp = LinearProgram(objective, a, rhs, lower, upper)
+        self._cached_lp = LinearProgram(
+            objective, (data, indices, indptr), rhs, lower, upper
+        )
         return self._cached_lp
 
 
@@ -129,15 +137,16 @@ def solve_relaxation(model, warm_start=None, deadline=None):
     )
 
 
-def solve_binary(model, time_limit=30.0):
+def solve_binary(model, time_limit=30.0, warm_start=None):
     """Best integral selection over the pool.
 
-    The own simplex solves the pool's relaxation first.  When its selection
-    values are integral to ``INT_TOL``, that selection is optimal (one
-    node).  Otherwise HiGHS (``scipy.optimize.milp``, imported only then)
-    solves the same LP with binary selection variables in the time left;
-    the cover flags stay continuous, as a binary selection makes them
-    integral at an optimum.  ``nodes`` is 1 plus HiGHS's nodes, and
+    The own simplex solves the pool's relaxation first, warm started from
+    the :class:`~multihit.lp.Basis` ``warm_start`` when one is given.  When
+    its selection values are integral to ``INT_TOL``, that selection is
+    optimal (one node).  Otherwise HiGHS (``scipy.optimize.milp``, imported
+    only then) solves the same LP with binary selection variables in the
+    time left; the cover flags stay continuous, as a binary selection makes
+    them integral at an optimum.  ``nodes`` is 1 plus HiGHS's nodes, and
     ``lp_iterations`` counts the own simplex's pivots only.  Selections
     are accepted only after exact integer re-evaluation.  When the
     wall-clock limit passes, the status is ``time_limit``: the selection
@@ -147,7 +156,7 @@ def solve_binary(model, time_limit=30.0):
     """
     deadline = time.perf_counter() + time_limit
     lp = model.build_lp()
-    root = solve_lp(lp, deadline=deadline)
+    root = solve_lp(lp, warm_start=warm_start, deadline=deadline)
     if root.status == STATUS_TIME_LIMIT:
         return _checked(model, None, 0.0, math.inf, "time_limit", 0, root.iterations)
     if root.status != STATUS_OPTIMAL:

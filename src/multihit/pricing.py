@@ -9,14 +9,17 @@ order.  The search always returns the exact maximum, even when it is not
 positive, so convergence certificates are meaningful.
 
 Each expanded node takes one step: it scores all of its children at once,
-pools the best of them, then descends.  With the node's covered samples
-weighted by their prices, one sparse matrix-vector product over the
-gene-major matrices of :attr:`MutationMatrix.gene_major` gives every
-child's covered price sum.  When the children are combinations (at least
-``k_min`` genes), the batch's best ``top_q`` above the pool's cut enter the
-pool together; the node then stops at ``k_max`` or expands the children
-whose bound still beats the cut.  ``PricingResult.nodes`` counts the
-children scored.
+pools the best of them, then descends.  A node carries its *support*: the
+samples with a nonzero price that its genes cover (at the root, every
+priced sample).  Gathering the sample-major segments of the support from
+:attr:`MutationMatrix.gene_major` and summing their prices with one
+``np.bincount`` gives every child's covered price sum, at a cost that
+grows with the support rather than the matrix.  A child's support is its
+parent's intersected with the samples of the child's gene.  When the
+children are combinations (at least ``k_min`` genes), the batch's best
+``top_q`` above the pool's cut enter the pool together; the node then
+stops at ``k_max`` or expands the children whose bound still beats the
+cut.  ``PricingResult.nodes`` counts the children scored.
 """
 
 import math
@@ -65,12 +68,31 @@ class PricingResult:
         self.candidates = candidates
 
 
-def _masked(weights, rows, r):
-    """``weights`` kept only on the samples where row ``r`` is mutated."""
-    cols = rows.indices[rows.indptr[r] : rows.indptr[r + 1]]
-    out = np.zeros_like(weights)
-    out[cols] = weights[cols]
-    return out
+def _scores(rows, support, weights, pos, stop):
+    """Per row ``pos..stop-1``: the sum of ``weights`` over its ``support`` samples.
+
+    Gathers the sample-major segments of the support and adds them up in
+    one ``np.bincount``, so the work grows with the support, not the matrix.
+    """
+    lo = rows.sample_ptr[support]
+    size = rows.sample_ptr[support + 1] - lo
+    end = size.cumsum()
+    at = np.arange(end[-1] if end.size else 0) + (lo - end + size).repeat(size)
+    weights = weights[support].repeat(size)
+    return np.bincount(rows.sample_rows[at], weights, stop)[pos:stop]
+
+
+def _within(rows, r, held):
+    """The samples of row ``r`` for which the boolean ``held`` is set, in order."""
+    samples = rows.row_samples[rows.row_ptr[r] : rows.row_ptr[r + 1]]
+    return samples[held[samples]]
+
+
+def _held(support, size):
+    """A boolean mask of ``size`` entries, set on the ``support`` samples."""
+    held = np.zeros(size, dtype=bool)
+    held[support] = True
+    return held
 
 
 def solve_pricing(problem, deadline=None, top_q=1):
@@ -86,11 +108,10 @@ def solve_pricing(problem, deadline=None, top_q=1):
     """
     m = problem.matrix
     hit = problem.hit_range
-    order, x_t, x_n = m.gene_major
+    order, rows_t, rows_n = m.gene_major
     if problem.allowed_genes is not None:
-        keep = [r for r, g in enumerate(order) if g in problem.allowed_genes]
-        order = [order[r] for r in keep]
-        x_t, x_n = x_t[keep], x_n[keep]
+        order = [g for g in order if g in problem.allowed_genes]
+        rows_t, rows_n = m.gene_rows(order)
     duals = problem.duals
     pi, mu, lam = duals.pi, duals.mu, duals.lam
     n_rows = len(order)
@@ -103,11 +124,12 @@ def solve_pricing(problem, deadline=None, top_q=1):
     def cut():
         return pool[top_q - 1][0] if len(pool) >= top_q else -math.inf
 
-    def expand(pos, depth, w_t, w_n, psum, path):
+    def expand(pos, depth, s_t, s_n, psum, path):
         # Children are rows pos..stop-1; later rows leave too few genes to
         # reach k_min.  Duals are nonnegative, so a child's reduced cost and
         # that of every descendant is at most its covered tumor price minus
-        # lam, which is also at most this node's.
+        # lam, which is also at most this node's.  ``s_t``/``s_n`` are the
+        # samples with a nonzero price that the node's genes cover.
         nonlocal nodes, aborted
         stop = min(n_rows, n_rows - hit.k_min + depth + 1)
         if pos >= stop or psum - lam <= cut():
@@ -116,24 +138,28 @@ def solve_pricing(problem, deadline=None, top_q=1):
             aborted = True
             return
         nodes += stop - pos
-        p2 = (x_t @ w_t)[pos:stop]
-        if depth + 1 >= hit.k_min:
-            rc = p2 - (x_n @ w_n)[pos:stop] - lam
+        p2 = _scores(rows_t, s_t, pi, pos, stop)
+        # Only the children whose bound beats the cut can enter the pool
+        # or be expanded; a reduced cost is at most its bound.
+        live = np.flatnonzero(p2 - lam > cut())
+        if depth + 1 >= hit.k_min and live.size:
+            rc = p2[live] - _scores(rows_n, s_n, mu, pos, stop)[live] - lam
             hits = np.flatnonzero(rc > cut())
             if hits.size:
                 for i in hits[np.argsort(-rc[hits], kind="stable")[:top_q]].tolist():
-                    pool.append((float(rc[i]), path + (order[pos + i],)))
+                    pool.append((float(rc[i]), path + (order[pos + live[i]],)))
                 pool.sort(key=lambda e: -e[0])
                 del pool[top_q:]
-        if depth + 1 == hit.k_max:
+        if depth + 1 == hit.k_max or not live.size:
             return
-        for i in np.flatnonzero(p2 - lam > cut()).tolist():
+        held_t, held_n = _held(s_t, len(pi)), _held(s_n, len(mu))
+        for i in live.tolist():
             r = pos + i
             if not aborted and p2[i] - lam > cut():
-                w_t2, w_n2 = _masked(w_t, x_t, r), _masked(w_n, x_n, r)
-                expand(r + 1, depth + 1, w_t2, w_n2, p2[i], path + (order[r],))
+                c_t, c_n = _within(rows_t, r, held_t), _within(rows_n, r, held_n)
+                expand(r + 1, depth + 1, c_t, c_n, p2[i], path + (order[r],))
 
-    expand(0, 0, pi, mu, float(pi.sum()), ())
+    expand(0, 0, np.flatnonzero(pi), np.flatnonzero(mu), float(pi.sum()), ())
 
     best_rc = pool[0][0] if pool else -math.inf
     candidates = [m.combination(genes) for rc, genes in pool if rc > RC_EPS]

@@ -356,3 +356,31 @@ def test_hit_range_parse():
     for bounds in ((True, 2), (1.5, 3)):
         with pytest.raises(ValidationError, match="ints"):
             HitRange(*bounds)
+
+
+def test_gene_rows_hold_each_class_both_ways():
+    rng = random.Random(71)
+    m = random_matrix(rng, 9, 7, 5, density=0.4)
+    order, tumor, normal = m.gene_major
+    assert sorted(order) == list(range(m.n_genes))
+    freq = [m.tumor_frequency(g) for g in order]
+    assert freq == sorted(freq, reverse=True)
+    for rows, columns, count in (
+        (tumor, m.tumor_columns, m.tumor_count),
+        (normal, m.normal_columns, m.normal_count),
+    ):
+        bits = unpack([columns[g] for g in order], count)
+        for r in range(len(order)):
+            seg = rows.row_samples[rows.row_ptr[r] : rows.row_ptr[r + 1]]
+            assert list(seg) == list(bits[r].nonzero()[0])
+        for s in range(count):
+            seg = rows.sample_rows[rows.sample_ptr[s] : rows.sample_ptr[s + 1]]
+            assert list(seg) == list(bits[:, s].nonzero()[0])
+    # Any gene order: here the genes of even index, last first.
+    sub = list(range(m.n_genes))[::-2]
+    t_sub, _ = m.gene_rows(sub)
+    assert len(t_sub.row_ptr) == len(sub) + 1
+    bits = unpack([m.tumor_columns[g] for g in sub], m.tumor_count)
+    for r in range(len(sub)):
+        seg = t_sub.row_samples[t_sub.row_ptr[r] : t_sub.row_ptr[r + 1]]
+        assert list(seg) == list(bits[r].nonzero()[0])

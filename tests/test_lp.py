@@ -367,3 +367,86 @@ def test_large_master_root_lp_needs_no_dense_basis():
     # basic stalls when they reach their upper bounds together and takes
     # over 10,000.
     assert sol.iterations <= 1970
+
+
+def check_kernel(p, dense):
+    """``p``'s CSC arrays hold ``dense``: canonical, and ``A x``, ``A^T y``
+    and ``a_matrix`` agree with dense algebra."""
+    rng = np.random.default_rng(RNG_SEED + 4)
+    m, n = dense.shape
+    assert (p.n_rows, p.n_vars) == (m, n)
+    assert p.indptr[0] == 0 and p.indptr[-1] == len(p.indices) == len(p.data)
+    for j in range(n):
+        rows = p.indices[p.indptr[j] : p.indptr[j + 1]]
+        assert np.all(np.diff(rows) > 0)  # sorted, no duplicates
+        assert np.all(p.col[p.indptr[j] : p.indptr[j + 1]] == j)
+    x, y = rng.uniform(-2, 2, n), rng.uniform(-2, 2, m)
+    assert p.dot(x).shape == (m,) and p.tdot(y).shape == (n,)
+    assert np.allclose(p.dot(x), dense @ x, rtol=0, atol=1e-12)
+    assert np.allclose(p.tdot(y), dense.T @ y, rtol=0, atol=1e-12)
+    assert p.a_matrix.shape == (m, n)
+    assert np.array_equal(p.a_matrix.toarray(), dense)
+
+
+def kernel_lp(a, shape):
+    m, n = shape
+    return LinearProgram(np.ones(n), a, np.ones(m), np.zeros(n), np.ones(n))
+
+
+def test_csc_kernel_matches_dense_algebra():
+    dense = np.array(
+        [
+            [0.0, 2.0, 0.0, 0.0, -1.5],
+            [0.0, 0.0, 0.0, 0.0, 0.0],  # an empty row
+            [3.0, 0.0, 0.0, 4.0, 0.5],
+        ]
+    )  # column 2 is empty
+    check_kernel(kernel_lp(dense, dense.shape), dense)
+    check_kernel(kernel_lp(sp.csc_matrix(dense), dense.shape), dense)
+    check_kernel(kernel_lp(sp.csr_matrix(dense), dense.shape), dense)
+    # COO entries out of order, with duplicates that sum to the dense value.
+    rows = [2, 0, 2, 0, 2, 2, 0, 2]
+    cols = [4, 1, 0, 4, 3, 0, 1, 4]
+    vals = [0.25, 1.5, 1.0, -1.5, 4.0, 2.0, 0.5, 0.25]
+    coo = sp.coo_matrix((vals, (rows, cols)), shape=dense.shape)
+    check_kernel(kernel_lp(coo, dense.shape), dense)
+    # The raw CSC triple must already be canonical.
+    triple = ([3.0, 2.0, 4.0, -1.5, 0.5], [2, 0, 2, 0, 2], [0, 1, 2, 2, 3, 5])
+    check_kernel(kernel_lp(triple, dense.shape), dense)
+    for rows in ([2, 0, 2, 2, 0], [2, 0, 2, 0, 0]):  # unsorted, duplicate
+        with pytest.raises(ValidationError, match="increase"):
+            kernel_lp((triple[0], rows, triple[2]), dense.shape)
+    for m, n in ((0, 4), (3, 0), (0, 0)):
+        empty = np.zeros((m, n))
+        check_kernel(kernel_lp(empty, (m, n)), empty)
+        check_kernel(kernel_lp(sp.csc_matrix((m, n)), (m, n)), empty)
+    with pytest.raises(ValidationError, match="shape"):
+        kernel_lp(dense, (3, 4))
+    with pytest.raises(ValidationError, match="out of range"):
+        kernel_lp(([1.0], [3], [0, 1, 1, 1, 1, 1]), dense.shape)
+    with pytest.raises(ValidationError, match="length"):
+        kernel_lp(([1.0, 2.0], [0], [0, 1, 1, 1, 1, 1]), dense.shape)
+
+
+def test_stored_zeros_are_kept_but_never_unit_columns():
+    # Column 0 stores only a zero, column 1 a zero and one entry, column 2
+    # two entries that sum to zero on one row, column 3 one entry.
+    data = [0.0, 0.0, 2.0, 1.0, -1.0, 3.0]
+    indices = [1, 0, 1, 0, 0, 1]
+    indptr = [0, 1, 3, 5, 6]
+    stored = sp.csc_matrix((data, indices, indptr), shape=(2, 4))
+    p = kernel_lp(stored, (2, 4))
+    dense = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 3.0]])
+    check_kernel(p, dense)
+    assert len(p.data) == 5 and p.a_matrix.nnz == 5
+    assert stored.nnz == 6  # the caller's matrix is left as it was
+    s = lp._Simplex(p, None)
+    assert list(s.unit_row[:4]) == [-1, -1, -1, 1]
+    s.cold_start()
+    # Row 1 holds column 3 next to the entries of columns 0 and 1, so its
+    # slack stays basic; a column of zeros must not claim row 0.
+    assert list(s.basic) == [4, 5]
+    sol = solve_lp(p)
+    status, obj, _ = tableau_solve(p.objective, dense, p.rhs, p.lower, p.upper)
+    assert sol.status == status == STATUS_OPTIMAL
+    assert sol.objective == pytest.approx(obj)

@@ -266,6 +266,26 @@ def test_binary_matches_subset_enumeration():
         assert res.bound == pytest.approx(res.objective)
 
 
+def test_binary_warm_started_from_a_relaxation_keeps_the_optimum():
+    # Column generation hands the binary solve the last relaxation's basis:
+    # for the same pool it is optimal at once, and one from before columns
+    # were added is a valid start too.
+    for seed in range(8):
+        m, pool = pool_slice(seed)
+        model = MasterModel(m, pool[:30], 3)
+        earlier = solve_relaxation(model).basis
+        for c in pool[30:]:
+            model.add_column(c)
+        cold = solve_binary(model)
+        last = solve_relaxation(model, warm_start=earlier)
+        for warm in (last.basis, earlier):
+            res = solve_binary(model, warm_start=warm)
+            assert res.status == cold.status == "optimal"
+            assert res.objective == cold.objective
+            assert res.bound == pytest.approx(cold.bound)
+        assert solve_binary(model, warm_start=last.basis).lp_iterations == 0
+
+
 def test_binary_time_limit_returns_empty():
     _, model = toy_model(beta=2)
     res = solve_binary(model, time_limit=0.0)

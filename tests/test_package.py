@@ -16,18 +16,13 @@ def test_public_surface():
         assert getattr(multihit, name) is not None
 
 
-def test_entry_modules_leave_scipy_optimize_and_linalg_unloaded():
-    # Importing HiGHS (scipy.optimize) adds ~26 MB of resident memory and
-    # an LU factorisation (scipy.linalg) ~7.6 MB.  The own simplex solves
-    # every LP, and master.solve_binary imports HiGHS inside the call, only
-    # for a pool whose relaxation is fractional; a module-level import of
-    # either would bring that cost back to every run.
+def run_and_list_heavy_modules(code):
+    """Run ``code`` in a fresh interpreter; the heavy scipy modules it loaded."""
     src = os.path.dirname(os.path.dirname(multihit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = (
-        "import sys\n"
-        "import multihit.cli, multihit.framework, multihit.harness\n"
-        "heavy = (['scipy', 'optimize'], ['scipy', 'linalg'])\n"
+    code += (
+        "\nimport sys\n"
+        "heavy = (['scipy', 'sparse'], ['scipy', 'optimize'], ['scipy', 'linalg'])\n"
         "print(sorted(m for m in sys.modules if m.split('.')[:2] in heavy))\n"
     )
     proc = subprocess.run(
@@ -38,7 +33,43 @@ def test_entry_modules_leave_scipy_optimize_and_linalg_unloaded():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip().splitlines()
+
+
+def test_entry_modules_leave_scipy_optimize_and_linalg_unloaded():
+    # Importing HiGHS (scipy.optimize) adds ~26 MB of resident memory, an
+    # LU factorisation (scipy.linalg) ~7.6 MB and scipy.sparse ~22 MB.  The
+    # own simplex solves every LP on plain CSC arrays, and
+    # master.solve_binary imports HiGHS inside the call, only for a pool
+    # whose relaxation is fractional; a module-level import of any of them
+    # would bring that cost back to every run.
+    code = "import multihit.cli, multihit.framework, multihit.harness"
+    assert run_and_list_heavy_modules(code) == ["[]"]
+
+
+def test_solves_with_an_integral_pool_relaxation_load_no_heavy_scipy_module():
+    # Pricing, the master LPs and an integral final relaxation run on numpy
+    # alone; scipy is not even imported.
+    code = (
+        "from multihit.data import HitRange\n"
+        "from multihit.framework import SolverConfig, solve_colgen, "
+        "solve_mip_heuristic\n"
+        "from multihit.synth import SyntheticSpec, generate_synthetic\n"
+        "spec = SyntheticSpec(30, 40, 15, ((0, 1), (2, 3, 4)), 0.5, 0.05, 0.05)\n"
+        "m = generate_synthetic(spec, 1)\n"
+        "config = SolverConfig(hit_range=HitRange(2, 3), beta=3, gamma2=60)\n"
+        "for solve in (solve_colgen, solve_mip_heuristic):\n"
+        "    r = solve(m, config)\n"
+        "    print(r.objective > 0, r.binary_nodes, r.status)\n"
+        "import sys\n"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+    )
+    assert run_and_list_heavy_modules(code) == [
+        "True 1 converged",
+        "True 1 converged",
+        "False",  # no scipy module at all
+        "[]",
+    ]
 
 
 def test_bit_set_conversions_live_only_in_bitset():

@@ -238,3 +238,55 @@ def test_determinism():
     if a.best is not None:
         assert a.best.genes == b.best.genes
     assert a.nodes == b.nodes
+
+
+def test_node_supports_match_enumeration_on_silent_genes_and_samples():
+    # Each node carries the samples with a nonzero price that its genes
+    # cover.  Supports go empty when every tumor price is 0, when a gene is
+    # mutated nowhere (gene 0) and when a sample is mutated nowhere (the
+    # first tumor and the first normal); sizes 3 and 4 take them two and
+    # three levels down.
+    rng = random.Random(62)
+    hits = [HitRange(1, 2), HitRange(2, 3), HitRange(3, 3), HitRange(2, 4)]
+    for trial in range(48):
+        base = random_matrix(
+            rng, rng.randint(4, 8), rng.randint(2, 9), rng.randint(2, 6), density=0.6
+        )
+        samples = [
+            SampleRecord(
+                s.sample_id,
+                s.label,
+                0 if s.sample_id in ("t0", "n0") else s.mutations & ~1,
+            )
+            for s in base.samples
+        ]
+        m = MutationMatrix(base.gene_ids, samples)
+        d = random_duals(rng, m)
+        if trial % 3 == 0:
+            d = DualPrices(np.zeros(m.tumor_count), d.mu, d.lam)
+        allowed = None
+        if trial % 2:
+            allowed = set(rng.sample(range(m.n_genes), rng.randint(1, m.n_genes)))
+        hit = hits[trial % len(hits)]
+        genes = range(m.n_genes) if allowed is None else sorted(allowed)
+        all_rc = sorted(
+            (
+                reduced_cost_by_loops(m, combo, d.pi, d.mu, d.lam)
+                for k in hit.sizes()
+                for combo in itertools.combinations(genes, k)
+            ),
+            reverse=True,
+        )
+        res = solve_pricing(PricingProblem(m, d, hit, allowed), top_q=2)
+        assert res.proven_optimal
+        assert res.reduced_cost == pytest.approx(
+            all_rc[0] if all_rc else -math.inf, abs=1e-9
+        )
+        got = [
+            reduced_cost_by_loops(m, c.genes, d.pi, d.mu, d.lam) for c in res.candidates
+        ]
+        assert got == pytest.approx([rc for rc in all_rc[:2] if rc > RC_EPS], abs=1e-9)
+        for c in res.candidates:
+            assert allowed is None or set(c.genes) <= allowed
+        if trial % 3 == 0:
+            assert res.best is None  # no column covers a priced tumor

@@ -54,7 +54,8 @@ def test_tracer_targets_exist_and_probes_read_real_solves(tmp_path):
     assert colgen["framework.rounds"] == report.iterations > 0
     assert colgen["pricing.nodes"] == report.pricing_nodes
     assert colgen["master.bnb.nodes"] == report.binary_nodes
-    assert colgen["lp.warm_calls"] == report.iterations - 1
+    # Every relaxation after the first and the final binary solve start warm.
+    assert colgen["lp.warm_calls"] == report.iterations
     assert colgen["lp.max_rows"] == matrix.tumor_count + 1
     pool = tracing.solve_metrics(tracer, 2)
     assert pool["candidates.columns"] == 50

@@ -5,9 +5,11 @@ matrix), ``split`` (train/test TSVs), ``solve`` (one instance, one mode),
 ``sweep`` (config-driven grid of cells) and ``report`` (re-summarize a
 results directory).
 
-Option values resolve as: explicit flag, then the environment variables
+Settings resolve, lowest first, from the command's own defaults, the
+``--config`` JSON file, the environment variables
 ``MULTIHIT_MASTER_TIME_LIMIT`` / ``MULTIHIT_TOTAL_TIME_LIMIT`` for the two
-time limits, then the ``--config`` JSON file, then built-in defaults.
+time limits, then the flags; anything left unset takes
+``harness.ExperimentSpec``'s default.
 
 Exit codes: 0 success, 1 invalid input or usage, 2 internal consistency
 failure, 3 sweep finished with some failed cells.
@@ -17,9 +19,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import MISSING, fields
-
-import jsonschema
+from dataclasses import fields
 
 from .data import (
     HitRange,
@@ -30,7 +30,6 @@ from .data import (
     write_dense,
 )
 from .errors import ConsistencyError, ValidationError
-from .framework import SolverConfig
 from .harness import (
     MODES,
     ExperimentSpec,
@@ -42,30 +41,21 @@ from .harness import (
 )
 from .synth import SyntheticSpec, generate_synthetic
 
-ENV_MASTER_TIME = "MULTIHIT_MASTER_TIME_LIMIT"
-ENV_TOTAL_TIME = "MULTIHIT_TOTAL_TIME_LIMIT"
-
-_ENV_VARS = {"master_time_limit": ENV_MASTER_TIME, "total_time_limit": ENV_TOTAL_TIME}
-
-# Built-in defaults come from the solver's own declarations.
-_DEFAULTS = {
-    f.name: f.default for f in fields(SolverConfig) if f.default is not MISSING
+_ENV_VARS = {
+    "master_time_limit": "MULTIHIT_MASTER_TIME_LIMIT",
+    "total_time_limit": "MULTIHIT_TOTAL_TIME_LIMIT",
 }
 
-# The sweep grid's defaults (modes, train fraction) come from the spec.
-_SPEC_DEFAULTS = {
-    f.name: f.default for f in fields(ExperimentSpec) if f.default is not MISSING
-}
+# The keys a config file may set: the spec's fields and the one-seed shorthand.
+_CONFIG_KEYS = {f.name for f in fields(ExperimentSpec)} | {"seed"}
 
-_CONFIG_KEYS = set(_DEFAULTS) | {f.name for f in fields(ExperimentSpec)}
+# A --hit, --mode or --seed flag replaces its config list with one entry.
+_LISTED = {"hit": "hit_ranges", "mode": "modes", "seed": "seeds"}
 
 # The synthetic generator's rate defaults come from its spec.
 _SYNTH_RATES = {
     f.name: f.default for f in fields(SyntheticSpec) if f.name.endswith("_rate")
 }
-
-# ExperimentSpec requires its hit ranges, so their default lives here.
-DEFAULT_HIT_RANGE = "2-3"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,7 +67,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _env_float(name):
-    raw = None if name is None else os.environ.get(name)
+    raw = os.environ.get(name)
     if raw is None:
         return None
     try:
@@ -109,35 +99,32 @@ def _load_config(path):
     return config
 
 
-def _pick(*values):
-    for v in values:
-        if v is not None:
-            return v
-    return None
+def _resolve_spec(args, config, instances, **defaults):
+    """The command's spec over ``instances``, every setting resolved.
 
-
-def _experiment_spec(args, config, seeds, train_fraction, **grid):
-    """The spec over a command's grid, with every setting resolved.
-
-    Each solver setting resolves as flag, environment (time limits only),
-    config file, then default; so does the seed, which is the spec's one
-    seed unless ``seeds`` lists them.  ``train_fraction`` is the command's
-    default for that key.
+    Values layer, lowest first: the command's ``defaults``, the config file
+    (a ``seed`` stands in for a missing ``seeds`` list; ``null`` is unset),
+    the two time-limit environment variables, then the flags.  Anything
+    left unset takes ``ExperimentSpec``'s default.
     """
-    settings = {
-        key: _pick(
-            getattr(args, key), _env_float(_ENV_VARS.get(key)), config.get(key), default
-        )
-        for key, default in _DEFAULTS.items()
-    }
-    seed = settings.pop("seed")
+    values = dict(defaults)
+    values.update((key, value) for key, value in config.items() if value is not None)
+    if "seed" in values:
+        values.setdefault("seeds", [values.pop("seed")])
+    for key, name in _ENV_VARS.items():
+        value = _env_float(name)
+        if value is not None:
+            values[key] = value
+    for key, value in vars(args).items():
+        if value is not None and key in _LISTED:
+            values[_LISTED[key]] = [value]
+        elif value is not None and key in _CONFIG_KEYS:
+            values[key] = value
+    values["instances"] = instances
+    if "hit_ranges" in values:
+        values["hit_ranges"] = [HitRange.parse(str(h)) for h in values["hit_ranges"]]
     return ExperimentSpec(
-        **grid,
-        **settings,
-        seeds=(seed,) if seeds is None else tuple(seeds),
-        train_fraction=_pick(
-            args.train_fraction, config.get("train_fraction"), train_fraction
-        ),
+        **{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()}
     )
 
 
@@ -215,31 +202,11 @@ def cmd_solve(args):
             raise ValidationError(
                 f"solve runs one cell; use sweep for the config's {key!r}"
             )
-    hit_text = _pick(
-        args.hit,
-        config["hit_ranges"][0] if config.get("hit_ranges") else None,
-        DEFAULT_HIT_RANGE,
-    )
-    hit = HitRange.parse(str(hit_text))
-    mode = _pick(
-        args.mode,
-        config["modes"][0] if config.get("modes") else None,
-        _SPEC_DEFAULTS["modes"][0],
-    )
-    if mode not in MODES:
-        raise ValidationError(f"unknown mode {mode!r}; pick from {MODES}")
     matrix = load_dense(args.data)
     name = os.path.splitext(os.path.basename(args.data))[0]
-    spec = _experiment_spec(
-        args,
-        config,
-        seeds=None,
-        train_fraction=1.0,
-        instances=((name, matrix),),
-        hit_ranges=(hit,),
-        modes=(mode,),
-    )
-    cell = run_cell(name, matrix, hit, mode, spec.seeds[0], spec)
+    spec = _resolve_spec(args, config, ((name, matrix),), train_fraction=1.0)
+    [hit], [mode], [seed] = spec.hit_ranges, spec.modes, spec.seeds
+    cell = run_cell(name, matrix, hit, mode, seed, spec)
     if args.out:
         emit_report(cell, args.out)
     ub = "none" if cell["ub"] is None else format(cell["ub"], ".6f")
@@ -307,20 +274,7 @@ def _sweep_instances(config, config_dir):
 def cmd_sweep(args):
     config = _load_config(args.config)
     config_dir = os.path.dirname(os.path.abspath(args.config))
-    instances = _sweep_instances(config, config_dir)
-    hit_ranges = tuple(
-        HitRange.parse(str(h))
-        for h in config.get("hit_ranges", [DEFAULT_HIT_RANGE])
-    )
-    spec = _experiment_spec(
-        args,
-        config,
-        seeds=config.get("seeds") if args.seed is None else None,
-        train_fraction=_SPEC_DEFAULTS["train_fraction"],
-        instances=instances,
-        hit_ranges=hit_ranges,
-        modes=tuple(config.get("modes", _SPEC_DEFAULTS["modes"])),
-    )
+    spec = _resolve_spec(args, config, _sweep_instances(config, config_dir))
     reports, failures = run_experiment(spec, args.out_dir, workers=args.workers)
     print(
         f"{len(reports)} cells finished, {len(failures)} failed; "
@@ -412,7 +366,7 @@ def build_parser():
     p.add_argument(
         "--train-fraction",
         type=float,
-        default=_SPEC_DEFAULTS["train_fraction"],
+        default=ExperimentSpec.train_fraction,
         dest="train_fraction",
     )
     p.add_argument("--seed", type=int, default=0)
@@ -466,12 +420,17 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except jsonschema.ValidationError as exc:
-        print(f"error: invalid report: {exc.message}", file=sys.stderr)
-        return 1
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # A report failed its schema check; jsonschema, imported only to
+        # validate reports, is loaded whenever such an error exists.
+        schema = sys.modules.get("jsonschema")
+        if schema is None or not isinstance(exc, schema.ValidationError):
+            raise
+        print(f"error: invalid report: {exc.message}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -6,11 +6,12 @@ mode and evaluates the selection on both halves.  ``run_cell`` checks each
 report against the bundled JSON schema once, before returning it, so every
 report written is valid.  Reports are serialized with sorted keys so reruns
 are byte-identical apart from the timing block, and rolled up into one
-tab-separated summary.  A crashing cell is captured and
-reported instead of killing the sweep.
+tab-separated summary.  A crashing cell, or a dead worker process, is
+captured and reported instead of killing the sweep.
 """
 
 import concurrent.futures
+import contextlib
 import functools
 import hashlib
 import json
@@ -18,10 +19,8 @@ import os
 from dataclasses import dataclass, fields
 from importlib import resources
 
-import jsonschema
-
 from . import metrics
-from .data import prune_genes, split_train_test
+from .data import HitRange, prune_genes, split_train_test
 from .errors import ValidationError
 from .framework import (
     SolverConfig,
@@ -41,14 +40,20 @@ _SOLVERS = {
 
 _METRIC_KEYS = ("mcc", "spec", "sens", "f1", "precision")
 
+
 @functools.cache
 def _report_validator():
-    """The bundled schema's validator, built and schema-checked once."""
+    """The bundled schema's validator, built and schema-checked once.
+
+    ``jsonschema`` is imported here and in ``validate_report`` only.
+    """
+    from jsonschema.validators import validator_for
+
     text = resources.files("multihit").joinpath("report_schema.json").read_text(
         encoding="utf-8"
     )
     schema = json.loads(text)
-    cls = jsonschema.validators.validator_for(schema)
+    cls = validator_for(schema)
     cls.check_schema(schema)
     return cls(schema)
 
@@ -56,7 +61,9 @@ def _report_validator():
 def validate_report(report):
     """Schema-check one cell report; raises the error ``jsonschema.validate``
     would, its best match."""
-    error = jsonschema.exceptions.best_match(_report_validator().iter_errors(report))
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_report_validator().iter_errors(report))
     if error is not None:
         raise error
 
@@ -72,11 +79,11 @@ class ExperimentSpec(SolverSettings):
     """Cross product of instances, hit ranges, modes and seeds to run.
 
     The solver settings are inherited; each cell's seed is derived from its
-    entry in ``seeds``.
+    entry in ``seeds``.  The grid's defaults are declared here only.
     """
 
     instances: tuple
-    hit_ranges: tuple
+    hit_ranges: tuple = (HitRange(2, 3),)
     modes: tuple = ("colgen",)
     seeds: tuple = (0,)
     train_fraction: float = 0.75
@@ -228,31 +235,26 @@ def run_experiment(spec, out_dir, workers=1):
         for seed in spec.seeds
     ]
     workers = min(workers, len(tasks))
-    outcomes = []
-    if workers <= 1:
-        for task in tasks:
-            try:
-                outcomes.append((task, run_cell(*task), None))
-            except Exception as exc:  # noqa: BLE001 - cells must not kill the sweep
-                outcomes.append((task, None, exc))
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_cell, *task) for task in tasks]
-            for task, fut in zip(tasks, futures):
-                try:
-                    outcomes.append((task, fut.result(), None))
-                except Exception as exc:  # noqa: BLE001
-                    outcomes.append((task, None, exc))
     reports, failures = [], []
-    for task, cell, exc in outcomes:
-        cid = cell_id(task[0], task[2], task[3], task[4])
-        if exc is None:
-            emit_report(cell, os.path.join(out_dir, cid + ".json"))
-            reports.append(cell)
-        else:
-            failures.append(
-                {"cell": cid, "error_type": type(exc).__name__, "message": str(exc)}
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(
+                concurrent.futures.ProcessPoolExecutor(max_workers=workers)
             )
+            results = [pool.submit(run_cell, *task).result for task in tasks]
+        else:
+            results = [functools.partial(run_cell, *task) for task in tasks]
+        for task, result in zip(tasks, results):
+            cid = cell_id(task[0], task[2], task[3], task[4])
+            try:
+                report = result()
+            except Exception as exc:  # noqa: BLE001 - cells must not kill the sweep
+                failures.append(
+                    {"cell": cid, "error_type": type(exc).__name__, "message": str(exc)}
+                )
+            else:
+                emit_report(report, os.path.join(out_dir, cid + ".json"))
+                reports.append(report)
     write_summary(reports, os.path.join(out_dir, "summary.tsv"))
     if failures:
         with open(os.path.join(out_dir, "failures.json"), "w", encoding="utf-8") as fh:

@@ -155,14 +155,10 @@ def solve_binary(model, time_limit=30.0, warm_start=None):
     root LP itself was cut off).
     """
     deadline = time.perf_counter() + time_limit
-    lp = model.build_lp()
-    root = solve_lp(lp, warm_start=warm_start, deadline=deadline)
-    if root.status == STATUS_TIME_LIMIT:
-        return _checked(model, None, 0.0, math.inf, "time_limit", 0, root.iterations)
-    if root.status != STATUS_OPTIMAL:
-        raise ConsistencyError(f"root relaxation status {root.status}")
-    nt = model.matrix.tumor_count
-    z = root.x[nt:]
+    root = solve_relaxation(model, warm_start=warm_start, deadline=deadline)
+    if root is None:
+        return _checked(model, None, 0.0, math.inf, "time_limit", 0, 0)
+    z = root.z
     if np.all(np.abs(z - np.round(z)) <= INT_TOL):
         return _checked(
             model, z, root.objective, root.objective, "optimal", 1, root.iterations
@@ -173,6 +169,7 @@ def solve_binary(model, time_limit=30.0, warm_start=None):
         )
     from scipy.optimize import Bounds, LinearConstraint, milp
 
+    lp, nt = model.build_lp(), model.matrix.tumor_count
     res = milp(
         -lp.objective,
         integrality=np.concatenate([np.zeros(nt), np.ones(len(z))]),

@@ -118,11 +118,9 @@ def solve_pricing(problem, deadline=None, top_q=1):
     # pool entries: (rc, path genes), best first; a stable sort keeps the
     # earlier record first among equal reduced costs.
     pool = []
+    cut = -math.inf  # the pool's last reduced cost once it holds top_q entries
     nodes = 0
     aborted = False
-
-    def cut():
-        return pool[top_q - 1][0] if len(pool) >= top_q else -math.inf
 
     def expand(pos, depth, s_t, s_n, psum, path):
         # Children are rows pos..stop-1; later rows leave too few genes to
@@ -130,9 +128,9 @@ def solve_pricing(problem, deadline=None, top_q=1):
         # that of every descendant is at most its covered tumor price minus
         # lam, which is also at most this node's.  ``s_t``/``s_n`` are the
         # samples with a nonzero price that the node's genes cover.
-        nonlocal nodes, aborted
+        nonlocal cut, nodes, aborted
         stop = min(n_rows, n_rows - hit.k_min + depth + 1)
-        if pos >= stop or psum - lam <= cut():
+        if pos >= stop or psum - lam <= cut:
             return
         if deadline is not None and time.perf_counter() > deadline:
             aborted = True
@@ -141,21 +139,23 @@ def solve_pricing(problem, deadline=None, top_q=1):
         p2 = _scores(rows_t, s_t, pi, pos, stop)
         # Only the children whose bound beats the cut can enter the pool
         # or be expanded; a reduced cost is at most its bound.
-        live = np.flatnonzero(p2 - lam > cut())
+        live = np.flatnonzero(p2 - lam > cut)
         if depth + 1 >= hit.k_min and live.size:
             rc = p2[live] - _scores(rows_n, s_n, mu, pos, stop)[live] - lam
-            hits = np.flatnonzero(rc > cut())
+            hits = np.flatnonzero(rc > cut)
             if hits.size:
                 for i in hits[np.argsort(-rc[hits], kind="stable")[:top_q]].tolist():
                     pool.append((float(rc[i]), path + (order[pos + live[i]],)))
                 pool.sort(key=lambda e: -e[0])
                 del pool[top_q:]
+                if len(pool) == top_q:
+                    cut = pool[-1][0]
         if depth + 1 == hit.k_max or not live.size:
             return
         held_t, held_n = _held(s_t, len(pi)), _held(s_n, len(mu))
         for i in live.tolist():
             r = pos + i
-            if not aborted and p2[i] - lam > cut():
+            if not aborted and p2[i] - lam > cut:
                 c_t, c_n = _within(rows_t, r, held_t), _within(rows_n, r, held_n)
                 expand(r + 1, depth + 1, c_t, c_n, p2[i], path + (order[r],))
 

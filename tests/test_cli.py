@@ -258,6 +258,42 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert report["hit_range"] == "2" and report["mode"] == "exact"
 
 
+def test_unset_settings_take_the_spec_defaults(tmp_path, capsys):
+    # solve and sweep resolve through one path: a missing or null setting
+    # falls back to ExperimentSpec's default (hit range 2-3, budget 10), and
+    # a config seed is the one seed run.
+    data = write_tiny(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "r.json"
+    for cfg, want, printed in (
+        ({}, {"hit_range": "2-3", "seed": 0}, "budget 10"),
+        ({"beta": None}, {"hit_range": "2-3", "objective": 2}, "budget 10"),
+        ({"seed": 9}, {"seed": 9}, "budget 10"),
+        ({"seed": 9, "beta": 1}, {"seed": 9, "objective": 1}, "budget 1"),
+    ):
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        argv = ["solve", "--data", data, "--mode", "colgen", "--config", str(cfg_path)]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert printed in capsys.readouterr().out
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert {key: report[key] for key in want} == want
+    # An empty grid list is a setting, not a missing one: the spec refuses it.
+    for key in ("hit_ranges", "modes", "seeds"):
+        cfg_path.write_text(json.dumps({key: []}), encoding="utf-8")
+        assert main(["solve", "--data", data, "--config", str(cfg_path)]) == 1
+        assert "an experiment needs" in capsys.readouterr().err
+    synth = {"genes": 6, "tumors": 4, "normals": 2, "planted": [[0, 1]]}
+    cfg = {"instances": [{"name": "tiny", "synth": synth}], "modes": ["exact"]}
+    cfg["beta"] = 2  # the exact search caps the budget at 3
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out_dir = tmp_path / "results"
+    assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 0
+    [name] = [p.name for p in out_dir.iterdir() if p.name.endswith(".json")]
+    report = json.loads((out_dir / name).read_text(encoding="utf-8"))
+    assert report["hit_range"] == "2-3" and report["seed"] == 0
+    assert report["train_fraction"] == 0.75
+
+
 def test_sweep_and_report_commands(tmp_path):
     cfg = {
         "instances": [

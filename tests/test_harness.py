@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import math
 import os
+from concurrent.futures.process import BrokenProcessPool
 from importlib import resources
 
 import jsonschema
@@ -276,6 +277,37 @@ def test_workers_capped_at_cell_count_and_refused_below_one(tmp_path, monkeypatc
         with pytest.raises(ValidationError, match="workers"):
             run_experiment(spec, str(tmp_path / "d"), workers=bad)
     assert sizes == [2] and not (tmp_path / "d").exists()
+
+
+def test_a_dead_worker_fails_only_its_cell(tmp_path, monkeypatch):
+    # A stand-in pool whose first worker dies: that cell is recorded as
+    # failed and the sweep goes on, as for a cell that raises.
+    class DyingPool:
+        def __init__(self, max_workers):
+            self.submitted = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            self.submitted += 1
+            fut = concurrent.futures.Future()
+            if self.submitted == 1:
+                fut.set_exception(BrokenProcessPool("died"))
+            else:
+                fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", DyingPool)
+    spec = small_experiment(tmp_path, modes=("mip_heuristic", "exact"))
+    reports, failures = run_experiment(spec, str(tmp_path / "a"), workers=2)
+    assert [r["mode"] for r in reports] == ["exact"]
+    assert [f["error_type"] for f in failures] == ["BrokenProcessPool"]
+    assert failures[0]["cell"] == cell_id("toy", HitRange(2, 2), "mip_heuristic", 0)
+    assert (tmp_path / "a" / "failures.json").exists()
 
 
 def test_reports_byte_stable_apart_from_timing(tmp_path):

@@ -15,7 +15,7 @@ from multihit import master
 from multihit.candidates import generate_candidates
 from multihit.data import HitRange
 from multihit.errors import DuplicateColumnError, ValidationError
-from multihit.lp import LinearProgram
+from multihit.lp import STATUS_TIME_LIMIT, LinearProgram, LpSolution
 from multihit.master import MasterModel, solve_binary, solve_relaxation
 from multihit.metrics import objective_value
 from multihit.synth import SyntheticSpec, generate_synthetic
@@ -414,6 +414,17 @@ def test_binary_deadline_inside_the_root_lp(monkeypatch):
     assert res.selection == [] and res.objective == 0
     assert res.bound == float("inf")
     assert calls == []
+
+
+def test_binary_root_cut_off_counts_no_pivots(monkeypatch):
+    # A relaxation stopped by the time limit adds no pivots to the count.
+    def cut_off(p, warm_start=None, deadline=None):
+        return LpSolution(STATUS_TIME_LIMIT, float("nan"), None, None, None, 7)
+
+    monkeypatch.setattr(master, "solve_lp", cut_off)
+    res = solve_binary(MasterModel(*pool_slice(13), 3))
+    assert res.status == "time_limit" and res.nodes == 0
+    assert res.lp_iterations == 0
 
 
 def test_binary_time_limit_inside_highs_keeps_a_valid_bound(monkeypatch):

@@ -17,12 +17,16 @@ def test_public_surface():
 
 
 def run_and_list_heavy_modules(code):
-    """Run ``code`` in a fresh interpreter; the heavy scipy modules it loaded."""
+    """Run ``code`` in a fresh interpreter; the heavy modules it loaded.
+
+    Those are scipy's sparse, optimize and linalg packages and jsonschema.
+    """
     src = os.path.dirname(os.path.dirname(multihit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code += (
         "\nimport sys\n"
-        "heavy = (['scipy', 'sparse'], ['scipy', 'optimize'], ['scipy', 'linalg'])\n"
+        "heavy = (['scipy', 'sparse'], ['scipy', 'optimize'], ['scipy', 'linalg'],\n"
+        "         ['jsonschema'])\n"
         "print(sorted(m for m in sys.modules if m.split('.')[:2] in heavy))\n"
     )
     proc = subprocess.run(
@@ -42,14 +46,15 @@ def test_entry_modules_leave_scipy_optimize_and_linalg_unloaded():
     # own simplex solves every LP on plain CSC arrays, and
     # master.solve_binary imports HiGHS inside the call, only for a pool
     # whose relaxation is fractional; a module-level import of any of them
-    # would bring that cost back to every run.
+    # would bring that cost back to every run.  jsonschema (~70 modules,
+    # ~4 MB) is imported only where a report is validated.
     code = "import multihit.cli, multihit.framework, multihit.harness"
     assert run_and_list_heavy_modules(code) == ["[]"]
 
 
 def test_solves_with_an_integral_pool_relaxation_load_no_heavy_scipy_module():
     # Pricing, the master LPs and an integral final relaxation run on numpy
-    # alone; scipy is not even imported.
+    # alone; scipy is not even imported, and no report is validated.
     code = (
         "from multihit.data import HitRange\n"
         "from multihit.framework import SolverConfig, solve_colgen, "

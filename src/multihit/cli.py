@@ -91,6 +91,8 @@ def _load_config(path):
         raise ValidationError(
             f"config {path} has unknown keys: {', '.join(sorted(unknown))}"
         )
+    # A null value leaves its setting unset.
+    config = {key: value for key, value in config.items() if value is not None}
     for key in ("instances", "hit_ranges", "modes", "seeds"):
         if key in config and not isinstance(config[key], list):
             raise ValidationError(
@@ -103,12 +105,12 @@ def _resolve_spec(args, config, instances, **defaults):
     """The command's spec over ``instances``, every setting resolved.
 
     Values layer, lowest first: the command's ``defaults``, the config file
-    (a ``seed`` stands in for a missing ``seeds`` list; ``null`` is unset),
-    the two time-limit environment variables, then the flags.  Anything
-    left unset takes ``ExperimentSpec``'s default.
+    (a ``seed`` stands in for a missing ``seeds`` list), the two time-limit
+    environment variables, then the flags.  Anything left unset takes
+    ``ExperimentSpec``'s default.
     """
     values = dict(defaults)
-    values.update((key, value) for key, value in config.items() if value is not None)
+    values.update(config)
     if "seed" in values:
         values.setdefault("seeds", [values.pop("seed")])
     for key, name in _ENV_VARS.items():

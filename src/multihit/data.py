@@ -263,9 +263,9 @@ class MutationMatrix:
 
 def rank_genes_by_tumor_frequency(matrix):
     """Gene indices by descending tumor frequency, ties by ascending index."""
-    return sorted(
-        range(matrix.n_genes), key=lambda g: (-matrix.tumor_frequency(g), g)
-    )
+    n = matrix.n_genes
+    freq = np.fromiter(map(matrix.tumor_frequency, range(n)), np.int64, n)
+    return np.argsort(-freq, kind="stable").tolist()
 
 
 def _columns(samples, positions, n_genes):

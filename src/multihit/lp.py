@@ -4,23 +4,28 @@ Solves ``max c.x  s.t.  A x <= b,  l <= x <= u`` where ``A`` is sparse,
 lower bounds are finite and upper bounds may be infinite.  ``A`` is held as
 plain numpy CSC arrays; ``A x`` and ``A^T y`` are one ``np.bincount`` over
 its stored entries each, so no solve imports ``scipy.sparse``.  A cold solve
-starts from the slack basis (all slacks basic, every structural variable at
-its lower bound), except that a unit column with positive cost and value
-that is the only entry of its row takes that row at once: basic at ``b/d``,
-or nonbasic at its upper bound when ``b/d`` exceeds it.  In a master LP
-that is the cover flag of a tumor no pool column covers.  A warm solve
+starts from a crash basis: the slack basis (all slacks basic, every
+structural variable at its lower bound), except that each row holding a
+unit column with positive cost and value gives that row to the lowest such
+column, basic at ``b/d`` or nonbasic at its upper bound when ``b/d``
+exceeds it.  In a master LP every cover flag starts basic.  A warm solve
 starts from a given basis.  The slack basis must be feasible:
-``b - A l >= 0``.  :class:`LinearProgram` refuses any other LP; there is no
-phase one.  The master LPs of this package all satisfy this.  The basis is
-factored by its unit columns (one nonzero: slacks and cover flags), at
-most one per row, plus the inverse of the k x k core that the other k
-basic columns leave on the remaining rows.  A pivot that swaps one unit
-column for another on the same row only rescales that row, at O(1); any
-other pivot refactors, at O(nnz + m + k^3).  Pricing and the ratio test
-add O(nnz + m) per pivot.  The solver prices with Dantzig's rule and falls
-back to Bland's rule after a degenerate streak, so it cannot cycle.  Every
-optimal result is verified against strong duality and complementary
-slackness before being returned.
+``b - A l >= 0``, and then so is the crash basis.  :class:`LinearProgram`
+refuses any other LP; there is no phase one.  The master LPs of this
+package all satisfy this.  The basis is factored by its unit columns (one
+nonzero: slacks and cover flags), at most one per row, plus the inverse of
+the k x k core that the other k basic columns leave on the remaining rows.
+A pivot that swaps one unit column for another on the same row only
+rescales that row, at O(1); any other pivot refactors, at
+O(nnz + m + k^3).  Pricing and the ratio test add O(nnz + m) per pivot.
+
+The solver prices with Dantzig's rule.  Within a run of degenerate pivots
+it keeps an order-independent 64-bit hash of each basic set, updated in
+O(1) per pivot; when one repeats, it switches to Bland's rule until the
+next nondegenerate step.  A cycle must revisit a basic set, so the solver
+cannot cycle; a hash collision only switches early.  Every optimal result
+is verified against strong duality and complementary slackness before
+being returned.
 
 Row duals are reported with the usual sign convention for a maximization
 with ``<=`` rows: nonnegative at optimality (up to tolerance).
@@ -36,7 +41,6 @@ FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
 PIVOT_TOL = 1e-9
 CHECK_TOL = 1e-6
-DEGEN_STREAK = 40
 REFACTOR_EVERY = 64
 # A solve stops with iteration_limit after BASE + PER_DIM * (vars + rows) pivots.
 ITERATION_BASE = 2000
@@ -51,6 +55,16 @@ STATUS_OPTIMAL = "optimal"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_ITERATION_LIMIT = "iteration_limit"
 STATUS_TIME_LIMIT = "time_limit"
+
+_MASK64 = (1 << 64) - 1
+
+
+def _key(j):
+    """A 64-bit key for variable ``j``: splitmix64 of its index."""
+    z = (int(j) + 1) * 0x9E3779B97F4A7C15 & _MASK64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+    return z ^ z >> 31
 
 
 class LinearProgram:
@@ -211,7 +225,11 @@ class _Simplex:
         self.sign = None  # movable * _SIGN[status], kept in step with status
         self.beta = None
         self.bland = False
-        self.degen_run = 0
+        # XOR of the keys swapped in and out since the start basis: the
+        # basic set's hash up to a constant.  ``seen`` holds the hashes
+        # since the last nondegenerate step.
+        self.basis_hash = 0
+        self.seen = {0}
         self.since_refactor = 0
 
     def column(self, j):
@@ -340,8 +358,9 @@ class _Simplex:
         if not np.isfinite(t_best):
             return STATUS_UNBOUNDED
         self.iterations += 1
-        self.degen_run = self.degen_run + 1 if t_best <= PIVOT_TOL else 0
-        self.bland = self.degen_run > DEGEN_STREAK
+        if leave >= 0:
+            self.basis_hash ^= _key(self.basic[leave]) ^ _key(j)
+        self.note_basis(t_best <= PIVOT_TOL)
         self.beta -= t_best * delta
         entering_value = (0.0 if at_lower else self.ub_hat[j]) + sigma * t_best
         if leave < 0:
@@ -362,6 +381,17 @@ class _Simplex:
         else:
             self.factor()
         return None
+
+    def note_basis(self, degenerate):
+        """Bland's rule from the first basic set that repeats within a run
+        of degenerate pivots until the next nondegenerate one."""
+        if not degenerate:
+            self.bland = False
+            self.seen = {self.basis_hash}
+        elif self.basis_hash in self.seen:
+            self.bland = True
+        else:
+            self.seen.add(self.basis_hash)
 
     def run(self):
         """Pivot until optimal, unbounded or out of iterations or time."""
@@ -391,16 +421,16 @@ class _Simplex:
         self.refactor()
 
     def cold_start(self):
-        """The slack basis, except on a row whose only entry is a unit column
-        with positive cost and value: that column takes the row at ``b/d``,
-        or stays out at its upper bound when ``b/d`` exceeds it.  Such a row
-        and column touch nothing else, so this is their optimum."""
+        """The crash basis: the slack basis, except that each row holding a
+        unit column with positive cost and value gives it to the lowest
+        such column, basic at ``b/d``, or nonbasic at its upper bound (the
+        slack staying basic) when ``b/d`` exceeds it.  The row's other
+        columns sit at their lower bounds and ``b >= 0``, so this start is
+        feasible."""
         n = self.n
         basic = np.arange(n, self.nf)
         status = np.full(self.nf, AT_LOWER, dtype=np.int8)
         status[basic] = IN_BASIS
-        p = self.p
-        alone = np.bincount(p.indices[p.data != 0], minlength=self.m) == 1
         rows = self.unit_row[:n]
         j = np.nonzero(
             (rows >= 0)
@@ -408,7 +438,7 @@ class _Simplex:
             & (self.unit_val[:n] > 0.0)
             & self.movable[:n]
         )[0]
-        j = j[alone[rows[j]]]
+        j = j[np.unique(rows[j], return_index=True)[1]]  # lowest per row
         i = rows[j]
         fits = self.b_hat[i] / self.unit_val[j] <= self.ub_hat[j]
         basic[i[fits]] = j[fits]
@@ -480,7 +510,7 @@ def solve_lp(p, warm_start=None, deadline=None, _retry=True):
     """Solve ``p``, optionally warm starting from a previous :class:`Basis`.
 
     A structurally or numerically unusable warm basis falls back to the
-    slack basis, so warm starting can change work done but never the answer.
+    crash basis, so warm starting can change work done but never the answer.
     When ``deadline`` (``time.perf_counter`` scale) has passed at a clock
     check, the solve stops with status ``time_limit``.  Only an optimal
     solution is returned, refactored, drift-checked and verified; every

@@ -31,6 +31,20 @@ def test_ranking_matches_counting_pass():
         assert rank_genes_by_tumor_frequency(m) == expected
 
 
+def test_ranking_keeps_index_order_among_tied_frequencies():
+    # 6 tumors give 200 genes at most 7 distinct frequencies, so nearly
+    # every gene ties with others; a matrix without tumors ties them all.
+    rng = random.Random(7)
+    for n_genes, n_tumor in ((200, 6), (40, 0), (0, 3)):
+        m = random_matrix(rng, n_genes, n_tumor, 4, density=0.2)
+        freq = [bin(c).count("1") for c in m.tumor_columns]
+        assert len(set(freq)) < n_genes or n_genes == 0
+        expected = sorted(range(n_genes), key=lambda g: (-freq[g], g))
+        ranked = rank_genes_by_tumor_frequency(m)
+        assert ranked == expected
+        assert all(type(g) is int for g in ranked)
+
+
 def test_generation_basic_properties():
     rng = random.Random(1)
     m = random_matrix(rng, 20, 25, 10)

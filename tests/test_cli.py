@@ -294,6 +294,34 @@ def test_unset_settings_take_the_spec_defaults(tmp_path, capsys):
     assert report["train_fraction"] == 0.75
 
 
+def test_null_grid_keys_are_unset(tmp_path, capsys):
+    # A null grid list means "not set", like any other null setting: solve
+    # then runs the config's one seed, and sweep the default seed 0.
+    data = write_tiny(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "r.json"
+    cfg = {"seed": 9, "seeds": None, "hit_ranges": None, "modes": None, "beta": 1}
+    cfg_path.write_text(json.dumps({**cfg, "instances": None}), encoding="utf-8")
+    argv = ["solve", "--data", data, "--config", str(cfg_path), "--out", str(out)]
+    assert main(argv) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["seed"] == 9 and report["hit_range"] == "2-3"
+    assert report["mode"] == "colgen" and report["objective"] == 1
+    synth = {"genes": 6, "tumors": 4, "normals": 2, "planted": [[0, 1]]}
+    cfg = {"instances": [{"name": "tiny", "synth": synth}], "seeds": None}
+    cfg.update(modes=["exact"], beta=2)
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out_dir = tmp_path / "results"
+    assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 0
+    [name] = [p.name for p in out_dir.iterdir() if p.name.endswith(".json")]
+    report = json.loads((out_dir / name).read_text(encoding="utf-8"))
+    assert report["seed"] == 0 and report["hit_range"] == "2-3"
+    # A sweep still needs instances; null leaves them missing.
+    cfg_path.write_text(json.dumps({"instances": None}), encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 1
+    assert "nonempty 'instances' list" in capsys.readouterr().err
+
+
 def test_sweep_and_report_commands(tmp_path):
     cfg = {
         "instances": [

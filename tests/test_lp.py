@@ -277,11 +277,11 @@ def test_factorization_solves_the_same_systems_as_dense_algebra(monkeypatch):
         solve_lp(random_lp(rng, n=12, m=4))
     assert (4, 4) in cores  # a basis of structural columns only: k = m
     assert max(k for m, k in cores if m == 10) >= 5
-    # Every cold start has unit columns only: slacks, or a unit column
-    # alone in its row.
+    # Every cold start has unit columns only: slacks, or a unit column of
+    # positive cost and value.
     assert min(k for _, k in cores) == 0
     swaps.clear()
-    for _ in range(30):
+    for _ in range(60):
         solve_lp(random_unit_lp(rng))
     # Swaps between a slack and a unit column of another value, made
     # without refactoring, were checked.
@@ -299,7 +299,7 @@ def test_unit_column_alone_in_its_row_starts_at_its_optimum():
     # Row 0 holds only variable 0 (d = 2, b = 3): b/d = 1.5 exceeds its
     # upper bound 1, so it starts at that bound with the slack basic.  Row 1
     # holds only variable 1 (b/d = 2 fits under 5), which starts basic.
-    # Variable 2 shares row 2 with variable 3, so the slack keeps that row.
+    # Variables 2 and 3 share row 2: the lower index, 2, takes it at b/d = 4.
     rows = [
         [2.0, 0.0, 0.0, 0.0],
         [0.0, 0.5, 0.0, 0.0],
@@ -309,17 +309,79 @@ def test_unit_column_alone_in_its_row_starts_at_its_optimum():
     p = make_lp([1.0, 1.0, 1.0, 2.0], rows, [3.0, 1.0, 4.0], [0.0] * 4, upper)
     s = lp._Simplex(p, None)
     s.cold_start()
-    at = [lp.AT_UPPER, lp.IN_BASIS, lp.AT_LOWER, lp.AT_LOWER]
+    at = [lp.AT_UPPER, lp.IN_BASIS, lp.IN_BASIS, lp.AT_LOWER]
     assert list(s.status[:4]) == at
-    assert list(s.basic) == [4, 1, 6]
+    assert list(s.basic) == [4, 1, 2]
     assert np.allclose(s.beta, [1.0, 2.0, 4.0])
     sol = solve_lp(p)
     status, obj, _ = tableau_solve(p.objective, rows, p.rhs, p.lower, upper)
     assert status == sol.status == STATUS_OPTIMAL
     assert sol.objective == pytest.approx(obj) == pytest.approx(1.0 + 2.0 + 1.0 + 6.0)
-    # Only row 2 pivots: variable 3 flips to its bound, then 2 enters.
-    assert sol.iterations == 2
+    # Only row 2 pivots: variable 3 flips to its bound, pushing 2 down to 1.
+    assert sol.iterations == 1
     assert sol.x[:2] == pytest.approx([1.0, 2.0])
+
+
+def test_master_lps_from_the_crash_start_match_tableau_oracle():
+    # Every cover flag starts basic at 0 on its tumor row, so the solve
+    # begins at a degenerate vertex.  Pools of up to 40 of the 66 gene
+    # pairs cover most tumors, leaving few flags without a pool column.
+    pools = random.Random(RNG_SEED + 5)
+    most = 0.0
+    for n_columns in (0, 2, 6, 12, 20, 30, 40) * 4:
+        p = random_master_lp(pools, 20, 8, n_columns, beta=pools.randint(1, 4))
+        s = lp._Simplex(p, None)
+        s.cold_start()
+        assert list(s.basic) == list(range(20)) + [p.n_vars + 20]
+        assert np.all(s.beta[:20] == 0.0) and s.beta[-1] == p.rhs[-1]
+        covered = np.bincount(p.indices, minlength=p.n_rows)[:20] > 1
+        most = max(most, covered.mean())
+        sol = solve_lp(p)
+        status, obj, _ = tableau_solve(
+            p.objective, p.a_matrix.toarray(), p.rhs, p.lower, p.upper
+        )
+        assert sol.status == status == STATUS_OPTIMAL
+        assert sol.objective == pytest.approx(obj, abs=1e-6 * (1 + abs(obj)))
+    assert most >= 0.9
+
+
+def test_revisited_basis_switches_to_blands_rule():
+    # Chvatal's cycling example.  Dantzig's rule, with ratio-test ties left
+    # to the lowest basic index, returns to the slack basis after 6
+    # degenerate pivots.  Bland's rule must engage at that first repeat,
+    # and the solve must still reach the optimum 1.
+    bases, blands = [], []
+
+    class LowestIndexTies(lp._Simplex):
+        def ratio_test(self, delta, t_flip):
+            bland, self.bland = self.bland, True
+            try:
+                return super().ratio_test(delta, t_flip)
+            finally:
+                self.bland = bland
+
+        def step(self):
+            outcome = super().step()
+            if outcome is None:
+                bases.append(frozenset(self.basic.tolist()))
+                blands.append(self.bland)
+            return outcome
+
+    c = [10.0, -57.0, -9.0, -24.0]
+    rows = [[0.5, -5.5, -2.5, 9.0], [0.5, -1.5, -0.5, 1.0], [1.0, 0.0, 0.0, 0.0]]
+    p = make_lp(c, rows, [0.0, 0.0, 1.0], [0.0] * 4, [np.inf] * 4)
+    s = LowestIndexTies(p, None)
+    s.cold_start()
+    start = frozenset(s.basic.tolist())
+    outcome = s.run()
+    assert outcome == STATUS_OPTIMAL
+    assert len({start, *bases[:5]}) == 6 and bases[5] == start
+    assert blands[:6] == [False] * 5 + [True]
+    assert not blands[-1]  # the last pivot is nondegenerate and ends it
+    assert float(p.objective @ s.primal_values()[:4]) == pytest.approx(1.0)
+    status, obj, _ = tableau_solve(c, rows, p.rhs, p.lower, p.upper)
+    assert status == STATUS_OPTIMAL and obj == pytest.approx(1.0)
+    assert solve_lp(p).objective == pytest.approx(1.0)
 
 
 def test_singular_warm_basis_falls_back_to_cold_start():
@@ -363,9 +425,9 @@ def test_large_master_root_lp_needs_no_dense_basis():
         tracemalloc.stop()
     assert sol.status == STATUS_OPTIMAL and sol.objective == pytest.approx(2506 / 3)
     assert peak < 2e6
-    # The slack basis takes 1,970 pivots; a start with every cover flag
-    # basic stalls when they reach their upper bounds together and takes
-    # over 10,000.
+    # The slack basis took 1,970 pivots.  With every cover flag basic, a
+    # switch to Bland's rule after a fixed degenerate streak took over
+    # 10,000; switching only on a repeated basis avoids that.
     assert sol.iterations <= 1970
 
 
@@ -443,9 +505,9 @@ def test_stored_zeros_are_kept_but_never_unit_columns():
     s = lp._Simplex(p, None)
     assert list(s.unit_row[:4]) == [-1, -1, -1, 1]
     s.cold_start()
-    # Row 1 holds column 3 next to the entries of columns 0 and 1, so its
-    # slack stays basic; a column of zeros must not claim row 0.
-    assert list(s.basic) == [4, 5]
+    # Column 3 takes row 1 though columns 0 and 1 store entries there; a
+    # column of zeros must not claim row 0.
+    assert list(s.basic) == [4, 3]
     sol = solve_lp(p)
     status, obj, _ = tableau_solve(p.objective, dense, p.rhs, p.lower, p.upper)
     assert sol.status == status == STATUS_OPTIMAL

@@ -208,16 +208,13 @@ class MutationMatrix:
         """``(order, tumor rows, normal rows)`` for pricing.
 
         ``order`` lists the gene indices by descending tumor frequency, ties
-        by ascending index; the two :class:`GeneRows` are
-        :meth:`gene_rows` of that order.  Built on first use, so matrices
-        that are never priced never hold them.
+        by ascending index; row ``r`` of each :class:`GeneRows` is gene
+        ``order[r]``.  Built on first use, so matrices that are never priced
+        never hold them.
         """
         order = rank_genes_by_tumor_frequency(self)
-        return (order, *self.gene_rows(order))
-
-    def gene_rows(self, order):
-        """Tumor and normal :class:`GeneRows` whose row ``r`` is gene ``order[r]``."""
         return (
+            order,
             _gene_rows(self.tumor_columns, order, self.tumor_count),
             _gene_rows(self.normal_columns, order, self.normal_count),
         )

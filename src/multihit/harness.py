@@ -16,7 +16,7 @@ import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 
 from . import metrics
@@ -227,8 +227,10 @@ def run_experiment(spec, out_dir, workers=1):
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
     os.makedirs(out_dir, exist_ok=True)
+    # Each task's spec holds only its own instance, so a pool task pickles
+    # one matrix rather than all of them.
     tasks = [
-        (name, matrix, hit, mode, seed, spec)
+        (name, matrix, hit, mode, seed, replace(spec, instances=((name, matrix),)))
         for name, matrix in spec.instances
         for hit in spec.hit_ranges
         for mode in spec.modes

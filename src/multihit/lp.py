@@ -1,23 +1,23 @@
 """Self-contained LP kernel: bounded-variable revised simplex with duals.
 
 Solves ``max c.x  s.t.  A x <= b,  l <= x <= u`` where ``A`` is sparse,
-lower bounds are finite and upper bounds may be infinite.  ``A`` is held as
-plain numpy CSC arrays; ``A x`` and ``A^T y`` are one ``np.bincount`` over
-its stored entries each, so no solve imports ``scipy.sparse``.  A cold solve
-starts from a crash basis: the slack basis (all slacks basic, every
-structural variable at its lower bound), except that each row holding a
-unit column with positive cost and value gives that row to the lowest such
-column, basic at ``b/d`` or nonbasic at its upper bound when ``b/d``
-exceeds it.  In a master LP every cover flag starts basic.  A warm solve
-starts from a given basis.  The slack basis must be feasible:
-``b - A l >= 0``, and then so is the crash basis.  :class:`LinearProgram`
-refuses any other LP; there is no phase one.  The master LPs of this
-package all satisfy this.  The basis is factored by its unit columns (one
-nonzero: slacks and cover flags), at most one per row, plus the inverse of
-the k x k core that the other k basic columns leave on the remaining rows.
-A pivot that swaps one unit column for another on the same row only
-rescales that row, at O(1); any other pivot refactors, at
-O(nnz + m + k^3).  Pricing and the ratio test add O(nnz + m) per pivot.
+lower bounds are finite and upper bounds may be infinite.  ``A`` is given
+and held as plain numpy CSC arrays; ``A x`` and ``A^T y`` are one
+``np.bincount`` over its stored entries each, so no solve imports
+``scipy.sparse``.  A *unit column* has one entry, equal to 1.0: slacks,
+cover flags, and a selection that covers no tumor.  A cold solve starts
+from a crash basis: the slack basis (all slacks basic, every structural
+variable at its lower bound), except that each row holding a unit column
+with positive cost gives that row to the lowest such column, basic at
+``b`` or nonbasic at its upper bound when ``b`` exceeds it.  In a master
+LP every cover flag starts basic.  A warm solve starts from a given
+basis.  The slack basis must be feasible: ``b - A l >= 0``, and then so
+is the crash basis.  :class:`LinearProgram` refuses any other LP; there
+is no phase one.  The master LPs of this package all satisfy this.  The
+basis is factored by its unit columns, at most one per row, plus the
+inverse of the k x k core that the other k basic columns leave on the
+remaining rows.  Each pivot refactors, at O(nnz + m + k^3).  Pricing and
+the ratio test add O(nnz + m) per pivot.
 
 The solver prices with Dantzig's rule.  Within a run of degenerate pivots
 it keeps an order-independent 64-bit hash of each basic set, updated in
@@ -70,12 +70,10 @@ def _key(j):
 class LinearProgram:
     """Data for one LP.  All rows are ``<=`` rows; the sense is maximize.
 
-    ``a_matrix`` is a dense 2-D array, a scipy sparse matrix (anything with
-    ``tocsc()`` and ``sum_duplicates()``), or the canonical CSC triple
-    ``(data, indices, indptr)`` with one column per variable and one row
-    per ``rhs`` entry.  It is kept as canonical CSC arrays ``indptr``,
-    ``indices`` and ``data``: row indices strictly increasing within each
-    column, duplicate entries of a scipy matrix summed, stored zeros kept.
+    ``a_matrix`` is the CSC triple ``(data, indices, indptr)`` with one
+    column per variable and row indices below the number of ``rhs``
+    entries, strictly increasing within each column; stored zeros are
+    kept.  It is held as the arrays ``indptr``, ``indices`` and ``data``.
     ``col`` holds the column of each stored entry, so :meth:`dot` and
     :meth:`tdot` are one ``np.bincount`` each.
     No lower bound may exceed its upper bound, and the slack basis must be
@@ -136,34 +134,24 @@ class LinearProgram:
 
 
 def _csc(a, shape):
-    """Canonical CSC arrays ``(indptr, indices, data)`` of ``a``, which must
-    have ``shape``, plus the column of each entry; see
-    :class:`LinearProgram` for the accepted forms."""
+    """The arrays ``(indptr, indices, data)`` of the CSC triple ``a``, which
+    must have ``shape``, plus the column of each entry."""
     m, n = shape
-    if isinstance(a, tuple):
-        data, indices, indptr = a
-        found = (m, len(indptr) - 1)
-    elif hasattr(a, "tocsc"):
-        a = a.tocsc(copy=True)
-        a.sum_duplicates()  # and sorts the row indices
-        data, indices, indptr, found = a.data, a.indices, a.indptr, a.shape
-    else:
-        dense = np.asarray(a, dtype=float)
-        if dense.ndim != 2:
-            raise ValidationError("a dense constraint matrix must be 2-D")
-        col, indices = np.nonzero(dense.T)
-        data, found = dense[indices, col], dense.shape
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n))])
-    if found != (m, n):
+    if not isinstance(a, tuple) or len(a) != 3:
+        raise ValidationError("the constraint matrix must be (data, indices, indptr)")
+    data, indices, indptr = a
+    if len(indptr) - 1 != n:
         raise ValidationError(
-            f"constraint matrix shape {found} does not match "
+            f"constraint matrix shape {(m, len(indptr) - 1)} does not match "
             f"{m} rows x {n} variables"
         )
     indptr = np.asarray(indptr, dtype=np.intp)
     indices = np.asarray(indices, dtype=np.intp)
     if len(data) != len(indices) or len(indices) != indptr[-1]:
         raise ValidationError("constraint matrix arrays do not match in length")
-    if np.any(np.diff(indptr) < 0) or np.any(indices < 0) or np.any(indices >= m):
+    if indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+        raise ValidationError("constraint matrix index out of range")
+    if np.any(indices < 0) or np.any(indices >= m):
         raise ValidationError("constraint matrix index out of range")
     col = np.repeat(np.arange(n), np.diff(indptr))
     if np.any(np.diff(col * m + indices) <= 0):
@@ -210,13 +198,11 @@ class _Simplex:
         self.ub_hat = np.concatenate([p.upper - p.lower, np.full(self.m, np.inf)])
         self.c_hat = np.concatenate([p.objective, np.zeros(self.m)])
         self.movable = self.ub_hat > 0.0  # fixed variables never enter
-        # Row and value of each unit column; -1 marks any other column.
+        # Row of each unit column; -1 marks any other column.
         one = np.nonzero(np.diff(p.indptr) == 1)[0]
-        one = one[p.data[p.indptr[one]] != 0.0]  # a stored zero is no unit
+        one = one[p.data[p.indptr[one]] == 1.0]
         self.unit_row = np.concatenate([np.full(self.n, -1), np.arange(self.m)])
         self.unit_row[one] = p.indices[p.indptr[one]]
-        self.unit_val = np.ones(self.nf)
-        self.unit_val[one] = p.data[p.indptr[one]]
         self.max_iterations = ITERATION_BASE + ITERATION_PER_DIM * self.nf
         self.deadline = deadline
         self.iterations = 0
@@ -251,7 +237,6 @@ class _Simplex:
         unit = rows >= 0
         self.pos_u, self.pos_k = np.nonzero(unit)[0], np.nonzero(~unit)[0]
         self.rows_u = rows[unit]
-        self.d_u = self.unit_val[self.basic[unit]]
         slot = np.zeros(self.m, dtype=int)
         slot[self.rows_u] = -1
         self.free = np.nonzero(slot == 0)[0]
@@ -280,7 +265,7 @@ class _Simplex:
         rest = v - np.bincount(self.z_rows, self.z_vals * x_k[self.z_cols], self.m)
         x = np.empty(self.m)
         x[self.pos_k] = x_k
-        x[self.pos_u] = rest[self.rows_u] / self.d_u
+        x[self.pos_u] = rest[self.rows_u]
         return x
 
     def refactor(self):
@@ -302,7 +287,7 @@ class _Simplex:
         """``y`` with ``B^T y = c_B``."""
         c = self.c_hat[self.basic]
         y = np.zeros(self.m)
-        y[self.rows_u] = c[self.pos_u] / self.d_u
+        y[self.rows_u] = c[self.pos_u]
         y_z = np.bincount(self.z_cols, self.z_vals * y[self.z_rows], len(self.pos_k))
         y[self.free] = (c[self.pos_k] - y_z) @ self.core_inv
         return y
@@ -375,9 +360,6 @@ class _Simplex:
         self.since_refactor += 1
         if self.since_refactor >= REFACTOR_EVERY:
             self.refactor()
-        elif self.unit_row[j] >= 0 and self.unit_row[j] == self.unit_row[out]:
-            # One unit column for another on its row: only its d_u changes.
-            self.d_u[np.searchsorted(self.pos_u, leave)] = self.unit_val[j]
         else:
             self.factor()
         return None
@@ -422,25 +404,19 @@ class _Simplex:
 
     def cold_start(self):
         """The crash basis: the slack basis, except that each row holding a
-        unit column with positive cost and value gives it to the lowest
-        such column, basic at ``b/d``, or nonbasic at its upper bound (the
-        slack staying basic) when ``b/d`` exceeds it.  The row's other
-        columns sit at their lower bounds and ``b >= 0``, so this start is
-        feasible."""
+        unit column with positive cost gives it to the lowest such column,
+        basic at ``b``, or nonbasic at its upper bound (the slack staying
+        basic) when ``b`` exceeds it.  The row's other columns sit at their
+        lower bounds and ``b >= 0``, so this start is feasible."""
         n = self.n
         basic = np.arange(n, self.nf)
         status = np.full(self.nf, AT_LOWER, dtype=np.int8)
         status[basic] = IN_BASIS
         rows = self.unit_row[:n]
-        j = np.nonzero(
-            (rows >= 0)
-            & (self.c_hat[:n] > 0.0)
-            & (self.unit_val[:n] > 0.0)
-            & self.movable[:n]
-        )[0]
+        j = np.nonzero((rows >= 0) & (self.c_hat[:n] > 0.0) & self.movable[:n])[0]
         j = j[np.unique(rows[j], return_index=True)[1]]  # lowest per row
         i = rows[j]
-        fits = self.b_hat[i] / self.unit_val[j] <= self.ub_hat[j]
+        fits = self.b_hat[i] <= self.ub_hat[j]
         basic[i[fits]] = j[fits]
         status[j[fits]] = IN_BASIS
         status[n + i[fits]] = AT_LOWER

@@ -31,21 +31,14 @@ RC_EPS = 1e-6
 
 
 class PricingProblem:
-    """One pricing instance: matrix, row prices, size range, gene restriction.
+    """One pricing instance over all genes: matrix, row prices, size range."""
 
-    ``allowed_genes`` of ``None`` means all genes; otherwise only the given
-    gene indices may appear in a combination.  Column generation always
-    prices all genes; the benchmark tracer reads this attribute on every
-    :func:`solve_pricing` call.
-    """
+    allowed_genes = None  # read by the benchmark tracer on every call
 
-    def __init__(self, matrix, duals, hit_range, allowed_genes=None):
+    def __init__(self, matrix, duals, hit_range):
         self.matrix = matrix
         self.duals = duals
         self.hit_range = hit_range
-        self.allowed_genes = (
-            None if allowed_genes is None else frozenset(allowed_genes)
-        )
 
 
 class PricingResult:
@@ -96,7 +89,7 @@ def _held(support, size):
 
 
 def solve_pricing(problem, deadline=None, top_q=1):
-    """Exact best-reduced-cost search over the allowed genes.
+    """Exact best-reduced-cost search over all genes.
 
     ``deadline`` (``time.perf_counter`` scale, read once per expanded node)
     aborts the search early; the result then carries the best found so far
@@ -109,9 +102,6 @@ def solve_pricing(problem, deadline=None, top_q=1):
     m = problem.matrix
     hit = problem.hit_range
     order, rows_t, rows_n = m.gene_major
-    if problem.allowed_genes is not None:
-        order = [g for g in order if g in problem.allowed_genes]
-        rows_t, rows_n = m.gene_rows(order)
     duals = problem.duals
     pi, mu, lam = duals.pi, duals.mu, duals.lam
     n_rows = len(order)

@@ -376,11 +376,3 @@ def test_gene_rows_hold_each_class_both_ways():
         for s in range(count):
             seg = rows.sample_rows[rows.sample_ptr[s] : rows.sample_ptr[s + 1]]
             assert list(seg) == list(bits[:, s].nonzero()[0])
-    # Any gene order: here the genes of even index, last first.
-    sub = list(range(m.n_genes))[::-2]
-    t_sub, _ = m.gene_rows(sub)
-    assert len(t_sub.row_ptr) == len(sub) + 1
-    bits = unpack([m.tumor_columns[g] for g in sub], m.tumor_count)
-    for r in range(len(sub)):
-        seg = t_sub.row_samples[t_sub.row_ptr[r] : t_sub.row_ptr[r + 1]]
-        assert list(seg) == list(bits[r].nonzero()[0])

@@ -1,6 +1,7 @@
 """Harness tests: synthetic generation, report schema, sweeps, stability."""
 
 import concurrent.futures
+import dataclasses
 import json
 import math
 import os
@@ -308,6 +309,43 @@ def test_a_dead_worker_fails_only_its_cell(tmp_path, monkeypatch):
     assert [f["error_type"] for f in failures] == ["BrokenProcessPool"]
     assert failures[0]["cell"] == cell_id("toy", HitRange(2, 2), "mip_heuristic", 0)
     assert (tmp_path / "a" / "failures.json").exists()
+
+
+def test_each_pool_task_ships_only_its_own_instance(tmp_path, monkeypatch):
+    # A stand-in pool that records the spec of every submitted cell: each
+    # carries only the instance of its cell, not the whole sweep's.
+    submitted = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            submitted.append(args)
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(
+        harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool
+    )
+    spec = small_experiment(tmp_path, modes=("mip_heuristic",), seeds=(0, 1))
+    other = generate_synthetic(planted_spec(background_rate=0.2), 12)
+    spec = dataclasses.replace(
+        spec, instances=(("toy", spec.instances[0][1]), ("other", other))
+    )
+    reports, failures = run_experiment(spec, str(tmp_path / "a"), workers=2)
+    assert len(reports) == len(submitted) == 4 and not failures
+    assert [args[0] for args in submitted] == ["toy", "toy", "other", "other"]
+    for name, matrix, *_, cell_spec in submitted:
+        assert cell_spec.instances == ((name, matrix),)
+        assert cell_spec.modes == spec.modes and cell_spec.seeds == spec.seeds
 
 
 def test_reports_byte_stable_apart_from_timing(tmp_path):

@@ -27,14 +27,14 @@ from multihit.master import MasterModel
 from multihit.synth import SyntheticSpec, generate_synthetic
 
 from oracles import tableau_solve
-from util import random_matrix
+from util import csc, random_matrix
 
 RNG_SEED = 20240817
 
 
 def make_lp(c, rows, b, lower, upper):
-    a = sp.csc_matrix(np.asarray(rows, dtype=float).reshape(len(b), len(c)))
-    return LinearProgram(c, a, b, lower, upper)
+    a = np.asarray(rows, dtype=float).reshape(len(b), len(c))
+    return LinearProgram(c, csc(a), b, lower, upper)
 
 
 def test_single_row_max():
@@ -49,7 +49,7 @@ def test_single_row_max():
 def test_no_rows_optimum_at_bounds():
     p = LinearProgram(
         [3.0, 2.0, -1.0],
-        sp.csc_matrix((0, 3)),
+        csc(np.zeros((0, 3))),
         np.zeros(0),
         [0.0, 0.0, -2.0],
         [2.0, 5.0, 7.0],
@@ -60,14 +60,14 @@ def test_no_rows_optimum_at_bounds():
     assert np.allclose(sol.x, [2.0, 5.0, -2.0], atol=1e-9)
     status, obj, _ = tableau_solve(p.objective, np.zeros((0, 3)), [], p.lower, p.upper)
     assert status == STATUS_OPTIMAL and obj == pytest.approx(sol.objective)
-    empty = LinearProgram([], sp.csc_matrix((0, 0)), [], [], [])
+    empty = LinearProgram([], csc(np.zeros((0, 0))), [], [], [])
     assert solve_lp(empty).status == STATUS_OPTIMAL
 
 
 def test_inconsistent_bounds_report_infeasible():
     # Crossed bounds leave no feasible point; LinearProgram refuses them.
     with pytest.raises(ValidationError, match="lower bound lies above"):
-        LinearProgram([1.0], sp.csc_matrix((0, 1)), np.zeros(0), [2.0], [1.0])
+        LinearProgram([1.0], csc(np.zeros((0, 1))), np.zeros(0), [2.0], [1.0])
 
 
 def test_infeasible_slack_basis_is_refused():
@@ -82,7 +82,7 @@ def test_infeasible_slack_basis_is_refused():
 
 
 def test_unbounded():
-    p = LinearProgram([1.0], sp.csc_matrix((0, 1)), np.zeros(0), [0.0], [np.inf])
+    p = LinearProgram([1.0], csc(np.zeros((0, 1))), np.zeros(0), [0.0], [np.inf])
     assert solve_lp(p).status == STATUS_UNBOUNDED
 
 
@@ -149,7 +149,7 @@ def random_lp(rng, n=10, m=10):
     upper = np.where(
         rng.random(n) < 0.7, np.round(rng.uniform(0.5, 4.0, size=n), 3), np.inf
     )
-    return LinearProgram(c, sp.csc_matrix(a), b, lower, upper)
+    return LinearProgram(c, csc(a), b, lower, upper)
 
 
 def test_random_lps_match_tableau_oracle():
@@ -181,7 +181,7 @@ def test_warm_start_matches_cold_after_adding_column():
         extra = np.round(rng.uniform(-2, 2, size=(6, 1)), 3)
         wide = LinearProgram(
             np.append(p.objective, rng.uniform(-1, 2)),
-            sp.hstack([p.a_matrix, sp.csc_matrix(extra)]).tocsc(),
+            csc(sp.hstack([p.a_matrix, sp.csc_matrix(extra)])),
             p.rhs,
             np.append(p.lower, 0.0),
             np.append(p.upper, np.inf),
@@ -213,20 +213,22 @@ def random_master_lp(rng, n_tumor, n_normal, n_columns, beta=3):
 
 
 def random_unit_lp(rng, n=6, m=8):
-    """``random_lp`` plus one unit column of random value and cost per row;
-    about a third of the rows hold nothing else."""
+    """``random_lp`` plus one single-entry column of random cost per row,
+    of value 1 (a unit column) on about half the rows and of random value
+    on the rest; about a third of the rows hold nothing else."""
     p = random_lp(rng, n, m)
     a = p.a_matrix.toarray()
     a[rng.random(m) < 0.35] = 0.0
     d = np.round(rng.uniform(0.5, 3.0, m) * rng.choice([-1.0, 1.0], m), 3)
-    # Finite bounds on the base columns and on negative unit columns keep
-    # most of these LPs bounded.
+    d[rng.random(m) < 0.5] = 1.0
+    # Finite bounds on the base columns and on negative single-entry
+    # columns keep most of these LPs bounded.
     upper = np.where(
         (d > 0) & (rng.random(m) < 0.4), np.inf, np.round(rng.uniform(0.2, 2, m), 3)
     )
     return LinearProgram(
         np.append(p.objective, np.round(rng.uniform(-1, 3, m), 3)),
-        sp.hstack([sp.csc_matrix(a), sp.diags(d)]).tocsc(),
+        csc(sp.hstack([sp.csc_matrix(a), sp.diags(d)])),
         np.maximum(p.rhs, a @ p.lower),
         np.append(p.lower, np.zeros(m)),
         np.append(np.minimum(p.upper, 4.0), upper),
@@ -236,7 +238,6 @@ def random_unit_lp(rng, n=6, m=8):
 def test_factorization_solves_the_same_systems_as_dense_algebra(monkeypatch):
     rng = np.random.default_rng(RNG_SEED + 3)
     cores = []
-    swaps = []
     step = lp._Simplex.step
     refactor = lp._Simplex.refactor
 
@@ -253,20 +254,10 @@ def test_factorization_solves_the_same_systems_as_dense_algebra(monkeypatch):
         check(s)
 
     def checked_step(s):
-        # After every pivot, also those that swap one unit column for
-        # another on its row and so only rescale that row.
+        # After every pivot that changes the basis.
         before = s.basic.copy()
         outcome = step(s)
-        changed = np.nonzero(s.basic != before)[0]
-        if changed.size:
-            j, out = s.basic[changed[0]], before[changed[0]]
-            row = s.unit_row[j]
-            swaps.append(
-                row >= 0
-                and row == s.unit_row[out]
-                and s.unit_val[j] != s.unit_val[out]
-                and s.since_refactor > 0
-            )
+        if np.any(s.basic != before):
             check(s)
         return outcome
 
@@ -278,14 +269,10 @@ def test_factorization_solves_the_same_systems_as_dense_algebra(monkeypatch):
     assert (4, 4) in cores  # a basis of structural columns only: k = m
     assert max(k for m, k in cores if m == 10) >= 5
     # Every cold start has unit columns only: slacks, or a unit column of
-    # positive cost and value.
+    # positive cost.
     assert min(k for _, k in cores) == 0
-    swaps.clear()
     for _ in range(60):
         solve_lp(random_unit_lp(rng))
-    # Swaps between a slack and a unit column of another value, made
-    # without refactoring, were checked.
-    assert sum(swaps) >= 10
     pools = random.Random(RNG_SEED)
     for n_columns in (0, 5, 20):
         cores.clear()
@@ -296,23 +283,23 @@ def test_factorization_solves_the_same_systems_as_dense_algebra(monkeypatch):
 
 
 def test_unit_column_alone_in_its_row_starts_at_its_optimum():
-    # Row 0 holds only variable 0 (d = 2, b = 3): b/d = 1.5 exceeds its
-    # upper bound 1, so it starts at that bound with the slack basic.  Row 1
-    # holds only variable 1 (b/d = 2 fits under 5), which starts basic.
-    # Variables 2 and 3 share row 2: the lower index, 2, takes it at b/d = 4.
+    # Row 0 holds only variable 0 (b = 3): b exceeds its upper bound 1, so
+    # it starts at that bound with the slack basic.  Row 1 holds only
+    # variable 1 (b = 2 fits under 5), which starts basic.  Variables 2 and
+    # 3 share row 2: the lower index, 2, takes it at b = 4.
     rows = [
-        [2.0, 0.0, 0.0, 0.0],
-        [0.0, 0.5, 0.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
         [0.0, 0.0, 1.0, 1.0],
     ]
     upper = [1.0, 5.0, 9.0, 3.0]
-    p = make_lp([1.0, 1.0, 1.0, 2.0], rows, [3.0, 1.0, 4.0], [0.0] * 4, upper)
+    p = make_lp([1.0, 1.0, 1.0, 2.0], rows, [3.0, 2.0, 4.0], [0.0] * 4, upper)
     s = lp._Simplex(p, None)
     s.cold_start()
     at = [lp.AT_UPPER, lp.IN_BASIS, lp.IN_BASIS, lp.AT_LOWER]
     assert list(s.status[:4]) == at
     assert list(s.basic) == [4, 1, 2]
-    assert np.allclose(s.beta, [1.0, 2.0, 4.0])
+    assert np.allclose(s.beta, [2.0, 2.0, 4.0])
     sol = solve_lp(p)
     status, obj, _ = tableau_solve(p.objective, rows, p.rhs, p.lower, upper)
     assert status == sol.status == STATUS_OPTIMAL
@@ -320,6 +307,55 @@ def test_unit_column_alone_in_its_row_starts_at_its_optimum():
     # Only row 2 pivots: variable 3 flips to its bound, pushing 2 down to 1.
     assert sol.iterations == 1
     assert sol.x[:2] == pytest.approx([1.0, 2.0])
+
+
+def test_single_entry_of_value_two_is_a_core_column():
+    # Variable 0 stores only a 2 on row 0, so it is no unit column: the
+    # cold start leaves row 0's slack basic and variable 0 at 0.  Variable
+    # 1, a unit column, takes row 1.  One pivot brings variable 0 in at
+    # b / 2 = 1.5.
+    rows = [[2.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
+    p = make_lp([1.0, 1.0, 1.0], rows, [3.0, 2.0], [0.0] * 3, [np.inf] * 3)
+    s = lp._Simplex(p, None)
+    assert list(s.unit_row) == [-1, 1, -1, 0, 1]
+    s.cold_start()
+    assert list(s.basic) == [3, 1]
+    assert s.status[0] == lp.AT_LOWER
+    assert np.allclose(s.beta, [3.0, 2.0])
+    sol = solve_lp(p)
+    status, obj, _ = tableau_solve(p.objective, rows, p.rhs, p.lower, p.upper)
+    assert status == sol.status == STATUS_OPTIMAL
+    assert sol.objective == pytest.approx(obj) == pytest.approx(3.5)
+    assert sol.iterations == 1
+    assert sol.x == pytest.approx([1.5, 2.0, 0.0])
+
+
+def test_master_lp_single_entry_columns_are_unit_columns():
+    # Cover flags and selections that cover no tumor store one entry, on
+    # their tumor row and on the budget row, and it is 1.0: the simplex
+    # factors them as unit columns, and the cold start makes every cover
+    # flag basic.
+    rng = random.Random(RNG_SEED + 6)
+    pairs = list(itertools.combinations(range(10), 2))
+    met = 0
+    for _ in range(20):
+        m = random_matrix(rng, 10, 15, 6, density=0.3)
+        pool = [m.combination(c) for c in rng.sample(pairs, rng.randint(0, 20))]
+        empty = [c for c in map(m.combination, pairs) if not c.tumor_cover]
+        if empty and empty[0] not in pool:
+            pool.append(empty[0])
+        p = MasterModel(m, pool, rng.randint(1, 4)).build_lp()
+        single = np.nonzero(np.diff(p.indptr) == 1)[0]
+        assert np.all(p.data[p.indptr[single]] == 1.0)
+        nt = m.tumor_count
+        s = lp._Simplex(p, None)
+        no_tumor = [nt + k for k, c in enumerate(pool) if not c.tumor_cover]
+        assert list(s.unit_row[:nt]) == list(range(nt))
+        assert all(s.unit_row[j] == nt for j in no_tumor)
+        s.cold_start()
+        assert list(s.basic) == list(range(nt)) + [p.n_vars + nt]
+        met += bool(no_tumor)
+    assert met >= 10
 
 
 def test_master_lps_from_the_crash_start_match_tableau_oracle():
@@ -463,16 +499,7 @@ def test_csc_kernel_matches_dense_algebra():
             [3.0, 0.0, 0.0, 4.0, 0.5],
         ]
     )  # column 2 is empty
-    check_kernel(kernel_lp(dense, dense.shape), dense)
-    check_kernel(kernel_lp(sp.csc_matrix(dense), dense.shape), dense)
-    check_kernel(kernel_lp(sp.csr_matrix(dense), dense.shape), dense)
-    # COO entries out of order, with duplicates that sum to the dense value.
-    rows = [2, 0, 2, 0, 2, 2, 0, 2]
-    cols = [4, 1, 0, 4, 3, 0, 1, 4]
-    vals = [0.25, 1.5, 1.0, -1.5, 4.0, 2.0, 0.5, 0.25]
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=dense.shape)
-    check_kernel(kernel_lp(coo, dense.shape), dense)
-    # The raw CSC triple must already be canonical.
+    # The CSC triple must already be canonical.
     triple = ([3.0, 2.0, 4.0, -1.5, 0.5], [2, 0, 2, 0, 2], [0, 1, 2, 2, 3, 5])
     check_kernel(kernel_lp(triple, dense.shape), dense)
     for rows in ([2, 0, 2, 2, 0], [2, 0, 2, 0, 0]):  # unsorted, duplicate
@@ -480,25 +507,29 @@ def test_csc_kernel_matches_dense_algebra():
             kernel_lp((triple[0], rows, triple[2]), dense.shape)
     for m, n in ((0, 4), (3, 0), (0, 0)):
         empty = np.zeros((m, n))
-        check_kernel(kernel_lp(empty, (m, n)), empty)
-        check_kernel(kernel_lp(sp.csc_matrix((m, n)), (m, n)), empty)
+        check_kernel(kernel_lp(([], [], [0] * (n + 1)), (m, n)), empty)
     with pytest.raises(ValidationError, match="shape"):
-        kernel_lp(dense, (3, 4))
-    with pytest.raises(ValidationError, match="out of range"):
-        kernel_lp(([1.0], [3], [0, 1, 1, 1, 1, 1]), dense.shape)
+        kernel_lp(triple, (3, 4))
+    # Only the triple is taken: a dense or scipy matrix is refused.
+    for other in (dense, sp.csc_matrix(dense)):
+        with pytest.raises(ValidationError, match="indptr"):
+            kernel_lp(other, dense.shape)
+    for bad in (([1.0], [3], [0, 1, 1, 1, 1, 1]), ([1.0], [0], [1, 1, 1, 1, 1, 1])):
+        with pytest.raises(ValidationError, match="out of range"):
+            kernel_lp(bad, dense.shape)
     with pytest.raises(ValidationError, match="length"):
         kernel_lp(([1.0, 2.0], [0], [0, 1, 1, 1, 1, 1]), dense.shape)
 
 
 def test_stored_zeros_are_kept_but_never_unit_columns():
     # Column 0 stores only a zero, column 1 a zero and one entry, column 2
-    # two entries that sum to zero on one row, column 3 one entry.
-    data = [0.0, 0.0, 2.0, 1.0, -1.0, 3.0]
+    # two entries that sum to zero on one row, column 3 one entry of 1.
+    data = [0.0, 0.0, 2.0, 1.0, -1.0, 1.0]
     indices = [1, 0, 1, 0, 0, 1]
     indptr = [0, 1, 3, 5, 6]
     stored = sp.csc_matrix((data, indices, indptr), shape=(2, 4))
-    p = kernel_lp(stored, (2, 4))
-    dense = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 3.0]])
+    p = kernel_lp(csc(stored), (2, 4))
+    dense = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 1.0]])
     check_kernel(p, dense)
     assert len(p.data) == 5 and p.a_matrix.nnz == 5
     assert stored.nnz == 6  # the caller's matrix is left as it was

@@ -27,7 +27,7 @@ from oracles import (
     selection_objective_by_loops,
     tableau_solve,
 )
-from util import random_matrix, toy_matrix
+from util import csc, random_matrix, toy_matrix
 
 
 def toy_model(beta=10):
@@ -315,9 +315,10 @@ def test_slow_degenerate_root_lp_reaches_its_optimum():
     # 1e-7.  Counted as progress, such steps keep resetting the degenerate
     # streak, so the simplex never stays in Bland's rule and cycles to its
     # iteration cap; the second still does when only steps up to 1e-10
-    # count as degenerate.  The package's form needs under a tenth of the
-    # pivots.  Each form must reach the optimum, and so must the binary
-    # solve.
+    # count as degenerate.  The package's form needs fewer pivots.  Each
+    # form must reach the optimum, and so must the binary solve.  The
+    # penalty columns store one -1 each, so the simplex factors them as
+    # core columns, not unit columns.
     cases = (  # tumors, normals, seed, optimum, rates
         (55, 21, 140, 52, (0.9372949718998201, 0.3798616480545074, 0.3952104907566846)),
         (38, 22, 1295, 25, (0.36724343180090974, 0.40755039019885053, 0.4780177141561597)),
@@ -338,7 +339,8 @@ def test_slow_degenerate_root_lp_reaches_its_optimum():
             value(sel) for k in (0, 1, 2) for sel in itertools.combinations(pool, k)
         )
         assert best == optimum
-        for p in (model.build_lp(), LinearProgram(*penalty_lp_by_loops(model))):
+        c, a, rhs, lower, upper = penalty_lp_by_loops(model)
+        for p in (model.build_lp(), LinearProgram(c, csc(a), rhs, lower, upper)):
             root = master.solve_lp(p)
             assert root.status == "optimal"
             assert root.objective == pytest.approx(best, abs=1e-6)

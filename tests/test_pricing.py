@@ -1,4 +1,4 @@
-"""Pricing tests: exactness against enumeration, restriction, top-q, limits."""
+"""Pricing tests: exactness against enumeration, top-q, limits."""
 
 import itertools
 import math
@@ -12,7 +12,7 @@ from multihit.master import DualPrices
 from multihit.pricing import RC_EPS, PricingProblem, solve_pricing
 
 from oracles import reduced_cost_by_loops
-from util import random_matrix, toy_matrix
+from util import random_matrix
 
 
 def random_duals(rng, matrix):
@@ -22,11 +22,10 @@ def random_duals(rng, matrix):
     return DualPrices(pi, mu, lam)
 
 
-def enumerate_max(matrix, duals, hit, allowed=None):
-    genes = list(range(matrix.n_genes)) if allowed is None else sorted(allowed)
+def enumerate_max(matrix, duals, hit):
     best_rc, best_genes = -math.inf, None
     for k in hit.sizes():
-        for combo in itertools.combinations(genes, k):
+        for combo in itertools.combinations(range(matrix.n_genes), k):
             rc = reduced_cost_by_loops(matrix, combo, duals.pi, duals.mu, duals.lam)
             if rc > best_rc:
                 best_rc, best_genes = rc, combo
@@ -99,19 +98,15 @@ def test_top_q_search_matches_enumeration_on_hard_inputs():
         hits, (1, 2, 3), range(4), (False, True)
     ):
         m, d = hard_instance(rng, hit, variant, cg_prices)
-        allowed = None
-        if rng.random() < 0.5:
-            allowed = set(rng.sample(range(m.n_genes), rng.randint(0, m.n_genes)))
-        genes = range(m.n_genes) if allowed is None else sorted(allowed)
         all_rc = sorted(
             (
                 reduced_cost_by_loops(m, combo, d.pi, d.mu, d.lam)
                 for k in hit.sizes()
-                for combo in itertools.combinations(genes, k)
+                for combo in itertools.combinations(range(m.n_genes), k)
             ),
             reverse=True,
         )
-        res = solve_pricing(PricingProblem(m, d, hit, allowed), top_q=top_q)
+        res = solve_pricing(PricingProblem(m, d, hit), top_q=top_q)
         assert res.proven_optimal
         if all_rc:
             assert res.reduced_cost == pytest.approx(all_rc[0], abs=1e-9)
@@ -126,7 +121,6 @@ def test_top_q_search_matches_enumeration_on_hard_inputs():
         assert len({c.genes for c in res.candidates}) == len(res.candidates)
         for c in res.candidates:
             assert hit.k_min <= len(c.genes) <= hit.k_max
-            assert allowed is None or set(c.genes) <= allowed
             assert (c.tumor_cover, c.normal_cover) == m.coverage(c.genes)
 
 
@@ -170,23 +164,16 @@ def test_negative_maximum_is_still_exact():
     assert res.reduced_cost == pytest.approx(want_rc, abs=1e-12)
 
 
-def test_allowed_genes_restriction():
-    rng = random.Random(53)
-    m = random_matrix(rng, 10, 8, 5)
-    duals = random_duals(rng, m)
-    hit = HitRange(2, 3)
-    allowed = {0, 2, 4, 5, 8}
-    res = solve_pricing(PricingProblem(m, duals, hit, allowed_genes=allowed))
-    want_rc, _ = enumerate_max(m, duals, hit, allowed=allowed)
-    assert res.reduced_cost == pytest.approx(want_rc, abs=1e-9)
-    if res.best is not None:
-        assert set(res.best.genes) <= allowed
-
-
 def test_empty_admissible_set():
-    m = toy_matrix()
-    duals = DualPrices(pi=np.ones(3), mu=np.zeros(2), lam=0.0)
-    res = solve_pricing(PricingProblem(m, duals, HitRange(3, 3), allowed_genes={0, 1}))
+    # Two genes leave no combination of three.
+    samples = [
+        SampleRecord("t0", SampleLabel.TUMOR, 0b11),
+        SampleRecord("t1", SampleLabel.TUMOR, 0b01),
+        SampleRecord("n0", SampleLabel.NORMAL, 0b10),
+    ]
+    m = MutationMatrix(["g0", "g1"], samples)
+    duals = DualPrices(pi=np.ones(2), mu=np.zeros(1), lam=0.0)
+    res = solve_pricing(PricingProblem(m, duals, HitRange(3, 3)))
     assert res.best is None
     assert res.reduced_cost == -math.inf
     assert res.proven_optimal
@@ -264,20 +251,16 @@ def test_node_supports_match_enumeration_on_silent_genes_and_samples():
         d = random_duals(rng, m)
         if trial % 3 == 0:
             d = DualPrices(np.zeros(m.tumor_count), d.mu, d.lam)
-        allowed = None
-        if trial % 2:
-            allowed = set(rng.sample(range(m.n_genes), rng.randint(1, m.n_genes)))
         hit = hits[trial % len(hits)]
-        genes = range(m.n_genes) if allowed is None else sorted(allowed)
         all_rc = sorted(
             (
                 reduced_cost_by_loops(m, combo, d.pi, d.mu, d.lam)
                 for k in hit.sizes()
-                for combo in itertools.combinations(genes, k)
+                for combo in itertools.combinations(range(m.n_genes), k)
             ),
             reverse=True,
         )
-        res = solve_pricing(PricingProblem(m, d, hit, allowed), top_q=2)
+        res = solve_pricing(PricingProblem(m, d, hit), top_q=2)
         assert res.proven_optimal
         assert res.reduced_cost == pytest.approx(
             all_rc[0] if all_rc else -math.inf, abs=1e-9
@@ -286,7 +269,5 @@ def test_node_supports_match_enumeration_on_silent_genes_and_samples():
             reduced_cost_by_loops(m, c.genes, d.pi, d.mu, d.lam) for c in res.candidates
         ]
         assert got == pytest.approx([rc for rc in all_rc[:2] if rc > RC_EPS], abs=1e-9)
-        for c in res.candidates:
-            assert allowed is None or set(c.genes) <= allowed
         if trial % 3 == 0:
             assert res.best is None  # no column covers a priced tumor

@@ -1,5 +1,7 @@
 """Shared instance builders for the test suite."""
 
+import scipy.sparse as sp
+
 from multihit.data import MutationMatrix, SampleLabel, SampleRecord
 
 
@@ -37,3 +39,12 @@ def random_matrix(rng, n_genes, n_tumor, n_normal, density=0.35):
         row = sum(1 << g for g in range(n_genes) if rng.random() < density)
         samples.append(SampleRecord(f"n{i}", SampleLabel.NORMAL, row))
     return MutationMatrix([f"g{j}" for j in range(n_genes)], samples)
+
+
+def csc(a):
+    """The CSC triple ``(data, indices, indptr)`` that ``LinearProgram``
+    takes, of a dense array or any scipy sparse matrix; duplicate entries
+    are summed and row indices sorted, stored zeros kept."""
+    a = sp.csc_matrix(a, dtype=float, copy=True)
+    a.sum_duplicates()
+    return a.data, a.indices, a.indptr

@@ -30,7 +30,9 @@ from .data import (
     write_dense,
 )
 from .errors import ConsistencyError, ValidationError
+from .framework import SolverSettings
 from .harness import (
+    METRIC_KEYS,
     MODES,
     ExperimentSpec,
     emit_report,
@@ -133,7 +135,7 @@ def _resolve_spec(args, config, instances, **defaults):
 def _metric_line(label, block):
     parts = [
         f"{k} {'NA' if block[k] is None else format(block[k], '.3f')}"
-        for k in ("mcc", "spec", "sens", "f1", "precision")
+        for k in METRIC_KEYS
     ]
     return f"{label}: " + " ".join(parts)
 
@@ -312,23 +314,10 @@ def cmd_report(args):
 
 
 def _add_solver_flags(p, seed_help="base random seed"):
-    p.add_argument("--beta", type=int, help="max combinations to select")
-    p.add_argument("--gamma1", type=int, help="gene pool size for generation")
-    p.add_argument("--gamma2", type=int, help="target number of candidates")
+    for f in fields(SolverSettings):
+        flag = "--" + f.name.replace("_", "-")
+        p.add_argument(flag, type=f.type, dest=f.name, help=f.metadata["help"])
     p.add_argument("--seed", type=int, help=seed_help)
-    p.add_argument("--top-q", type=int, dest="top_q", help="columns per pricing round")
-    p.add_argument(
-        "--master-time-limit",
-        type=float,
-        dest="master_time_limit",
-        help="seconds for each binary solve",
-    )
-    p.add_argument(
-        "--total-time-limit",
-        type=float,
-        dest="total_time_limit",
-        help="seconds for a whole solve",
-    )
     p.add_argument(
         "--train-fraction",
         type=float,

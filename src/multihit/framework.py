@@ -14,7 +14,7 @@ instances; it exists to certify the other two, not to compete with them.
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from . import metrics
 from .candidates import generate_candidates
@@ -27,6 +27,7 @@ ROUND_TOL = 1e-6
 EXACT_MAX_GENES = 15
 EXACT_MAX_POOL = 5000
 EXACT_MAX_BETA = 3
+_EXACT_CLOCK_MASK = 0x3FF  # read the clock every 1,024 dive calls
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -37,34 +38,40 @@ class SolverSettings:
     time limits apply everywhere.  ``top_q`` lets column generation pull
     several columns per pricing round.  :class:`SolverConfig` adds the hit
     range and seed of one solve; ``harness.ExperimentSpec`` adds a sweep's
-    grid.  These two classes hold the only declarations of the defaults;
-    the command line reads its defaults from them.
+    grid.  These two classes hold the only declarations of the defaults.  A
+    field's type and ``help`` metadata also make its command-line flag, and
+    values are checked by type: ints at least 1 (the budget at least 0) and
+    floats above 0.
     """
 
-    beta: int = 10
-    gamma1: int = 100
-    gamma2: int = 100_000
-    top_q: int = 1
-    master_time_limit: float = 30.0
-    total_time_limit: float = 300.0
+    beta: int = field(default=10, metadata={"help": "max combinations to select"})
+    gamma1: int = field(default=100, metadata={"help": "gene pool size for generation"})
+    gamma2: int = field(
+        default=100_000, metadata={"help": "target number of candidates"}
+    )
+    top_q: int = field(default=1, metadata={"help": "columns per pricing round"})
+    master_time_limit: float = field(
+        default=30.0, metadata={"help": "seconds for each binary solve"}
+    )
+    total_time_limit: float = field(
+        default=300.0, metadata={"help": "seconds for a whole solve"}
+    )
 
     def __post_init__(self):
         # Settings also come from config files and the environment, so the
         # types are checked too; a bool is not an int here, and NaN is not
         # above 0.
-        for name in ("beta", "gamma1", "gamma2", "top_q"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"{name} must be an int, got {value!r}")
-            if name != "beta" and value < 1:
-                raise ValidationError(f"{name} must be at least 1, got {value}")
-        if self.beta < 0:
-            raise ValidationError(f"budget must be nonnegative, got {self.beta}")
-        for name in ("master_time_limit", "total_time_limit"):
-            value = getattr(self, name)
+        for f in fields(SolverSettings):
+            name, value = f.name, getattr(self, f.name)
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (number and value > 0):
+            if f.type is float and not (number and value > 0):
                 raise ValidationError(f"{name} must be a number above 0, got {value!r}")
+            if f.type is int and not (number and isinstance(value, int)):
+                raise ValidationError(f"{name} must be an int, got {value!r}")
+            if name == "beta" and value < 0:
+                raise ValidationError(f"budget must be nonnegative, got {value}")
+            if f.type is int and name != "beta" and value < 1:
+                raise ValidationError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -81,6 +88,8 @@ class SolveReport:
 
     ``objective`` is the exact integer value of ``selection`` and always a
     valid lower bound.  ``upper_bound`` is ``None`` unless it was proven.
+    ``gap_percent`` is derived from them: ``None`` without a bound, else
+    :func:`metrics.optimality_gap` clamped at 0 (a bound met to LP tolerance).
     ``status`` is ``"converged"`` when every proving step finished inside
     its limit, else ``"time_limit"``.  ``pool_size`` is the number of
     columns the final selection search chose from, in every mode.
@@ -94,7 +103,7 @@ class SolveReport:
     selection: list
     objective: int
     upper_bound: float | None
-    gap_percent: float | None
+    gap_percent: float | None = field(init=False)
     status: str
     iterations: int
     pool_size: int
@@ -102,6 +111,11 @@ class SolveReport:
     pricing_nodes: int
     binary_nodes: int
     lp_iterations: int
+
+    def __post_init__(self):
+        ub = self.upper_bound
+        gap = None if ub is None else metrics.optimality_gap(self.objective, ub)
+        self.gap_percent = None if gap is None else max(gap, 0.0)
 
 
 def rounding_heuristic(relaxation, model):
@@ -181,17 +195,11 @@ def _pipeline(matrix, config, initial_columns, use_pricing, started, generation_
     if binary.objective > lb_star:
         lb_star = binary.objective
         best_selection = [model.columns[k] for k in binary.selection]
-    gap = None
-    if ub_star is not None:
-        gap = metrics.optimality_gap(lb_star, ub_star)
-        if gap is not None and gap < 0.0:
-            gap = 0.0  # bound met up to LP tolerance
     proved = (not use_pricing or pricing_converged) and binary.status == "optimal"
     return SolveReport(
         selection=best_selection,
         objective=lb_star,
         upper_bound=ub_star,
-        gap_percent=gap,
         status="converged" if proved else "time_limit",
         iterations=iterations,
         pool_size=len(model.columns),
@@ -233,12 +241,19 @@ def exact_bruteforce(matrix, hit_range, beta):
     are dropped first; these reductions preserve the optimal value.
     Returns ``(selection, objective)``.
     """
-    selection, objective, _ = _exact_search(matrix, hit_range, beta)
+    selection, objective, _, _ = _exact_search(matrix, hit_range, beta)
     return selection, objective
 
 
-def _exact_search(matrix, hit_range, beta):
-    """``exact_bruteforce`` plus the number of combinations searched over."""
+def _exact_search(matrix, hit_range, beta, deadline=None):
+    """``exact_bruteforce`` plus the number of combinations searched over
+    and whether the search finished.
+
+    ``deadline`` (``time.perf_counter`` scale) is read once per column of
+    the dominance filter and every ``_EXACT_CLOCK_MASK + 1`` dive calls.
+    Once it has passed, the search stops with the best selection found so
+    far: none, with 0 combinations searched, when it stops in the filter.
+    """
     if matrix.n_genes > EXACT_MAX_GENES:
         raise ValidationError(
             f"exact search capped at {EXACT_MAX_GENES} genes, got {matrix.n_genes}"
@@ -264,6 +279,8 @@ def _exact_search(matrix, hit_range, beta):
     pool = list(by_cover.values())
     kept = []
     for c in pool:
+        if deadline is not None and time.perf_counter() > deadline:
+            return [], 0, 0, False
         for d in pool:
             if c is d:
                 continue
@@ -279,9 +296,16 @@ def _exact_search(matrix, hit_range, beta):
         suffix_cover[i] = suffix_cover[i + 1] | kept[i].tumor_cover
     best_obj = 0
     best_sel = []
+    calls = 0
+    aborted = False
 
     def dive(start, chosen, covered, penalty):
-        nonlocal best_obj, best_sel
+        nonlocal best_obj, best_sel, calls, aborted
+        if deadline is not None:
+            calls += 1
+            if not calls & _EXACT_CLOCK_MASK and time.perf_counter() > deadline:
+                aborted = True
+                return
         obj = covered.bit_count() - penalty
         if obj > best_obj:
             best_obj = obj
@@ -301,24 +325,30 @@ def _exact_search(matrix, hit_range, beta):
                 penalty + c.normal_cover.bit_count(),
             )
             chosen.pop()
+            if aborted:
+                return
 
     dive(0, [], 0, 0)
-    return best_sel, best_obj, len(kept)
+    return best_sel, best_obj, len(kept), not aborted
 
 
 def solve_exact(matrix, config):
-    """Wrap the capped exact search in a report with a zero gap."""
+    """Wrap the capped exact search in a report.
+
+    A finished search proves its objective, so that is the bound.  When
+    ``total_time_limit`` passes first, the report carries the best
+    selection found, no bound and status ``time_limit``.
+    """
     started = time.perf_counter()
-    selection, objective, pool_size = _exact_search(
-        matrix, config.hit_range, config.beta
+    selection, objective, pool_size, finished = _exact_search(
+        matrix, config.hit_range, config.beta, started + config.total_time_limit
     )
     elapsed = time.perf_counter() - started
     return SolveReport(
         selection=selection,
         objective=objective,
-        upper_bound=float(objective),
-        gap_percent=None if objective == 0 else 0.0,
-        status="converged",
+        upper_bound=float(objective) if finished else None,
+        status="converged" if finished else "time_limit",
         iterations=0,
         pool_size=pool_size,
         timings={

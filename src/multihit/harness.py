@@ -30,15 +30,16 @@ from .framework import (
     solve_mip_heuristic,
 )
 
-MODES = ("colgen", "mip_heuristic", "exact")
-
 _SOLVERS = {
     "colgen": solve_colgen,
     "mip_heuristic": solve_mip_heuristic,
     "exact": solve_exact,
 }
 
-_METRIC_KEYS = ("mcc", "spec", "sens", "f1", "precision")
+MODES = tuple(_SOLVERS)
+
+# The keys of a report's metrics blocks, in the order summaries list them.
+METRIC_KEYS = ("mcc", "spec", "sens", "f1", "precision")
 
 
 @functools.cache
@@ -79,7 +80,10 @@ class ExperimentSpec(SolverSettings):
     """Cross product of instances, hit ranges, modes and seeds to run.
 
     The solver settings are inherited; each cell's seed is derived from its
-    entry in ``seeds``.  The grid's defaults are declared here only.
+    entry in ``seeds``.  The grid's defaults are declared here only.  A
+    cell's report file is named by :func:`cell_id`, so instance names must
+    be nonempty strings without a path separator, and no instance name or
+    grid entry may repeat.
     """
 
     instances: tuple
@@ -100,6 +104,23 @@ class ExperimentSpec(SolverSettings):
         for seed in self.seeds:
             if isinstance(seed, bool) or not isinstance(seed, int):
                 raise ValidationError(f"seeds must be ints, got {seed!r}")
+        names = [name for name, _ in self.instances]
+        for name in names:
+            if not (isinstance(name, str) and name) or "/" in name or "\\" in name:
+                raise ValidationError(
+                    f"instance name {name!r} must be a nonempty string "
+                    "without '/' or '\\'"
+                )
+        grid = {
+            "instance names": names,
+            "hit_ranges": self.hit_ranges,
+            "modes": self.modes,
+            "seeds": self.seeds,
+        }
+        for key, entries in grid.items():
+            repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
+            if repeated:
+                raise ValidationError(f"{repeated[0]} appears twice in {key}")
         fraction = self.train_fraction
         number = isinstance(fraction, (int, float)) and not isinstance(fraction, bool)
         if not (number and 0.0 <= fraction <= 1.0):
@@ -189,8 +210,8 @@ def write_summary(reports, path):
         "ub",
         "gap_percent",
     ]
-    header += [f"{k}_train" for k in _METRIC_KEYS]
-    header += [f"{k}_test" for k in _METRIC_KEYS]
+    header += [f"{k}_train" for k in METRIC_KEYS]
+    header += [f"{k}_test" for k in METRIC_KEYS]
     header.append("time_total")
     rows = [header]
     ordered = sorted(
@@ -208,8 +229,8 @@ def write_summary(reports, path):
             _fmt(r["ub"], 3),
             _fmt(r["gap_percent"], 2),
         ]
-        row += [_fmt(r["metrics_train"][k], 3) for k in _METRIC_KEYS]
-        row += [_fmt(r["metrics_test"][k], 3) for k in _METRIC_KEYS]
+        row += [_fmt(r["metrics_train"][k], 3) for k in METRIC_KEYS]
+        row += [_fmt(r["metrics_test"][k], 3) for k in METRIC_KEYS]
         row.append(_fmt(r["time_seconds"]["total"], 2))
         rows.append(row)
     with open(path, "w", encoding="utf-8") as fh:

@@ -197,7 +197,6 @@ class _Simplex:
         self.b_hat = p.rhs - p.dot(p.lower)
         self.ub_hat = np.concatenate([p.upper - p.lower, np.full(self.m, np.inf)])
         self.c_hat = np.concatenate([p.objective, np.zeros(self.m)])
-        self.movable = self.ub_hat > 0.0  # fixed variables never enter
         # Row of each unit column; -1 marks any other column.
         one = np.nonzero(np.diff(p.indptr) == 1)[0]
         one = one[p.data[p.indptr[one]] == 1.0]
@@ -208,7 +207,7 @@ class _Simplex:
         self.iterations = 0
         self.basic = None
         self.status = None
-        self.sign = None  # movable * _SIGN[status], kept in step with status
+        self.sign = None  # _SIGN[status]; a fixed variable may enter, degenerately
         self.beta = None
         self.bland = False
         # XOR of the keys swapped in and out since the start basis: the
@@ -394,12 +393,12 @@ class _Simplex:
 
     def set_status(self, j, status):
         self.status[j] = status
-        self.sign[j] = _SIGN[status] if self.movable[j] else 0.0
+        self.sign[j] = _SIGN[status]
 
     def set_basis(self, basic, status):
         self.basic = basic
         self.status = status
-        self.sign = self.movable * _SIGN[status]
+        self.sign = _SIGN[status]
         self.refactor()
 
     def cold_start(self):
@@ -413,7 +412,7 @@ class _Simplex:
         status = np.full(self.nf, AT_LOWER, dtype=np.int8)
         status[basic] = IN_BASIS
         rows = self.unit_row[:n]
-        j = np.nonzero((rows >= 0) & (self.c_hat[:n] > 0.0) & self.movable[:n])[0]
+        j = np.nonzero((rows >= 0) & (self.c_hat[:n] > 0.0))[0]
         j = j[np.unique(rows[j], return_index=True)[1]]  # lowest per row
         i = rows[j]
         fits = self.b_hat[i] <= self.ub_hat[j]

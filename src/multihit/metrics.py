@@ -94,13 +94,13 @@ def compute_metrics(counts):
     return Metrics(sensitivity=sens, specificity=spec, precision=prec, f1=f1, mcc=mcc)
 
 
-def optimality_gap(objective, upper_bound, tolerance=GAP_TOL):
+def optimality_gap(objective, upper_bound):
     """Percent gap ``(ub - obj) / |obj| * 100``; ``None`` when obj is 0.
 
     Raises :class:`ConsistencyError` if the bound lies below the objective by
-    more than ``tolerance``, since that means some solver invariant broke.
+    more than ``GAP_TOL``, since that means some solver invariant broke.
     """
-    if upper_bound < objective - tolerance:
+    if upper_bound < objective - GAP_TOL:
         raise ConsistencyError(
             f"upper bound {upper_bound} below objective {objective}"
         )

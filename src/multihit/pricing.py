@@ -112,15 +112,15 @@ def solve_pricing(problem, deadline=None, top_q=1):
     nodes = 0
     aborted = False
 
-    def expand(pos, depth, s_t, s_n, psum, path):
+    def expand(pos, depth, s_t, s_n, path):
         # Children are rows pos..stop-1; later rows leave too few genes to
         # reach k_min.  Duals are nonnegative, so a child's reduced cost and
         # that of every descendant is at most its covered tumor price minus
-        # lam, which is also at most this node's.  ``s_t``/``s_n`` are the
-        # samples with a nonzero price that the node's genes cover.
+        # lam; the caller expands a node only while that bound beats the cut.
+        # ``s_t``/``s_n`` are the samples with a nonzero price it covers.
         nonlocal cut, nodes, aborted
         stop = min(n_rows, n_rows - hit.k_min + depth + 1)
-        if pos >= stop or psum - lam <= cut:
+        if pos >= stop:
             return
         if deadline is not None and time.perf_counter() > deadline:
             aborted = True
@@ -147,9 +147,9 @@ def solve_pricing(problem, deadline=None, top_q=1):
             r = pos + i
             if not aborted and p2[i] - lam > cut:
                 c_t, c_n = _within(rows_t, r, held_t), _within(rows_n, r, held_n)
-                expand(r + 1, depth + 1, c_t, c_n, p2[i], path + (order[r],))
+                expand(r + 1, depth + 1, c_t, c_n, path + (order[r],))
 
-    expand(0, 0, np.flatnonzero(pi), np.flatnonzero(mu), float(pi.sum()), ())
+    expand(0, 0, np.flatnonzero(pi), np.flatnonzero(mu), ())
 
     best_rc = pool[0][0] if pool else -math.inf
     candidates = [m.combination(genes) for rc, genes in pool if rc > RC_EPS]

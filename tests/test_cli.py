@@ -11,6 +11,7 @@ import multihit
 from multihit import cli
 from multihit.cli import main
 from multihit.data import load_dense
+from multihit.errors import ConsistencyError
 from multihit.harness import validate_report
 from multihit.synth import SyntheticSpec, generate_synthetic
 
@@ -382,6 +383,40 @@ def test_sweep_and_report_commands(tmp_path):
     assert len(single) == 2
     for p in single:
         assert json.loads(p.read_text(encoding="utf-8"))["seed"] == 5
+
+
+def test_sweep_refuses_report_names_that_collide_or_escape(tmp_path, capsys):
+    # Two instances named "a" would write one report file, and "../escape"
+    # one outside --out-dir; the sweep refuses both before writing anything.
+    synth = {"genes": 10, "tumors": 12, "normals": 6, "planted": [[0, 1]]}
+    base = {"hit_ranges": ["2"], "modes": ["mip_heuristic"], "beta": 2, "gamma2": 50}
+    a = {"name": "a", "synth": synth}
+    config_dir = tmp_path / "config"
+    config_dir.mkdir()
+    cfg_path = config_dir / "sweep.json"
+    out_dir = config_dir / "res"
+    for cfg, words in (
+        (
+            {**base, "instances": [a, {"name": "../escape", "synth": synth}]},
+            "instance name '../escape'",
+        ),
+        ({**base, "instances": [a, {**a, "synth": {**synth, "seed": 1}}]}, "a appears"),
+        ({**base, "instances": [a], "seeds": [0, 0]}, "0 appears twice in seeds"),
+    ):
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and words in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["config", "sweep.json"]
+
+
+def test_consistency_failure_exit_code(tmp_path, monkeypatch, capsys):
+    def broken(*args):
+        raise ConsistencyError("upper bound 3 below objective 4")
+
+    monkeypatch.setattr(cli, "run_cell", broken)
+    assert main(["solve", "--data", write_tiny(tmp_path)]) == 2
+    assert capsys.readouterr().err == "consistency failure: upper bound 3 below objective 4\n"
 
 
 def test_sweep_partial_failure_exit_code(tmp_path):

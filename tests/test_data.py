@@ -107,6 +107,20 @@ def test_sparse_ingestion(tmp_path):
     assert m1.label is SampleLabel.NORMAL and m1.mutations == 0b100
 
 
+def test_blank_lines_are_skipped(tmp_path):
+    dense = tmp_path / "m.tsv"
+    dense.write_text("sample_id\tlabel\tg1\n\nt1\ttumor\t1\n\nn1\tnormal\t0\n\n")
+    m = load_dense(dense)
+    assert [(s.sample_id, s.mutations) for s in m.samples] == [("t1", 1), ("n1", 0)]
+    tumor = tmp_path / "tumor.csv"
+    normal = tmp_path / "normal.csv"
+    tumor.write_text("gene,sample,count\n\ng1,s1,1\n  \n")
+    normal.write_text("gene,sample\n \ng2,m1\n\n")
+    m = load_sparse(normal, tumor)
+    assert m.gene_ids == ("g1", "g2")
+    assert [(s.sample_id, s.mutations) for s in m.samples] == [("s1", 1), ("m1", 2)]
+
+
 def test_sparse_errors(tmp_path):
     tumor = tmp_path / "tumor.csv"
     normal = tmp_path / "normal.csv"

@@ -141,6 +141,23 @@ def test_solve_exact_report_shape():
     assert rep.pool_size == 2
 
 
+def test_solve_exact_keeps_its_time_limit():
+    # The full search takes ~10 s here on a 2-vCPU VM; exact_bruteforce,
+    # which never stops early, finds 46.  A stop in the dive keeps the best
+    # selection found, one in the dominance filter has found none.
+    m = random_matrix(random.Random(1), 15, 60, 10, density=0.7)
+    for limit in (1.0, 1e-9):
+        cfg = SolverConfig(hit_range=HitRange(2, 5), beta=3, total_time_limit=limit)
+        t0 = time.perf_counter()
+        rep = solve_exact(m, cfg)
+        assert time.perf_counter() - t0 <= limit + 1.0
+        assert rep.status == "time_limit"
+        assert rep.upper_bound is None and rep.gap_percent is None
+        assert len(rep.selection) <= 3
+        assert objective_value(rep.selection, m) == rep.objective <= 46
+    assert rep.selection == [] and rep.pool_size == 0
+
+
 def test_mip_heuristic_with_exhaustive_pool_is_exact():
     rng = random.Random(73)
     for trial in range(8):

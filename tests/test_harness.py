@@ -422,3 +422,25 @@ def test_experiment_spec_validation():
     ):
         with pytest.raises(ValidationError, match=next(iter(bad))):
             ExperimentSpec(instances=(("a", m),), hit_ranges=(HitRange(2, 2),), **bad)
+
+
+def test_experiment_spec_refuses_cells_that_share_a_report_file():
+    # Each cell's report is named by its cell id, so an instance name must
+    # stay inside the output directory, and no name or grid entry repeats.
+    m = generate_synthetic(planted_spec(), 0)
+    for name in ("", "../escape", "a/b", "a\\b", 3, None):
+        with pytest.raises(ValidationError, match="instance name"):
+            ExperimentSpec(instances=((name, m),))
+    for grid, words in (
+        ({"instances": (("a", m), ("a", m))}, "a appears twice in instance names"),
+        (
+            {"hit_ranges": (HitRange(2, 3), HitRange(2, 3))},
+            "2-3 appears twice in hit_ranges",
+        ),
+        ({"modes": ("exact", "colgen", "exact")}, "exact appears twice in modes"),
+        ({"seeds": (0, 1, 0)}, "0 appears twice in seeds"),
+    ):
+        with pytest.raises(ValidationError, match=words):
+            ExperimentSpec(**{"instances": (("a", m),), **grid})
+    cells = ExperimentSpec(instances=(("a", m), ("..", m)), seeds=(0, 1))
+    assert [name for name, _ in cells.instances] == ["a", ".."]

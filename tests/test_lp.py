@@ -114,6 +114,29 @@ def test_iteration_limit_status(monkeypatch):
     assert sol.basis is None and np.isnan(sol.x).all()
 
 
+@pytest.mark.parametrize("failures", [1, 2])
+def test_drifted_basis_retries_once_from_a_cold_start(monkeypatch, failures):
+    # The final feasibility check fails ``failures`` times: one failure is
+    # cured by one cold retry, a second is a consistency failure.
+    checks = []
+    real = lp._Simplex.feasible
+
+    def drifting(self, tol):
+        checks.append(tol)
+        return len(checks) > failures and real(self, tol)
+
+    monkeypatch.setattr(lp._Simplex, "feasible", drifting)
+    p = make_lp([3.0, 2.0], [[1.0, 1.0], [1.0, 3.0]], [4.0, 6.0], [0, 0], [np.inf] * 2)
+    if failures == 2:
+        with pytest.raises(ConsistencyError, match="drifted"):
+            solve_lp(p)
+    else:
+        sol = solve_lp(p)
+        assert sol.status == STATUS_OPTIMAL
+        assert sol.objective == pytest.approx(12.0, abs=1e-9)
+    assert checks == [lp.CHECK_TOL] * 2
+
+
 def test_passed_deadline_stops_an_lp_that_needs_pivots():
     rows = [[1.0, 2.0], [2.0, 1.0]]
     p = make_lp([1.0, 1.0], rows, [4.0, 4.0], [0.0, 0.0], [np.inf] * 2)

@@ -1,12 +1,14 @@
 """Master problem tests: construction, relaxation, duals, binary solve."""
 
 import itertools
+import math
 import os
 import random
 import subprocess
 import sys
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -416,6 +418,30 @@ def test_binary_deadline_inside_the_root_lp(monkeypatch):
     assert res.selection == [] and res.objective == 0
     assert res.bound == float("inf")
     assert calls == []
+
+
+def test_binary_time_limit_before_any_highs_incumbent(monkeypatch):
+    # HiGHS stops at its time limit before it finds a selection: the result
+    # is empty and keeps the root LP's finite bound.
+    import scipy.optimize
+
+    def no_incumbent(*args, **kwargs):
+        return types.SimpleNamespace(
+            status=1,
+            message="Time limit reached",
+            x=None,
+            fun=None,
+            mip_dual_bound=None,
+            mip_node_count=0,
+        )
+
+    monkeypatch.setattr(scipy.optimize, "milp", no_incumbent)
+    model = MasterModel(*pool_slice(13), 3)
+    root = solve_relaxation(model)
+    res = solve_binary(model)
+    assert res.status == "time_limit" and res.nodes == 1
+    assert res.selection == [] and res.objective == 0
+    assert math.isfinite(res.bound) and res.bound == root.objective
 
 
 def test_binary_root_cut_off_counts_no_pivots(monkeypatch):

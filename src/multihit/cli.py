@@ -11,15 +11,19 @@ Settings resolve, lowest first, from the command's own defaults, the
 time limits, then the flags; anything left unset takes
 ``harness.ExperimentSpec``'s default.
 
-Exit codes: 0 success, 1 invalid input or usage, 2 internal consistency
-failure, 3 sweep finished with some failed cells.
+The ``synth`` size and rate flags are generated from ``SyntheticSpec``'s
+fields, under the names a sweep config's ``synth`` entries use too.
+
+Exit codes: 0 success, 1 invalid input or usage (an invalid report
+included), 2 internal consistency failure, 3 sweep finished with some
+failed cells.
 """
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 from .data import (
     HitRange,
@@ -54,10 +58,8 @@ _CONFIG_KEYS = {f.name for f in fields(ExperimentSpec)} | {"seed"}
 # A --hit, --mode or --seed flag replaces its config list with one entry.
 _LISTED = {"hit": "hit_ranges", "mode": "modes", "seed": "seeds"}
 
-# The synthetic generator's rate defaults come from its spec.
-_SYNTH_RATES = {
-    f.name: f.default for f in fields(SyntheticSpec) if f.name.endswith("_rate")
-}
+# SyntheticSpec's fields by the names synth flags and sweep configs use.
+_SYNTH_FIELDS = {f.metadata.get("name", f.name): f for f in fields(SyntheticSpec)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -164,17 +166,32 @@ def _parse_planted(items):
     return tuple(planted)
 
 
+def _synthetic(params, where=""):
+    """``(SyntheticSpec, seed)`` from ``params``, keyed by the fields' outside
+    names plus ``seed`` (default 0).  ``where`` prefixes error messages."""
+    params = dict(params)
+    missing = [
+        key
+        for key, f in _SYNTH_FIELDS.items()
+        if f.default is MISSING and key not in params
+    ]
+    if missing:
+        raise ValidationError(f"{where}synth is missing {', '.join(missing)}")
+    seed = params.pop("seed", 0)
+    if type(seed) is not int:
+        raise ValidationError(f"{where}synth seed must be an int")
+    unknown = sorted(set(params) - set(_SYNTH_FIELDS))
+    if unknown:
+        raise ValidationError(f"{where}unknown synth keys {unknown}")
+    spec = SyntheticSpec(**{_SYNTH_FIELDS[key].name: v for key, v in params.items()})
+    return spec, seed
+
+
 def cmd_synth(args):
-    spec = SyntheticSpec(
-        n_genes=args.genes,
-        n_tumor=args.tumors,
-        n_normal=args.normals,
-        planted=_parse_planted(args.planted),
-        planted_rate=args.planted_rate,
-        background_rate=args.background_rate,
-        normal_rate=args.normal_rate,
-    )
-    matrix = generate_synthetic(spec, args.seed)
+    params = {key: getattr(args, key) for key in _SYNTH_FIELDS}
+    params.update(planted=_parse_planted(args.planted), seed=args.seed)
+    spec, seed = _synthetic(params)
+    matrix = generate_synthetic(spec, seed)
     write_dense(matrix, args.out)
     print(
         f"wrote {args.out}: {matrix.n_genes} genes, "
@@ -249,26 +266,7 @@ def _sweep_instances(config, config_dir):
         elif "synth" in entry:
             if not isinstance(entry["synth"], dict):
                 raise ValidationError(f"instance {name}: 'synth' must be an object")
-            params = dict(entry["synth"])
-            missing = [k for k in ("genes", "tumors", "normals") if k not in params]
-            if missing:
-                raise ValidationError(
-                    f"instance {name}: synth is missing {', '.join(missing)}"
-                )
-            seed = params.pop("seed", 0)
-            if type(seed) is not int:
-                raise ValidationError(f"instance {name}: synth seed must be an int")
-            spec = SyntheticSpec(
-                n_genes=params.pop("genes"),
-                n_tumor=params.pop("tumors"),
-                n_normal=params.pop("normals"),
-                planted=params.pop("planted", ()),
-                **{key: params.pop(key, rate) for key, rate in _SYNTH_RATES.items()},
-            )
-            if params:
-                raise ValidationError(
-                    f"instance {name}: unknown synth keys {sorted(params)}"
-                )
+            spec, seed = _synthetic(entry["synth"], f"instance {name}: ")
             instances.append((name, generate_synthetic(spec, seed)))
         else:
             raise ValidationError(f"instance {name} needs 'data' or 'synth'")
@@ -338,16 +336,18 @@ def build_parser():
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("synth", help="generate a synthetic dense TSV")
-    p.add_argument("--genes", type=int, required=True)
-    p.add_argument("--tumors", type=int, required=True)
-    p.add_argument("--normals", type=int, required=True)
-    p.add_argument(
-        "--planted",
-        action="append",
-        help="comma-separated gene indices; repeat per combination",
-    )
-    for key, rate in _SYNTH_RATES.items():
-        p.add_argument("--" + key.replace("_", "-"), type=float, default=rate, dest=key)
+    for key, f in _SYNTH_FIELDS.items():
+        flag = "--" + key.replace("_", "-")
+        if key == "planted":
+            p.add_argument(
+                flag,
+                action="append",
+                help="comma-separated gene indices; repeat per combination",
+            )
+        elif f.default is MISSING:
+            p.add_argument(flag, type=f.type, required=True)
+        else:
+            p.add_argument(flag, type=f.type, default=f.default)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
@@ -405,23 +405,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:
-        # A report failed its schema check; jsonschema, imported only to
-        # validate reports, is loaded whenever such an error exists.
-        schema = sys.modules.get("jsonschema")
-        if schema is None or not isinstance(exc, schema.ValidationError):
-            raise
-        print(f"error: invalid report: {exc.message}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -217,10 +217,19 @@ def _pipeline(matrix, config, initial_columns, use_pricing, started, generation_
 
 
 def solve_mip_heuristic(matrix, config):
-    """Random pool generation followed by one binary solve; no bound."""
+    """Random pool generation followed by one binary solve; no bound.
+
+    Generation stops early, with the pool drawn so far, when the total time
+    limit passes.
+    """
     started = time.perf_counter()
     pool = generate_candidates(
-        matrix, config.hit_range, config.gamma1, config.gamma2, config.seed
+        matrix,
+        config.hit_range,
+        config.gamma1,
+        config.gamma2,
+        config.seed,
+        deadline=started + config.total_time_limit,
     )
     generation_time = time.perf_counter() - started
     return _pipeline(matrix, config, pool, False, started, generation_time)

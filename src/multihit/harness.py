@@ -60,13 +60,16 @@ def _report_validator():
 
 
 def validate_report(report):
-    """Schema-check one cell report; raises the error ``jsonschema.validate``
-    would, its best match."""
+    """Schema-check one cell report.
+
+    A bad report raises ``ValidationError("invalid report: <message>")``
+    from the error ``jsonschema.validate`` would raise, its best match.
+    """
     from jsonschema.exceptions import best_match
 
     error = best_match(_report_validator().iter_errors(report))
     if error is not None:
-        raise error
+        raise ValidationError(f"invalid report: {error.message}") from error
 
 
 def derive_seed(base, purpose):
@@ -197,45 +200,34 @@ def _fmt(value, digits):
     return "NA" if value is None else f"{value:.{digits}f}"
 
 
+# Each summary column: its header and its cell for one report.
+_SUMMARY_COLUMNS = (
+    *(
+        (key, lambda r, key=key: str(r[key]))
+        for key in (
+            "instance", "hit_range", "mode", "seed", "status", "n_comb", "objective"
+        )
+    ),
+    ("ub", lambda r: _fmt(r["ub"], 3)),
+    ("gap_percent", lambda r: _fmt(r["gap_percent"], 2)),
+    *(
+        (f"{k}_{half}", lambda r, k=k, half=half: _fmt(r[f"metrics_{half}"][k], 3))
+        for half in ("train", "test")
+        for k in METRIC_KEYS
+    ),
+    ("time_total", lambda r: _fmt(r["time_seconds"]["total"], 2)),
+)
+
+
 def write_summary(reports, path):
     """One TSV row per report: 3-decimal metrics, 2-decimal gap and time."""
-    header = [
-        "instance",
-        "hit_range",
-        "mode",
-        "seed",
-        "status",
-        "n_comb",
-        "objective",
-        "ub",
-        "gap_percent",
-    ]
-    header += [f"{k}_train" for k in METRIC_KEYS]
-    header += [f"{k}_test" for k in METRIC_KEYS]
-    header.append("time_total")
-    rows = [header]
     ordered = sorted(
         reports, key=lambda r: (r["instance"], r["hit_range"], r["mode"], r["seed"])
     )
-    for r in ordered:
-        row = [
-            r["instance"],
-            r["hit_range"],
-            r["mode"],
-            str(r["seed"]),
-            r["status"],
-            str(r["n_comb"]),
-            str(r["objective"]),
-            _fmt(r["ub"], 3),
-            _fmt(r["gap_percent"], 2),
-        ]
-        row += [_fmt(r["metrics_train"][k], 3) for k in METRIC_KEYS]
-        row += [_fmt(r["metrics_test"][k], 3) for k in METRIC_KEYS]
-        row.append(_fmt(r["time_seconds"]["total"], 2))
-        rows.append(row)
+    lines = ["\t".join(name for name, _ in _SUMMARY_COLUMNS)]
+    lines += ["\t".join(cell(r) for _, cell in _SUMMARY_COLUMNS) for r in ordered]
     with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write("\t".join(row) + "\n")
+        fh.write("".join(line + "\n" for line in lines))
 
 
 def run_experiment(spec, out_dir, workers=1):

@@ -10,14 +10,15 @@ from a crash basis: the slack basis (all slacks basic, every structural
 variable at its lower bound), except that each row holding a unit column
 with positive cost gives that row to the lowest such column, basic at
 ``b`` or nonbasic at its upper bound when ``b`` exceeds it.  In a master
-LP every cover flag starts basic.  A warm solve starts from a given
-basis.  The slack basis must be feasible: ``b - A l >= 0``, and then so
-is the crash basis.  :class:`LinearProgram` refuses any other LP; there
-is no phase one.  The master LPs of this package all satisfy this.  The
-basis is factored by its unit columns, at most one per row, plus the
-inverse of the k x k core that the other k basic columns leave on the
-remaining rows.  Each pivot refactors, at O(nnz + m + k^3).  Pricing and
-the ratio test add O(nnz + m) per pivot.
+LP every cover flag starts basic.  A warm solve starts from an exported
+basis, extended by the columns appended since.  The slack basis must be
+feasible: ``b - A l >= 0``, and then so is the crash basis.
+:class:`LinearProgram` refuses any other LP; there is no phase one.  The
+master LPs of this package all satisfy this.  The basis is factored by its
+unit columns, at most one per row, plus the inverse of the k x k core that
+the other k basic columns leave on the remaining rows.  Each pivot
+refactors, at O(nnz + m + k^3).  Pricing and the ratio test add O(nnz + m)
+per pivot.
 
 The solver prices with Dantzig's rule.  Within a run of degenerate pivots
 it keeps an order-independent 64-bit hash of each basic set, updated in
@@ -160,16 +161,18 @@ def _csc(a, shape):
 
 
 class Basis:
-    """Exportable basis: per-row basic variable plus nonbasic statuses.
+    """An optimal basis as the simplex holds it, exported for a warm start.
 
-    ``basic`` encodes structural j as ``j`` and the slack of row i as
-    ``-(i + 1)`` so the encoding survives adding structural columns.
+    ``basic`` lists each row's basic variable: structural j is ``j`` and
+    row i's slack is ``n + i``.  ``status`` holds every variable's status,
+    structurals then slacks.  ``n`` is the number of structurals at export;
+    a later LP that appends columns shifts the slacks past them.
     """
 
-    def __init__(self, basic, struct_status, slack_status):
-        self.basic = np.asarray(basic, dtype=int)
-        self.struct_status = np.asarray(struct_status, dtype=np.int8)
-        self.slack_status = np.asarray(slack_status, dtype=np.int8)
+    def __init__(self, basic, status, n):
+        self.basic = basic
+        self.status = status
+        self.n = n
 
 
 class LpSolution:
@@ -423,30 +426,16 @@ class _Simplex:
         self.set_basis(basic, status)
 
     def try_warm_start(self, warm):
-        if warm is None:
+        """Start from ``warm`` plus this LP's appended columns, at their lower
+        bounds.  False, leaving the start to the caller, for no basis, another
+        LP's basis, a singular one, or an infeasible start."""
+        if warm is None or len(warm.basic) != self.m or warm.n > self.n:
             return False
-        if len(warm.slack_status) != self.m or len(warm.basic) != self.m:
-            return False
-        struct = np.full(self.n, AT_LOWER, dtype=np.int8)
-        k = min(self.n, len(warm.struct_status))
-        struct[:k] = warm.struct_status[:k]
-        status = np.concatenate([struct, warm.slack_status])
-        if np.any(warm.basic >= self.n):
-            return False
-        basic = np.where(warm.basic >= 0, warm.basic, self.n + (-1 - warm.basic))
-        if np.any(basic < 0) or np.any(basic >= self.nf):
-            return False
-        if len(np.unique(basic)) != self.m:
-            return False
-        status[basic] = IN_BASIS
-        if np.count_nonzero(status == IN_BASIS) != self.m:
-            return False
-        if np.any((status == AT_UPPER) & ~np.isfinite(self.ub_hat)):
-            return False
-        if np.any((status < AT_LOWER) | (status > IN_BASIS)):
-            return False
+        extra = self.n - warm.n
+        basic = np.where(warm.basic < warm.n, warm.basic, warm.basic + extra)
+        status = np.insert(warm.status, warm.n, np.full(extra, AT_LOWER, np.int8))
         try:
-            self.set_basis(basic.astype(int), status)
+            self.set_basis(basic, status)
         except ConsistencyError:
             return False
         return self.feasible(CHECK_TOL)
@@ -459,10 +448,7 @@ class _Simplex:
         return x_hat
 
     def export_basis(self):
-        basic = np.where(
-            self.basic < self.n, self.basic, -1 - (self.basic - self.n)
-        )
-        return Basis(basic, self.status[: self.n], self.status[self.n :])
+        return Basis(self.basic.copy(), self.status.copy(), self.n)
 
     def verify_optimal(self, x_hat, y, d):
         """Strong duality and complementary slackness, or ConsistencyError."""
@@ -484,8 +470,10 @@ class _Simplex:
 def solve_lp(p, warm_start=None, deadline=None, _retry=True):
     """Solve ``p``, optionally warm starting from a previous :class:`Basis`.
 
-    A structurally or numerically unusable warm basis falls back to the
-    crash basis, so warm starting can change work done but never the answer.
+    A warm start is the exported basis with the columns ``p`` appended since
+    at their lower bounds.  Another LP's basis, a singular one or an
+    infeasible start falls back to the crash basis, so warm starting can
+    change work done but never the answer.
     When ``deadline`` (``time.perf_counter`` scale) has passed at a clock
     check, the solve stops with status ``time_limit``.  Only an optimal
     solution is returned, refactored, drift-checked and verified; every

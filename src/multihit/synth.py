@@ -8,7 +8,7 @@ rates never shift which draws later samples see.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .data import MutationMatrix, SampleLabel, SampleRecord
 from .errors import ValidationError
@@ -16,9 +16,16 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    n_genes: int
-    n_tumor: int
-    n_normal: int
+    """Sizes, planted combinations and rates of one synthetic matrix.
+
+    The ``synth`` flags and a sweep config's ``synth`` entries name each
+    field by its metadata ``name`` (``genes``, ``tumors``, ``normals``), or
+    by its own name when it has none.
+    """
+
+    n_genes: int = field(metadata={"name": "genes"})
+    n_tumor: int = field(metadata={"name": "tumors"})
+    n_normal: int = field(metadata={"name": "normals"})
     planted: tuple = ()
     planted_rate: float = 1.0
     background_rate: float = 0.0

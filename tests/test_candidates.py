@@ -1,7 +1,9 @@
 """Candidate generation: ranking, dedup, determinism, caps."""
 
 import itertools
+import math
 import random
+import types
 
 import pytest
 
@@ -108,6 +110,22 @@ def test_attempt_cap_stops_on_duplicate_draws(monkeypatch):
     capped = generate_candidates(m, HitRange(2, 2), gamma1=5, gamma2=10, seed=0)
     assert 0 < len(capped) < 10
     assert [c.genes for c in capped] == [c.genes for c in full[: len(capped)]]
+
+
+def test_deadline_stops_generation_on_a_prefix_of_the_draws(monkeypatch):
+    m = random_matrix(random.Random(6), 40, 30, 10, density=0.3)
+    args = (m, HitRange(2, 3), 40, 5000, 3)
+    full = generate_candidates(*args)
+    assert generate_candidates(*args, deadline=math.inf) == full
+    assert generate_candidates(*args, deadline=-math.inf) == []
+    # A clock that passes the deadline at its third reading: two batches
+    # of 1,024 draws.
+    readings = iter(range(100))
+    clock = types.SimpleNamespace(perf_counter=lambda: next(readings))
+    monkeypatch.setattr(candidates, "time", clock)
+    cut = generate_candidates(*args, deadline=1.5)
+    assert 0 < len(cut) <= 2048 < len(full)
+    assert [c.genes for c in cut] == [c.genes for c in full[: len(cut)]]
 
 
 def test_uncovered_combos_kept_by_default():

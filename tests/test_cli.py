@@ -10,7 +10,7 @@ import pytest
 import multihit
 from multihit import cli
 from multihit.cli import main
-from multihit.data import load_dense
+from multihit.data import load_dense, split_train_test, write_dense
 from multihit.errors import ConsistencyError
 from multihit.harness import validate_report
 from multihit.synth import SyntheticSpec, generate_synthetic
@@ -109,6 +109,19 @@ def test_split_command(tmp_path):
     test = load_dense(test_p)
     assert train.tumor_count == 9 and test.tumor_count == 3
     assert train.normal_count == 6 and test.normal_count == 2
+
+
+def test_split_command_without_stratification(tmp_path):
+    data = tmp_path / "m.tsv"
+    matrix = generate_synthetic(SyntheticSpec(6, 12, 8, background_rate=0.3), 2)
+    write_dense(matrix, data)
+    outs = [str(tmp_path / "train.tsv"), str(tmp_path / "test.tsv")]
+    argv = ["split", "--data", str(data), "--train-fraction", "0.75", "--seed", "4"]
+    argv += ["--train-out", outs[0], "--test-out", outs[1], "--no-stratify"]
+    assert main(argv) == 0
+    want = split_train_test(matrix, 0.75, 4, stratified=False)
+    assert [load_dense(p).samples for p in outs] == [m.samples for m in want]
+    assert want != split_train_test(matrix, 0.75, 4)
 
 
 def test_ingest_command(tmp_path):
@@ -483,6 +496,59 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and words in err
+
+
+def test_config_must_be_a_json_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for text, words in (("{not json", "is not valid JSON"), ("[1]", "a JSON object")):
+        cfg.write_text(text, encoding="utf-8")
+        out_dir = tmp_path / "results"
+        argv = ["sweep", "--config", str(cfg), "--out-dir", str(out_dir)]
+        assert main(argv) == 1
+        assert main(["solve", "--data", write_tiny(tmp_path), "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith("error: ") and words in line for line in err)
+        assert not out_dir.exists()
+
+
+def test_sweep_reads_data_relative_to_its_config(tmp_path, monkeypatch):
+    # The instance's path is relative to the config's directory, not to
+    # the working directory the sweep runs from.
+    (tmp_path / "cfg" / "data").mkdir(parents=True)
+    (tmp_path / "elsewhere").mkdir()
+    matrix = generate_synthetic(SyntheticSpec(8, 8, 4, ((0, 1),), 0.8, 0.1), 1)
+    write_dense(matrix, tmp_path / "cfg" / "data" / "m.tsv")
+    cfg = {"instances": [{"name": "m", "data": "data/m.tsv"}], "modes": ["exact"]}
+    (tmp_path / "cfg" / "sweep.json").write_text(json.dumps(cfg), encoding="utf-8")
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    argv = ["sweep", "--config", "../cfg/sweep.json", "--out-dir", "results"]
+    argv += ["--beta", "2"]
+    assert main(argv) == 0
+    [report] = (tmp_path / "elsewhere" / "results").glob("m__*.json")
+    cell = json.loads(report.read_text(encoding="utf-8"))
+    assert cell["instance"] == "m" and cell["status"] == "converged"
+    assert {g for ids in cell["selected"] for g in ids} <= set(matrix.gene_ids)
+
+
+def test_report_refusals(tmp_path, capsys):
+    # An empty results directory, then one holding a tampered report.
+    results = tmp_path / "results"
+    results.mkdir()
+    assert main(["report", "--dir", str(results)]) == 1
+    assert capsys.readouterr().err.startswith("error: no report files found")
+    report = results / "tiny.json"
+    argv = ["solve", "--data", write_tiny(tmp_path), "--mode", "exact", "--beta", "2"]
+    assert main(argv + ["--out", str(report)]) == 0
+    assert main(["report", "--dir", str(results)]) == 0
+    cell = json.loads(report.read_text(encoding="utf-8"))
+    report.write_text(json.dumps(dict(cell, mode="magic")), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--dir", str(results)]) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid report: 'magic' is not one of "
+        "['colgen', 'mip_heuristic', 'exact']\n"
+    )
 
 
 def test_module_entry_smoke(tmp_path):

@@ -91,6 +91,11 @@ def test_dense_parse_errors(tmp_path):
     with pytest.raises(ParseError):
         load_dense(path)
 
+    path.write_text("")
+    with pytest.raises(ParseError, match="empty file") as err:
+        load_dense(path)
+    assert err.value.line == 1
+
 
 def test_sparse_ingestion(tmp_path):
     tumor = tmp_path / "tumor.csv"
@@ -141,6 +146,24 @@ def test_sparse_errors(tmp_path):
     tumor.write_text("gene,sample,count\ng1,n1,1\n")
     with pytest.raises(ValidationError):
         load_sparse(normal, tumor)
+
+    # A row with a missing, extra or empty field names its line.
+    for row, words in (
+        ("g2,s2,1,9", "expected 3 fields, found 4"),
+        ("g2,s2", "expected 3 fields, found 2"),
+        ("g2, ,1", "empty field"),
+        (",s2,1", "empty field"),
+    ):
+        tumor.write_text(f"gene,sample,count\ng1,s1,1\n{row}\n")
+        with pytest.raises(ParseError, match=words) as err:
+            load_sparse(normal, tumor)
+        assert err.value.line == 3 and f"{tumor}:3: " in str(err.value)
+
+    tumor.write_text("gene,sample,count\ng1,s1,1\n")
+    normal.write_text("")
+    with pytest.raises(ParseError, match="empty file") as err:
+        load_sparse(normal, tumor)
+    assert err.value.path == normal and err.value.line == 1
 
 
 def test_prune_drops_all_zero_genes():

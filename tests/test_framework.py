@@ -158,6 +158,18 @@ def test_solve_exact_keeps_its_time_limit():
     assert rep.selection == [] and rep.pool_size == 0
 
 
+def test_mip_heuristic_keeps_its_time_limit_while_drawing_its_pool():
+    # Drawing the default 100,000 candidates here takes ~2.3 s on a 2-vCPU VM.
+    spec = SyntheticSpec(300, 200, 80, ((0, 1), (2, 3), (4, 5, 6)), 0.3, 0.05, 0.05)
+    m = generate_synthetic(spec, 1)
+    cfg = SolverConfig(hit_range=HitRange(2, 3), beta=10, total_time_limit=0.1)
+    t0 = time.perf_counter()
+    rep = solve_mip_heuristic(m, cfg)
+    assert time.perf_counter() - t0 <= cfg.total_time_limit + 1.0
+    assert rep.status == "time_limit"
+    assert 0 < rep.pool_size < cfg.gamma2
+
+
 def test_mip_heuristic_with_exhaustive_pool_is_exact():
     rng = random.Random(73)
     for trial in range(8):

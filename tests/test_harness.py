@@ -183,13 +183,16 @@ def test_validate_report_rejects_tampering():
         {k: v for k, v in cell.items() if k != "binary_nodes"},
     ]
     for bad in tampered:
-        with pytest.raises(jsonschema.ValidationError) as ours:
+        with pytest.raises(ValidationError) as ours:
             validate_report(bad)
-        # The same error that jsonschema.validate picks as its best match.
+        # Raised from the error that jsonschema.validate picks as its best match.
         with pytest.raises(jsonschema.ValidationError) as reference:
             jsonschema.validate(bad, schema)
-        assert ours.value.message == reference.value.message
-        assert list(ours.value.path) == list(reference.value.path)
+        assert str(ours.value) == f"invalid report: {reference.value.message}"
+        cause = ours.value.__cause__
+        assert isinstance(cause, jsonschema.ValidationError)
+        assert cause.message == reference.value.message
+        assert list(cause.path) == list(reference.value.path)
 
 
 def test_run_experiment_serial(tmp_path):

@@ -218,14 +218,13 @@ def test_warm_start_matches_cold_after_adding_column():
 
 def test_garbage_warm_start_falls_back_to_cold():
     p = make_lp([1.0, 1.0], [[1.0, 1.0]], [2.0], [0.0, 0.0], [np.inf, np.inf])
-    ref = solve_lp(p)
-    mangled = solve_lp(p, warm_start=Basis([0, 1], [2, 2], [0]))  # 2 basics, 1 row
-    unknown = solve_lp(p, warm_start=Basis([-1], [7, -1], [2]))  # no such status
-    bad = ref.basis
-    bad.basic = np.array([99])
-    again = solve_lp(p, warm_start=bad)
-    for sol in (mangled, unknown, again):
-        assert sol.objective == pytest.approx(2.0, abs=1e-9)
+    two_rows = Basis(np.array([0, 1]), np.array([2, 2, 0], dtype=np.int8), 2)
+    # A basis of a wider LP: it holds more structurals than p has.
+    wide = make_lp([1.0] * 3, [[1.0, 1.0, 1.0]], [2.0], [0.0] * 3, [np.inf] * 3)
+    other = solve_lp(wide).basis
+    assert other.n == 3
+    for warm in (two_rows, other):
+        assert solve_lp(p, warm_start=warm).objective == pytest.approx(2.0, abs=1e-9)
 
 
 def random_master_lp(rng, n_tumor, n_normal, n_columns, beta=3):
@@ -447,20 +446,22 @@ def test_singular_warm_basis_falls_back_to_cold_start():
     # Tumor row 0's slack and its cover flag (variable 0) both basic: two
     # unit columns on one row.
     p = random_master_lp(random.Random(RNG_SEED), 6, 3, 8)
-    basic = -1 - np.arange(p.n_rows)
+    n = p.n_vars
+    basic = n + np.arange(p.n_rows)
     basic[1] = 0  # the cover flag replaces row 1's slack
-    struct = np.zeros(p.n_vars, dtype=np.int8)
-    struct[0] = lp.IN_BASIS
-    slack = np.full(p.n_rows, lp.IN_BASIS, dtype=np.int8)
-    slack[1] = lp.AT_LOWER
-    two_units = Basis(basic, struct, slack)
+    status = np.zeros(n + p.n_rows, dtype=np.int8)
+    status[0] = lp.IN_BASIS
+    status[n:] = lp.IN_BASIS
+    status[n + 1] = lp.AT_LOWER
+    two_units = Basis(basic, status, n)
     # Two identical structural columns, both basic: a singular core.
     rows = [[1.0, 1.0, 2.0], [2.0, 2.0, 1.0]]
     q = make_lp([1.0, 1.0, 1.0], rows, [4.0, 4.0], [0.0] * 3, [np.inf] * 3)
-    twins = Basis([0, 1], [lp.IN_BASIS, lp.IN_BASIS, lp.AT_LOWER], [0, 0])
+    twin_status = [lp.IN_BASIS, lp.IN_BASIS, lp.AT_LOWER, lp.AT_LOWER, lp.AT_LOWER]
+    twins = Basis(np.array([0, 1]), np.array(twin_status, dtype=np.int8), 3)
     for prog, warm, reason in ((p, two_units, "share a row"), (q, twins, "singular")):
         s = lp._Simplex(prog, None)
-        s.basic = np.where(warm.basic >= 0, warm.basic, prog.n_vars - 1 - warm.basic)
+        s.basic = warm.basic
         with pytest.raises(ConsistencyError, match=reason):
             s.factor()
         cold = solve_lp(prog)

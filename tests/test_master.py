@@ -444,6 +444,35 @@ def test_binary_time_limit_before_any_highs_incumbent(monkeypatch):
     assert math.isfinite(res.bound) and res.bound == root.objective
 
 
+def test_binary_deadline_between_a_fractional_root_and_highs(monkeypatch):
+    # The root LP finishes fractional, then the clock is past the deadline:
+    # the root's pivots and bound are kept, and HiGHS is not called.
+    calls = counting_milp(monkeypatch)
+    model = MasterModel(*pool_slice(13), 3)
+    root = solve_relaxation(model)
+    assert not np.all(np.abs(root.z - np.round(root.z)) <= master.INT_TOL)
+    finished = []
+    real = master.solve_lp
+
+    def then_late(p, warm_start=None, deadline=None):
+        sol = real(p, warm_start, deadline=deadline)
+        finished.append(sol)
+        return sol
+
+    late = types.SimpleNamespace(
+        perf_counter=lambda: math.inf if finished else time.perf_counter()
+    )
+    monkeypatch.setattr(master, "solve_lp", then_late)
+    monkeypatch.setattr(master, "time", late)
+    res = solve_binary(model)
+    assert len(finished) == 1
+    assert res.status == "time_limit" and res.nodes == 1
+    assert res.lp_iterations == root.iterations > 0
+    assert res.selection == [] and res.objective == 0
+    assert res.bound == root.objective
+    assert calls == []
+
+
 def test_binary_root_cut_off_counts_no_pivots(monkeypatch):
     # A relaxation stopped by the time limit adds no pivots to the count.
     def cut_off(p, warm_start=None, deadline=None):

@@ -15,17 +15,17 @@ from .errors import ValidationError
 # Duplicate draws burn attempts; give up after this many times the target so
 # a near-exhausted combination space cannot loop forever.
 ATTEMPT_FACTOR = 20
-_CLOCK_CHECK_MASK = 0x3FF  # read the clock every 1,024 draws
 
 
-def generate_candidates(matrix, hit_range, gamma1, gamma2, seed, deadline=None):
+def generate_candidates(matrix, hit_range, gamma1, gamma2, seed, deadline=math.inf):
     """Distinct random combinations from the top-``gamma1`` frequency pool.
 
     Stops at ``gamma2`` distinct combinations, when every constructible
     combination has been seen, or after ``ATTEMPT_FACTOR * gamma2`` draws.
-    ``deadline`` (``time.perf_counter`` scale) is read every
-    ``_CLOCK_CHECK_MASK + 1`` draws; once it has passed, generation stops
-    with the combinations drawn so far, a prefix of the same draws.
+    The clock is read before every draw; at the first reading past
+    ``deadline`` (``time.perf_counter`` scale, ``math.inf`` for no limit)
+    generation stops with the combinations drawn so far, a prefix of the
+    same draws.
     Returns combinations in first-draw order, including any that cover no
     tumor sample.
     """
@@ -48,11 +48,7 @@ def generate_candidates(matrix, hit_range, gamma1, gamma2, seed, deadline=None):
     attempts = 0
     max_attempts = ATTEMPT_FACTOR * gamma2
     while len(found) < target and attempts < max_attempts:
-        if (
-            deadline is not None
-            and not attempts & _CLOCK_CHECK_MASK
-            and time.perf_counter() > deadline
-        ):
+        if time.perf_counter() > deadline:
             break
         attempts += 1
         k = rng.randint(hit_range.k_min, hit_range.k_max)

@@ -1,8 +1,9 @@
 """Mutation matrices, file formats and train/test splitting.
 
 A :class:`MutationMatrix` holds a binary gene-by-sample mutation table split
-into tumor and normal samples.  Per-sample rows and per-gene columns are kept
-as int bit sets so that combination coverage is a chain of word-level ANDs.
+into tumor and normal samples.  Per-sample rows and per-gene columns (built
+on first use) are kept as int bit sets so that combination coverage is a
+chain of word-level ANDs.
 Pricing reads the same table as :class:`GeneRows`, index arrays of each
 class's gene-by-sample 0/1 matrix both row-major and sample-major, built on
 first use.  Every conversion between the int bit sets and numpy arrays goes
@@ -27,7 +28,8 @@ import enum
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 import numpy as np
 
@@ -106,7 +108,7 @@ class GeneCombination:
 
 def _check_identifier(kind, value, seen):
     """Refuse a bad id or one already in ``seen``; add it to ``seen``."""
-    if not value or value != value.strip():
+    if not isinstance(value, str) or not value or value != value.strip():
         raise ValidationError(f"bad {kind} id {value!r}")
     if any(ch in value for ch in _FORBIDDEN_ID_CHARS):
         raise ValidationError(f"{kind} id {value!r} contains a reserved character")
@@ -135,8 +137,8 @@ class MutationMatrix:
     """Immutable tumor/normal mutation table with bit-set rows and columns.
 
     Tumor (normal) columns index bit i to the i-th tumor (normal) sample in
-    matrix order.  Do not mutate after construction; derived structures are
-    built once, here or on first use.
+    matrix order.  Do not mutate after construction; derived structures,
+    the gene columns included, are built once, on first use.
     """
 
     def __init__(self, gene_ids, samples):
@@ -167,8 +169,6 @@ class MutationMatrix:
         self.normal_positions = tuple(
             i for i, s in enumerate(samples) if s.label is SampleLabel.NORMAL
         )
-        self.tumor_columns = _columns(samples, self.tumor_positions, n_genes)
-        self.normal_columns = _columns(samples, self.normal_positions, n_genes)
 
     @property
     def n_genes(self):
@@ -197,6 +197,16 @@ class MutationMatrix:
     def tumor_frequency(self, gene):
         """Number of tumor samples in which ``gene`` is mutated."""
         return self.tumor_columns[gene].bit_count()
+
+    @cached_property
+    def tumor_columns(self):
+        """Per gene, its tumor samples as a bit set; built on first use."""
+        return _columns(self.samples, self.tumor_positions, self.n_genes)
+
+    @cached_property
+    def normal_columns(self):
+        """Per gene, its normal samples as a bit set; built on first use."""
+        return _columns(self.samples, self.normal_positions, self.n_genes)
 
     @cached_property
     def gene_index(self):
@@ -435,12 +445,13 @@ def load_sparse(normal_path, tumor_path):
 
 
 def prune_genes(matrix):
-    """Drop genes mutated in no sample at all; keeps gene order.  Idempotent."""
-    keep = [
-        j
-        for j in range(matrix.n_genes)
-        if matrix.tumor_columns[j] or matrix.normal_columns[j]
-    ]
+    """Drop genes mutated in no sample at all; keeps gene order.  Idempotent.
+
+    The mutated genes are the set bits of the OR of the sample rows, so no
+    gene column is built.
+    """
+    union = reduce(or_, (s.mutations for s in matrix.samples), 0)
+    keep = nonzero([union], matrix.n_genes)[1]
     if len(keep) == matrix.n_genes:
         return matrix
     rows = unpack([s.mutations for s in matrix.samples], matrix.n_genes)[:, keep]

@@ -27,7 +27,6 @@ ROUND_TOL = 1e-6
 EXACT_MAX_GENES = 15
 EXACT_MAX_POOL = 5000
 EXACT_MAX_BETA = 3
-_EXACT_CLOCK_MASK = 0x3FF  # read the clock every 1,024 dive calls
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -149,12 +148,12 @@ def _pipeline(matrix, config, initial_columns, use_pricing, started, generation_
     lp_iterations = 0
     warm = None
     if use_pricing:
-        while time.perf_counter() <= deadline:
+        while True:
             t0 = time.perf_counter()
             rmp = solve_relaxation(model, warm_start=warm, deadline=deadline)
             master_time += time.perf_counter() - t0
             if rmp is None:
-                break  # the deadline passed inside the LP; no bound
+                break  # the deadline passed before or inside the LP; no bound
             warm = rmp.basis
             lp_iterations += rmp.iterations
             indices, rounded = rounding_heuristic(rmp, model)
@@ -254,14 +253,15 @@ def exact_bruteforce(matrix, hit_range, beta):
     return selection, objective
 
 
-def _exact_search(matrix, hit_range, beta, deadline=None):
+def _exact_search(matrix, hit_range, beta, deadline=math.inf):
     """``exact_bruteforce`` plus the number of combinations searched over
     and whether the search finished.
 
-    ``deadline`` (``time.perf_counter`` scale) is read once per column of
-    the dominance filter and every ``_EXACT_CLOCK_MASK + 1`` dive calls.
-    Once it has passed, the search stops with the best selection found so
-    far: none, with 0 combinations searched, when it stops in the filter.
+    The clock is read once per column of the dominance filter and once per
+    node whose children the dive loops over.  At the first reading past
+    ``deadline`` (``time.perf_counter`` scale, ``math.inf`` for no limit)
+    the search stops with the best selection found so far: none, with 0
+    combinations searched, when it stops in the filter.
     """
     if matrix.n_genes > EXACT_MAX_GENES:
         raise ValidationError(
@@ -288,7 +288,7 @@ def _exact_search(matrix, hit_range, beta, deadline=None):
     pool = list(by_cover.values())
     kept = []
     for c in pool:
-        if deadline is not None and time.perf_counter() > deadline:
+        if time.perf_counter() > deadline:
             return [], 0, 0, False
         for d in pool:
             if c is d:
@@ -305,21 +305,18 @@ def _exact_search(matrix, hit_range, beta, deadline=None):
         suffix_cover[i] = suffix_cover[i + 1] | kept[i].tumor_cover
     best_obj = 0
     best_sel = []
-    calls = 0
     aborted = False
 
     def dive(start, chosen, covered, penalty):
-        nonlocal best_obj, best_sel, calls, aborted
-        if deadline is not None:
-            calls += 1
-            if not calls & _EXACT_CLOCK_MASK and time.perf_counter() > deadline:
-                aborted = True
-                return
+        nonlocal best_obj, best_sel, aborted
         obj = covered.bit_count() - penalty
         if obj > best_obj:
             best_obj = obj
             best_sel = list(chosen)
         if len(chosen) == beta:
+            return
+        if time.perf_counter() > deadline:
+            aborted = True
             return
         for i in range(start, len(kept)):
             gain = (~covered & suffix_cover[i]).bit_count()
@@ -345,8 +342,9 @@ def solve_exact(matrix, config):
     """Wrap the capped exact search in a report.
 
     A finished search proves its objective, so that is the bound.  When
-    ``total_time_limit`` passes first, the report carries the best
-    selection found, no bound and status ``time_limit``.
+    ``total_time_limit`` passes first, in the dominance filter or in the
+    dive, the report carries the best selection found, no bound and status
+    ``time_limit``.
     """
     started = time.perf_counter()
     selection, objective, pool_size, finished = _exact_search(

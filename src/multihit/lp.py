@@ -32,6 +32,7 @@ Row duals are reported with the usual sign convention for a maximization
 with ``<=`` rows: nonnegative at optimality (up to tolerance).
 """
 
+import math
 import time
 
 import numpy as np
@@ -46,7 +47,6 @@ REFACTOR_EVERY = 64
 # A solve stops with iteration_limit after BASE + PER_DIM * (vars + rows) pivots.
 ITERATION_BASE = 2000
 ITERATION_PER_DIM = 50
-_CLOCK_CHECK_MASK = 0xFF  # read the clock every 256 pivots
 
 AT_LOWER, AT_UPPER, IN_BASIS = 0, 1, 2
 # Direction in which a nonbasic variable with each status may move.
@@ -382,11 +382,7 @@ class _Simplex:
         while True:
             if self.iterations >= self.max_iterations:
                 return STATUS_ITERATION_LIMIT
-            if (
-                self.deadline is not None
-                and self.iterations & _CLOCK_CHECK_MASK == 0
-                and time.perf_counter() > self.deadline
-            ):
+            if time.perf_counter() > self.deadline:
                 return STATUS_TIME_LIMIT
             outcome = self.step()
             if outcome is not None:
@@ -467,15 +463,16 @@ class _Simplex:
             raise ConsistencyError("complementary slackness violated")
 
 
-def solve_lp(p, warm_start=None, deadline=None, _retry=True):
+def solve_lp(p, warm_start=None, deadline=math.inf, _retry=True):
     """Solve ``p``, optionally warm starting from a previous :class:`Basis`.
 
     A warm start is the exported basis with the columns ``p`` appended since
     at their lower bounds.  Another LP's basis, a singular one or an
     infeasible start falls back to the crash basis, so warm starting can
     change work done but never the answer.
-    When ``deadline`` (``time.perf_counter`` scale) has passed at a clock
-    check, the solve stops with status ``time_limit``.  Only an optimal
+    The clock is read before every pivot; at the first reading past
+    ``deadline`` (``time.perf_counter`` scale, ``math.inf`` for no limit)
+    the solve stops with status ``time_limit``.  Only an optimal
     solution is returned, refactored, drift-checked and verified; every
     other stop gives NaN values and no basis.
     """

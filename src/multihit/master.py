@@ -108,12 +108,14 @@ class MasterModel:
         return self._cached_lp
 
 
-def solve_relaxation(model, warm_start=None, deadline=None):
+def solve_relaxation(model, warm_start=None, deadline=math.inf):
     """LP-relax the master and hand back selection values plus clamped duals.
 
-    Returns ``None`` when ``deadline`` (``time.perf_counter`` scale) passes
-    before the LP is solved.
+    Returns ``None`` when ``deadline`` (``time.perf_counter`` scale,
+    ``math.inf`` for none) has passed before the LP is built or solved.
     """
+    if time.perf_counter() > deadline:
+        return None
     sol = solve_lp(model.build_lp(), warm_start=warm_start, deadline=deadline)
     if sol.status == STATUS_TIME_LIMIT:
         return None
@@ -152,7 +154,7 @@ def solve_binary(model, time_limit=30.0, warm_start=None):
     wall-clock limit passes, the status is ``time_limit``: the selection
     is HiGHS's incumbent, or empty when there is none, and the bound is
     the smaller of the root LP's and HiGHS's dual bound (infinite when the
-    root LP itself was cut off).
+    root LP itself was cut off, or not built because no time was left).
     """
     deadline = time.perf_counter() + time_limit
     root = solve_relaxation(model, warm_start=warm_start, deadline=deadline)

@@ -88,12 +88,13 @@ def _held(support, size):
     return held
 
 
-def solve_pricing(problem, deadline=None, top_q=1):
+def solve_pricing(problem, deadline=math.inf, top_q=1):
     """Exact best-reduced-cost search over all genes.
 
-    ``deadline`` (``time.perf_counter`` scale, read once per expanded node)
-    aborts the search early; the result then carries the best found so far
-    and ``proven_optimal=False``.  ``top_q`` additionally collects that many
+    The clock is read once per expanded node; at the first reading past
+    ``deadline`` (``time.perf_counter`` scale, ``math.inf`` for no limit)
+    the search stops, and the result carries the best found so far and
+    ``proven_optimal=False``.  ``top_q`` additionally collects that many
     distinct positive columns.  Each expanded node scores its children,
     pools their best, then descends, so among equal reduced costs the
     earlier record ranks first and a node's children rank before their
@@ -122,7 +123,7 @@ def solve_pricing(problem, deadline=None, top_q=1):
         stop = min(n_rows, n_rows - hit.k_min + depth + 1)
         if pos >= stop:
             return
-        if deadline is not None and time.perf_counter() > deadline:
+        if time.perf_counter() > deadline:
             aborted = True
             return
         nodes += stop - pos
@@ -157,7 +158,7 @@ def solve_pricing(problem, deadline=None, top_q=1):
     return PricingResult(best, best_rc, not aborted, nodes, candidates)
 
 
-def solve_pricing_with_speedup(problem, deadline=None, top_q=1):
+def solve_pricing_with_speedup(problem, deadline=math.inf, top_q=1):
     """Column generation's pricing call: the exact search, nothing more.
 
     A pass-through to :func:`solve_pricing`, kept under this name because the

@@ -47,7 +47,10 @@ class SyntheticSpec:
                     f"synthetic {name} must be a number, got {value!r}"
                 )
         if self.n_genes < 1 or self.n_tumor < 0 or self.n_normal < 0:
-            raise ValidationError("synthetic sizes must be positive")
+            raise ValidationError(
+                "synthetic n_genes must be at least 1 and n_tumor and n_normal "
+                f"at least 0, got {self.n_genes}, {self.n_tumor}, {self.n_normal}"
+            )
         for rate in (self.planted_rate, self.background_rate, self.normal_rate):
             if not 0.0 <= rate <= 1.0:
                 raise ValidationError(f"rate {rate} outside [0, 1]")

@@ -118,13 +118,13 @@ def test_deadline_stops_generation_on_a_prefix_of_the_draws(monkeypatch):
     full = generate_candidates(*args)
     assert generate_candidates(*args, deadline=math.inf) == full
     assert generate_candidates(*args, deadline=-math.inf) == []
-    # A clock that passes the deadline at its third reading: two batches
-    # of 1,024 draws.
+    # A clock that passes the deadline at its third reading: the clock is
+    # read before every draw, so exactly two draws, here two distinct pairs.
     readings = iter(range(100))
     clock = types.SimpleNamespace(perf_counter=lambda: next(readings))
     monkeypatch.setattr(candidates, "time", clock)
     cut = generate_candidates(*args, deadline=1.5)
-    assert 0 < len(cut) <= 2048 < len(full)
+    assert len(cut) == 2 < len(full)
     assert [c.genes for c in cut] == [c.genes for c in full[: len(cut)]]
 
 

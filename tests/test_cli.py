@@ -202,6 +202,12 @@ def test_validation_exit_codes(tmp_path, capsys):
         main(["solve"])  # missing required --data
     assert exc.value.code == 1
     capsys.readouterr()
+    data = tmp_path / "synth.tsv"
+    flags = ["--genes", "8", "--tumors", "6", "--normals", "4", "--planted", "0,x"]
+    assert main(["synth", *flags, "--out", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'0,x' must be comma-separated" in err
+    assert not data.exists()
     # Sweep configs whose grid keys are not lists, whose synth entries lack a
     # size or carry a wrong type, or whose train fraction or seeds are not
     # numbers, are refused with an error line instead of a traceback or a
@@ -237,6 +243,12 @@ def test_validation_exit_codes(tmp_path, capsys):
             ({"instances": [{"name": "tiny", "synth": {**synth, "planted": p}}]}, "planted")
             for p in ([[0, 1.5]], [["a", 1]], [5], [[0, True]])
         ),
+        (
+            {"instances": [{"name": "tiny", "synth": {**synth, "size": 3}}]},
+            "instance tiny: unknown synth keys ['size']",
+        ),
+        ({"instances": [{"synth": synth}]}, "each instance needs at least a 'name'"),
+        ({"instances": [{"name": "tiny"}]}, "instance tiny needs 'data' or 'synth'"),
     ):
         cfg_path = tmp_path / "sweep.json"
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")

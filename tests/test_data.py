@@ -7,6 +7,7 @@ import pytest
 
 from multihit.bitset import pack, unpack
 from multihit.data import (
+    GeneCombination,
     HitRange,
     MutationMatrix,
     SampleLabel,
@@ -199,6 +200,14 @@ def test_matrix_validation():
         MutationMatrix(["g1"], [SampleRecord("s", SampleLabel.TUMOR, 0b10)])
     with pytest.raises(ValidationError):
         MutationMatrix(["g,1"], [])
+    # An id that is not a str, or a label given as its text, is refused
+    # as a ValidationError, not an AttributeError.
+    with pytest.raises(ValidationError, match="^bad gene id 5$"):
+        MutationMatrix([5, "g2"], [])
+    with pytest.raises(ValidationError, match="^bad sample id 7$"):
+        MutationMatrix(["g1"], [SampleRecord(7, SampleLabel.TUMOR, 0)])
+    with pytest.raises(ValidationError, match="unknown label 'tumor'"):
+        MutationMatrix(["g1"], [SampleRecord("s", "tumor", 0)])
 
 
 def first_id_fault(kind, ids):
@@ -258,6 +267,7 @@ def test_building_columns_keeps_no_unpacked_array():
     tracemalloc.start()
     try:
         m = MutationMatrix(gene_ids, samples)
+        m.tumor_columns, m.normal_columns  # built on first use
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -376,6 +386,8 @@ def test_combination_canonical_form():
     assert c.tumor_cover == 0b011
     with pytest.raises(ValidationError):
         m.combination([])
+    with pytest.raises(ValidationError, match="sorted and distinct"):
+        GeneCombination((2, 1), 0, 0)
 
 
 def test_hit_range_parse():

@@ -158,6 +158,31 @@ def test_solve_exact_keeps_its_time_limit():
     assert rep.selection == [] and rep.pool_size == 0
 
 
+def test_solve_exact_stops_inside_the_dive(monkeypatch):
+    # A clock that passes the deadline at the dive's third expanded node,
+    # after the start and the dominance filter's one reading per distinct
+    # cover: the search stops in the dive with the best selection so far.
+    m = random_matrix(random.Random(1), 10, 30, 10, density=0.6)
+    hit = HitRange(2, 3)
+    _, best = exact_bruteforce(m, hit, 3)
+    covers = {(c.tumor_cover, c.normal_cover) for c in full_pool(m, hit)}
+    filtered = len([key for key in covers if key[0]])
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return 0.0 if len(reads) <= 1 + filtered + 2 else 10.0
+
+    monkeypatch.setattr(framework, "time", types.SimpleNamespace(perf_counter=clock))
+    rep = solve_exact(m, SolverConfig(hit_range=hit, beta=3, total_time_limit=1.0))
+    assert rep.status == "time_limit"
+    assert rep.upper_bound is None and rep.gap_percent is None
+    # The start, the filter, three dive readings and the elapsed time.
+    assert len(reads) == 1 + filtered + 3 + 1
+    assert rep.pool_size > 0
+    assert 0 < objective_value(rep.selection, m) == rep.objective <= best
+
+
 def test_mip_heuristic_keeps_its_time_limit_while_drawing_its_pool():
     # Drawing the default 100,000 candidates here takes ~2.3 s on a 2-vCPU VM.
     spec = SyntheticSpec(300, 200, 80, ((0, 1), (2, 3), (4, 5, 6)), 0.3, 0.05, 0.05)

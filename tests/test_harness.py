@@ -112,6 +112,11 @@ def test_synthetic_validation():
         SyntheticSpec(5, True, 2)
     with pytest.raises(ValidationError, match="normal_rate must be a number"):
         SyntheticSpec(5, 3, 2, normal_rate="0.1")
+    # Zero tumors or normals are allowed; the message states the bounds.
+    SyntheticSpec(5, 0, 0)
+    for sizes in ((5, -1, 2), (5, 3, -1), (0, 3, 2)):
+        with pytest.raises(ValidationError, match="n_genes must be at least 1 and"):
+            SyntheticSpec(*sizes)
     # Planted combinations come from sweep config files too: each must be a
     # list of int gene indices, and a bool is not one.
     for planted in ([[0, 1.5]], [["a", 1]], [5], [[0, True]], 5):

@@ -4,6 +4,7 @@ linear algebra.  Every LP here starts feasibly from its slack basis, the
 only kind the kernel accepts."""
 
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -316,7 +317,7 @@ def test_unit_column_alone_in_its_row_starts_at_its_optimum():
     ]
     upper = [1.0, 5.0, 9.0, 3.0]
     p = make_lp([1.0, 1.0, 1.0, 2.0], rows, [3.0, 2.0, 4.0], [0.0] * 4, upper)
-    s = lp._Simplex(p, None)
+    s = lp._Simplex(p, math.inf)
     s.cold_start()
     at = [lp.AT_UPPER, lp.IN_BASIS, lp.IN_BASIS, lp.AT_LOWER]
     assert list(s.status[:4]) == at
@@ -338,7 +339,7 @@ def test_single_entry_of_value_two_is_a_core_column():
     # b / 2 = 1.5.
     rows = [[2.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
     p = make_lp([1.0, 1.0, 1.0], rows, [3.0, 2.0], [0.0] * 3, [np.inf] * 3)
-    s = lp._Simplex(p, None)
+    s = lp._Simplex(p, math.inf)
     assert list(s.unit_row) == [-1, 1, -1, 0, 1]
     s.cold_start()
     assert list(s.basic) == [3, 1]
@@ -370,7 +371,7 @@ def test_master_lp_single_entry_columns_are_unit_columns():
         single = np.nonzero(np.diff(p.indptr) == 1)[0]
         assert np.all(p.data[p.indptr[single]] == 1.0)
         nt = m.tumor_count
-        s = lp._Simplex(p, None)
+        s = lp._Simplex(p, math.inf)
         no_tumor = [nt + k for k, c in enumerate(pool) if not c.tumor_cover]
         assert list(s.unit_row[:nt]) == list(range(nt))
         assert all(s.unit_row[j] == nt for j in no_tumor)
@@ -388,7 +389,7 @@ def test_master_lps_from_the_crash_start_match_tableau_oracle():
     most = 0.0
     for n_columns in (0, 2, 6, 12, 20, 30, 40) * 4:
         p = random_master_lp(pools, 20, 8, n_columns, beta=pools.randint(1, 4))
-        s = lp._Simplex(p, None)
+        s = lp._Simplex(p, math.inf)
         s.cold_start()
         assert list(s.basic) == list(range(20)) + [p.n_vars + 20]
         assert np.all(s.beta[:20] == 0.0) and s.beta[-1] == p.rhs[-1]
@@ -428,7 +429,7 @@ def test_revisited_basis_switches_to_blands_rule():
     c = [10.0, -57.0, -9.0, -24.0]
     rows = [[0.5, -5.5, -2.5, 9.0], [0.5, -1.5, -0.5, 1.0], [1.0, 0.0, 0.0, 0.0]]
     p = make_lp(c, rows, [0.0, 0.0, 1.0], [0.0] * 4, [np.inf] * 4)
-    s = LowestIndexTies(p, None)
+    s = LowestIndexTies(p, math.inf)
     s.cold_start()
     start = frozenset(s.basic.tolist())
     outcome = s.run()
@@ -460,7 +461,7 @@ def test_singular_warm_basis_falls_back_to_cold_start():
     twin_status = [lp.IN_BASIS, lp.IN_BASIS, lp.AT_LOWER, lp.AT_LOWER, lp.AT_LOWER]
     twins = Basis(np.array([0, 1]), np.array(twin_status, dtype=np.int8), 3)
     for prog, warm, reason in ((p, two_units, "share a row"), (q, twins, "singular")):
-        s = lp._Simplex(prog, None)
+        s = lp._Simplex(prog, math.inf)
         s.basic = warm.basic
         with pytest.raises(ConsistencyError, match=reason):
             s.factor()
@@ -557,7 +558,7 @@ def test_stored_zeros_are_kept_but_never_unit_columns():
     check_kernel(p, dense)
     assert len(p.data) == 5 and p.a_matrix.nnz == 5
     assert stored.nnz == 6  # the caller's matrix is left as it was
-    s = lp._Simplex(p, None)
+    s = lp._Simplex(p, math.inf)
     assert list(s.unit_row[:4]) == [-1, -1, -1, 1]
     s.cold_start()
     # Column 3 takes row 1 though columns 0 and 1 store entries there; a

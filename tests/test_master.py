@@ -420,6 +420,16 @@ def test_binary_deadline_inside_the_root_lp(monkeypatch):
     assert calls == []
 
 
+def test_relaxation_after_the_deadline_builds_no_lp(monkeypatch):
+    # The clock is read before the LP is built: a passed deadline returns
+    # None at once, so an expired solve spends nothing on an LP it cannot use.
+    model = MasterModel(*pool_slice(13), 3)
+    built = []
+    monkeypatch.setattr(MasterModel, "build_lp", lambda self: built.append(self))
+    assert solve_relaxation(model, deadline=time.perf_counter() - 1.0) is None
+    assert built == []
+
+
 def test_binary_time_limit_before_any_highs_incumbent(monkeypatch):
     # HiGHS stops at its time limit before it finds a selection: the result
     # is empty and keeps the root LP's finite bound.
@@ -486,16 +496,19 @@ def test_binary_root_cut_off_counts_no_pivots(monkeypatch):
 
 def test_binary_time_limit_inside_highs_keeps_a_valid_bound(monkeypatch):
     # HiGHS proves 178 on this hub pool in ~4.5 s on a 2-vCPU VM, far
-    # beyond the limit, while the root LP takes ~0.25 s.  A stop inside
-    # HiGHS keeps the time limit, and its selection and bound bracket the
-    # optimum.
+    # beyond the limit.  The root LP (~1,400 pivots) is solved before the
+    # timed call and its basis handed in, so the timed root takes 0 pivots
+    # and the limit goes to HiGHS.  A stop inside HiGHS keeps the time
+    # limit, and its selection and bound bracket the optimum.
     calls = counting_milp(monkeypatch)
     planted = ((0, 1), (2, 3), (4, 5, 6)) + tuple((7 + i,) for i in range(25))
     m = generate_synthetic(SyntheticSpec(300, 200, 60, planted, 0.3, 0.01, 0.01), 1)
     pool = generate_candidates(m, HitRange(2, 3), 30, 400, 1)
+    model = MasterModel(m, pool, 10)
+    root = solve_relaxation(model)
     limit = 1.0
     t0 = time.perf_counter()
-    res = solve_binary(MasterModel(m, pool, 10), time_limit=limit)
+    res = solve_binary(model, time_limit=limit, warm_start=root.basis)
     assert time.perf_counter() - t0 <= limit + 1.0
     assert res.status == "time_limit" and len(calls) == 1
     assert res.objective <= 178 <= res.bound

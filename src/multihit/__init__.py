@@ -14,7 +14,6 @@ from .data import (
 from .framework import (
     SolveReport,
     SolverConfig,
-    exact_bruteforce,
     solve_colgen,
     solve_exact,
     solve_mip_heuristic,
@@ -31,7 +30,6 @@ __all__ = [
     "SolveReport",
     "SolverConfig",
     "SyntheticSpec",
-    "exact_bruteforce",
     "generate_synthetic",
     "load_dense",
     "load_sparse",

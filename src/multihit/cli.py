@@ -29,6 +29,7 @@ from .data import (
     HitRange,
     load_dense,
     load_sparse,
+    open_utf8,
     prune_genes,
     split_train_test,
     write_dense,
@@ -80,14 +81,19 @@ def _env_float(name):
         raise ValidationError(f"{name} must be a number, got {raw!r}") from None
 
 
+def _load_json(path, kind):
+    """The JSON value in the UTF-8 file ``path``, a ``kind`` file."""
+    try:
+        with open_utf8(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{kind} {path} is not valid JSON: {exc}") from None
+
+
 def _load_config(path):
     if path is None:
         return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config {path} is not valid JSON: {exc}") from None
+    config = _load_json(path, "config")
     if not isinstance(config, dict):
         raise ValidationError(f"config {path} must hold a JSON object")
     unknown = set(config) - _CONFIG_KEYS
@@ -301,8 +307,7 @@ def cmd_report(args):
         raise ValidationError(f"no report files found under {args.dir}")
     reports = []
     for fname in names:
-        with open(os.path.join(args.dir, fname), encoding="utf-8") as fh:
-            report = json.load(fh)
+        report = _load_json(os.path.join(args.dir, fname), "report")
         validate_report(report)
         reports.append(report)
     out = args.out or os.path.join(args.dir, "summary.tsv")

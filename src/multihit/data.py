@@ -27,6 +27,7 @@ first.
 import enum
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
@@ -306,10 +307,33 @@ def _gene_rows(columns, order, count):
     return GeneRows(_pointers(r, len(order)), i, _pointers(i, count), r[by_sample])
 
 
+@contextmanager
+def open_utf8(path):
+    """``path`` opened as UTF-8 text.
+
+    A byte sequence that is not UTF-8, read anywhere inside the ``with``
+    block, raises a :class:`ParseError` naming the path and the first line
+    that holds one.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            with open(path, "rb") as raw:
+                for lineno, line in enumerate(raw, start=1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError:
+                        break
+            raise ParseError(
+                f"not UTF-8 text ({exc.reason})", path=path, line=lineno
+            ) from None
+
+
 def load_dense(path):
     """Read a dense TSV matrix.  See the module docstring for the format."""
     samples = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         first = fh.readline()
         if not first:
             raise ParseError("empty file", path=path, line=1)
@@ -363,7 +387,7 @@ def write_dense(matrix, path):
 
 
 def _read_csv_lines(path, expected_header):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ParseError("empty file", path=path, line=1)

@@ -1,20 +1,25 @@
-"""End-to-end solvers: column generation, pool heuristic and brute force.
+"""End-to-end solvers: column generation, pool heuristic and exact pool.
 
+All three modes run one pipeline (``_pipeline``): build a pool, relax it
+and round the relaxation into the incumbent, in column generation price
+and repeat, then solve the pool MIP (``master.solve_binary``) warm
+started from the last relaxation's basis.  The report carries the best
+integral selection seen anywhere along the way.
 ``solve_colgen`` starts from an empty pool and lets pricing build it; the
 bound it reports is trusted only when pricing proves that no combination
 with positive reduced cost remains, so a timed-out run carries no bound.
-``solve_mip_heuristic`` skips pricing and optimizes over a randomly
-generated pool.  Both finish with an integer solve over the final pool
-(``master.solve_binary``) and report the best integral selection seen
-anywhere along the way.
-``solve_exact`` enumerates selections outright and is capped to small
-instances; it exists to certify the other two, not to compete with them.
+``solve_mip_heuristic`` optimizes over a randomly generated pool and
+reports no bound.  ``solve_exact`` starts from a pool of every distinct
+cover in the hit range, so its pool MIP's optimum is the optimum; it is
+capped to small hit ranges.
 """
 
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+
+import numpy as np
 
 from . import metrics
 from .candidates import generate_candidates
@@ -24,9 +29,7 @@ from .pricing import RC_EPS, PricingProblem, solve_pricing_with_speedup
 
 ROUND_TOL = 1e-6
 
-EXACT_MAX_GENES = 15
 EXACT_MAX_POOL = 5000
-EXACT_MAX_BETA = 3
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -50,7 +53,8 @@ class SolverSettings:
     )
     top_q: int = field(default=1, metadata={"help": "columns per pricing round"})
     master_time_limit: float = field(
-        default=30.0, metadata={"help": "seconds for each binary solve"}
+        default=30.0,
+        metadata={"help": "seconds for the pool MIP after the last relaxation"},
     )
     total_time_limit: float = field(
         default=300.0, metadata={"help": "seconds for a whole solve"}
@@ -91,12 +95,13 @@ class SolveReport:
     :func:`metrics.optimality_gap` clamped at 0 (a bound met to LP tolerance).
     ``status`` is ``"converged"`` when every proving step finished inside
     its limit, else ``"time_limit"``.  ``pool_size`` is the number of
-    columns the final selection search chose from, in every mode.
+    columns of the final pool MIP: in exact mode, the distinct covers.
     ``iterations`` counts pricing rounds, ``pricing_nodes`` the children
     they scored, ``binary_nodes`` the final pool's relaxation (1, or 0 when
     it was cut off) plus HiGHS's branch-and-bound nodes, and
     ``lp_iterations`` the own simplex's pivots over every master relaxation
     that finished, the final pool's included; HiGHS's are not counted.
+    These counters mean the same in every mode, exact mode included.
     """
 
     selection: list
@@ -128,8 +133,8 @@ def rounding_heuristic(relaxation, model):
     z = relaxation.z
     k = math.ceil(float(sum(z)) - ROUND_TOL)
     k = max(0, min(k, model.beta, len(z)))
-    order = sorted(range(len(z)), key=lambda j: (-z[j], j))
-    indices = tuple(sorted(order[:k]))
+    order = np.argsort(-z, kind="stable")
+    indices = tuple(sorted(order[:k].tolist()))
     chosen = [model.columns[j] for j in indices]
     return indices, metrics.objective_value(chosen, model.matrix)
 
@@ -147,46 +152,47 @@ def _pipeline(matrix, config, initial_columns, use_pricing, started, generation_
     iterations = 0
     lp_iterations = 0
     warm = None
-    if use_pricing:
-        while True:
-            t0 = time.perf_counter()
-            rmp = solve_relaxation(model, warm_start=warm, deadline=deadline)
-            master_time += time.perf_counter() - t0
-            if rmp is None:
-                break  # the deadline passed before or inside the LP; no bound
-            warm = rmp.basis
-            lp_iterations += rmp.iterations
-            indices, rounded = rounding_heuristic(rmp, model)
-            if rounded > lb_star:
-                lb_star = rounded
-                best_selection = [model.columns[j] for j in indices]
-            problem = PricingProblem(matrix, rmp.duals, config.hit_range)
-            t0 = time.perf_counter()
-            priced = solve_pricing_with_speedup(
-                problem, deadline=deadline, top_q=config.top_q
-            )
-            pricing_time += time.perf_counter() - t0
-            pricing_nodes += priced.nodes
-            iterations += 1
-            if priced.best is None:
-                pricing_converged = priced.proven_optimal
-                if pricing_converged:
-                    ub_star = rmp.objective
-                break
-            for comb in priced.candidates:  # led by priced.best
-                try:
-                    model.add_column(comb)
-                except DuplicateColumnError as exc:
-                    raise ConsistencyError(
-                        f"pricing returned in-pool column {comb.genes} with "
-                        f"reduced cost above {RC_EPS} at iteration "
-                        f"{iterations}; at a relaxation optimum every pool "
-                        "column must price nonpositive"
-                    ) from exc
+    while True:
+        t0 = time.perf_counter()
+        rmp = solve_relaxation(model, warm_start=warm, deadline=deadline)
+        master_time += time.perf_counter() - t0
+        if rmp is None:
+            break  # the deadline passed before or inside the LP; no bound
+        warm = rmp.basis
+        lp_iterations += rmp.iterations
+        indices, rounded = rounding_heuristic(rmp, model)
+        if rounded > lb_star:
+            lb_star = rounded
+            best_selection = [model.columns[j] for j in indices]
+        if not use_pricing:
+            break
+        problem = PricingProblem(matrix, rmp.duals, config.hit_range)
+        t0 = time.perf_counter()
+        priced = solve_pricing_with_speedup(
+            problem, deadline=deadline, top_q=config.top_q
+        )
+        pricing_time += time.perf_counter() - t0
+        pricing_nodes += priced.nodes
+        iterations += 1
+        if priced.best is None:
+            pricing_converged = priced.proven_optimal
+            if pricing_converged:
+                ub_star = rmp.objective
+            break
+        for comb in priced.candidates:  # led by priced.best
+            try:
+                model.add_column(comb)
+            except DuplicateColumnError as exc:
+                raise ConsistencyError(
+                    f"pricing returned in-pool column {comb.genes} with "
+                    f"reduced cost above {RC_EPS} at iteration "
+                    f"{iterations}; at a relaxation optimum every pool "
+                    "column must price nonpositive"
+                ) from exc
     t0 = time.perf_counter()
     remaining = max(0.0, deadline - t0)
-    # The last relaxation's basis: when pricing converged, it is already
-    # optimal for the final pool.
+    # The last relaxation's basis: without pricing, or when pricing
+    # converged, it is already optimal for the final pool.
     binary = solve_binary(
         model, time_limit=min(config.master_time_limit, remaining), warm_start=warm
     )
@@ -216,7 +222,7 @@ def _pipeline(matrix, config, initial_columns, use_pricing, started, generation_
 
 
 def solve_mip_heuristic(matrix, config):
-    """Random pool generation followed by one binary solve; no bound.
+    """The pool pipeline over a randomly generated pool; no bound.
 
     Generation stops early, with the pool drawn so far, when the total time
     limit passes.
@@ -240,132 +246,41 @@ def solve_colgen(matrix, config):
     return _pipeline(matrix, config, [], True, started, 0.0)
 
 
-def exact_bruteforce(matrix, hit_range, beta):
-    """Provably optimal selection by capped subset search.
-
-    Refuses instances beyond hard caps on genes, combination count and
-    budget, naming the violated cap.  Combinations that cover no tumor,
-    repeat another's cover or are coverage-dominated by another combination
-    are dropped first; these reductions preserve the optimal value.
-    Returns ``(selection, objective)``.
-    """
-    selection, objective, _, _ = _exact_search(matrix, hit_range, beta)
-    return selection, objective
-
-
-def _exact_search(matrix, hit_range, beta, deadline=math.inf):
-    """``exact_bruteforce`` plus the number of combinations searched over
-    and whether the search finished.
-
-    The clock is read once per column of the dominance filter and once per
-    node whose children the dive loops over.  At the first reading past
-    ``deadline`` (``time.perf_counter`` scale, ``math.inf`` for no limit)
-    the search stops with the best selection found so far: none, with 0
-    combinations searched, when it stops in the filter.
-    """
-    if matrix.n_genes > EXACT_MAX_GENES:
-        raise ValidationError(
-            f"exact search capped at {EXACT_MAX_GENES} genes, got {matrix.n_genes}"
-        )
-    if beta > EXACT_MAX_BETA:
-        raise ValidationError(
-            f"exact search capped at budget {EXACT_MAX_BETA}, got {beta}"
-        )
-    total = sum(math.comb(matrix.n_genes, k) for k in hit_range.sizes())
-    if total > EXACT_MAX_POOL:
-        raise ValidationError(
-            f"exact search capped at {EXACT_MAX_POOL} combinations, got {total}"
-        )
-    by_cover = {}
-    for k in hit_range.sizes():
-        for genes in itertools.combinations(range(matrix.n_genes), k):
-            comb = matrix.combination(genes)
-            if comb.tumor_cover == 0:
-                continue
-            key = (comb.tumor_cover, comb.normal_cover)
-            if key not in by_cover:
-                by_cover[key] = comb
-    pool = list(by_cover.values())
-    kept = []
-    for c in pool:
-        if time.perf_counter() > deadline:
-            return [], 0, 0, False
-        for d in pool:
-            if c is d:
-                continue
-            if (c.tumor_cover & ~d.tumor_cover) == 0 and (
-                d.normal_cover & ~c.normal_cover
-            ) == 0:
-                break
-        else:
-            kept.append(c)
-    kept.sort(key=lambda c: (-c.tumor_cover.bit_count(), c.genes))
-    suffix_cover = [0] * (len(kept) + 1)
-    for i in range(len(kept) - 1, -1, -1):
-        suffix_cover[i] = suffix_cover[i + 1] | kept[i].tumor_cover
-    best_obj = 0
-    best_sel = []
-    aborted = False
-
-    def dive(start, chosen, covered, penalty):
-        nonlocal best_obj, best_sel, aborted
-        obj = covered.bit_count() - penalty
-        if obj > best_obj:
-            best_obj = obj
-            best_sel = list(chosen)
-        if len(chosen) == beta:
-            return
-        if time.perf_counter() > deadline:
-            aborted = True
-            return
-        for i in range(start, len(kept)):
-            gain = (~covered & suffix_cover[i]).bit_count()
-            if obj + gain <= best_obj:
-                break  # later starts can only cover fewer new tumors
-            c = kept[i]
-            chosen.append(c)
-            dive(
-                i + 1,
-                chosen,
-                covered | c.tumor_cover,
-                penalty + c.normal_cover.bit_count(),
-            )
-            chosen.pop()
-            if aborted:
-                return
-
-    dive(0, [], 0, 0)
-    return best_sel, best_obj, len(kept), not aborted
-
-
 def solve_exact(matrix, config):
-    """Wrap the capped exact search in a report.
+    """The pool pipeline over every combination of the hit range.
 
-    A finished search proves its objective, so that is the bound.  When
-    ``total_time_limit`` passes first, in the dominance filter or in the
-    dive, the report carries the best selection found, no bound and status
-    ``time_limit``.
+    The pool holds the first combination, in enumeration order, of each
+    distinct ``(tumor_cover, normal_cover)`` that covers a tumor; the
+    others add nothing to a selection that one of these does not.  So the
+    pool MIP's optimum is the optimum over all selections, and a
+    ``converged`` report carries it as its bound.  A hit range of more than
+    ``EXACT_MAX_POOL`` combinations is refused.  The clock is read before
+    each combination; once ``total_time_limit`` passes, the pool is the
+    combinations read so far, no LP is built, and the report keeps status
+    ``time_limit`` and no bound.
     """
     started = time.perf_counter()
-    selection, objective, pool_size, finished = _exact_search(
-        matrix, config.hit_range, config.beta, started + config.total_time_limit
+    deadline = started + config.total_time_limit
+    sizes = config.hit_range.sizes()
+    total = sum(math.comb(matrix.n_genes, k) for k in sizes)
+    if total > EXACT_MAX_POOL:
+        raise ValidationError(
+            f"exact mode capped at {EXACT_MAX_POOL} combinations, got {total}"
+        )
+    by_cover = {}
+    combos = itertools.chain.from_iterable(
+        itertools.combinations(range(matrix.n_genes), k) for k in sizes
     )
-    elapsed = time.perf_counter() - started
-    return SolveReport(
-        selection=selection,
-        objective=objective,
-        upper_bound=float(objective) if finished else None,
-        status="converged" if finished else "time_limit",
-        iterations=0,
-        pool_size=pool_size,
-        timings={
-            "generation": 0.0,
-            "master": 0.0,
-            "pricing": 0.0,
-            "binary": elapsed,
-            "total": elapsed,
-        },
-        pricing_nodes=0,
-        binary_nodes=0,
-        lp_iterations=0,
+    for genes in combos:
+        if time.perf_counter() > deadline:
+            break
+        comb = matrix.combination(genes)
+        if comb.tumor_cover:
+            by_cover.setdefault((comb.tumor_cover, comb.normal_cover), comb)
+    generation_time = time.perf_counter() - started
+    report = _pipeline(
+        matrix, config, by_cover.values(), False, started, generation_time
     )
+    if report.status == "converged":
+        return replace(report, upper_bound=float(report.objective))
+    return report

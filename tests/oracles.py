@@ -217,6 +217,70 @@ def best_selection_by_enumeration(matrix, hit_range, beta, combos=None):
     return best_obj, best_sel
 
 
+def exact_bruteforce(matrix, hit_range, beta):
+    """Optimal selection by a depth-first subset search over combinations.
+
+    Unlike ``best_selection_by_enumeration`` it scales to the hundreds of
+    combinations of criterion 1's instances: combinations that cover no
+    tumor, repeat another's cover or are coverage-dominated by another
+    combination are dropped first (these reductions keep the optimal
+    value), and the dive prunes on the tumors still coverable.  Returns
+    ``(selection, objective)``, the selection as combination objects.
+    """
+    by_cover = {}
+    for k in hit_range.sizes():
+        for genes in itertools.combinations(range(matrix.n_genes), k):
+            comb = matrix.combination(genes)
+            if comb.tumor_cover == 0:
+                continue
+            key = (comb.tumor_cover, comb.normal_cover)
+            if key not in by_cover:
+                by_cover[key] = comb
+    pool = list(by_cover.values())
+    kept = []
+    for c in pool:
+        for d in pool:
+            if c is d:
+                continue
+            if (c.tumor_cover & ~d.tumor_cover) == 0 and (
+                d.normal_cover & ~c.normal_cover
+            ) == 0:
+                break
+        else:
+            kept.append(c)
+    kept.sort(key=lambda c: (-c.tumor_cover.bit_count(), c.genes))
+    suffix_cover = [0] * (len(kept) + 1)
+    for i in range(len(kept) - 1, -1, -1):
+        suffix_cover[i] = suffix_cover[i + 1] | kept[i].tumor_cover
+    best_obj = 0
+    best_sel = []
+
+    def dive(start, chosen, covered, penalty):
+        nonlocal best_obj, best_sel
+        obj = covered.bit_count() - penalty
+        if obj > best_obj:
+            best_obj = obj
+            best_sel = list(chosen)
+        if len(chosen) == beta:
+            return
+        for i in range(start, len(kept)):
+            gain = (~covered & suffix_cover[i]).bit_count()
+            if obj + gain <= best_obj:
+                break  # later starts can only cover fewer new tumors
+            c = kept[i]
+            chosen.append(c)
+            dive(
+                i + 1,
+                chosen,
+                covered | c.tumor_cover,
+                penalty + c.normal_cover.bit_count(),
+            )
+            chosen.pop()
+
+    dive(0, [], 0, 0)
+    return best_sel, best_obj
+
+
 # ---------------------------------------------------------------------------
 # Metrics from first principles (Fractions where exactness matters).
 

@@ -15,7 +15,6 @@ import pytest
 from multihit.data import HitRange, load_dense
 from multihit.framework import (
     SolverConfig,
-    exact_bruteforce,
     rounding_heuristic,
     solve_colgen,
 )
@@ -31,6 +30,7 @@ from multihit.synth import SyntheticSpec, generate_synthetic
 
 from oracles import (
     all_combinations,
+    exact_bruteforce,
     metrics_by_fractions,
     reduced_cost_by_loops,
     selection_objective_by_loops,

@@ -448,8 +448,9 @@ def test_sweep_partial_failure_exit_code(tmp_path):
     cfg = {
         "instances": [
             {
+                # 11,175 pairs: above exact mode's pool cap of 5,000.
                 "name": "toobig",
-                "synth": {"genes": 20, "tumors": 6, "normals": 3,
+                "synth": {"genes": 150, "tumors": 6, "normals": 3,
                           "background_rate": 0.5, "seed": 1},
             },
             {
@@ -471,6 +472,7 @@ def test_sweep_partial_failure_exit_code(tmp_path):
     assert (out_dir / "failures.json").exists()
     failures = json.loads((out_dir / "failures.json").read_text(encoding="utf-8"))
     assert failures[0]["cell"].startswith("toobig__")
+    assert "combinations" in failures[0]["message"]
 
 
 def test_sweep_refuses_workers_below_one(tmp_path, capsys):
@@ -512,8 +514,12 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 
 def test_config_must_be_a_json_object(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    for text, words in (("{not json", "is not valid JSON"), ("[1]", "a JSON object")):
-        cfg.write_text(text, encoding="utf-8")
+    for data, words in (
+        (b"{not json", "is not valid JSON"),
+        (b"[1]", "a JSON object"),
+        (b'{"beta": "\xff"}', f"{cfg}:1: not UTF-8 text"),
+    ):
+        cfg.write_bytes(data)
         out_dir = tmp_path / "results"
         argv = ["sweep", "--config", str(cfg), "--out-dir", str(out_dir)]
         assert main(argv) == 1
@@ -561,6 +567,12 @@ def test_report_refusals(tmp_path, capsys):
         "error: invalid report: 'magic' is not one of "
         "['colgen', 'mip_heuristic', 'exact']\n"
     )
+    # A report that is not JSON, or not UTF-8 text, names its file.
+    for data, words in ((b"{not json", "is not valid JSON"), (b"{\xff}", "not UTF-8")):
+        report.write_bytes(data)
+        assert main(["report", "--dir", str(results)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(report) in err and words in err
 
 
 def test_module_entry_smoke(tmp_path):

@@ -97,6 +97,12 @@ def test_dense_parse_errors(tmp_path):
         load_dense(path)
     assert err.value.line == 1
 
+    # A byte that is not UTF-8 names its line, however far the reader ran.
+    path.write_bytes(b"sample_id\tlabel\tg1\ns1\ttumor\t1\ns\xff\tnormal\t0\n")
+    with pytest.raises(ParseError, match="not UTF-8 text") as err:
+        load_dense(path)
+    assert err.value.path == path and err.value.line == 3
+
 
 def test_sparse_ingestion(tmp_path):
     tumor = tmp_path / "tumor.csv"
@@ -165,6 +171,12 @@ def test_sparse_errors(tmp_path):
     with pytest.raises(ParseError, match="empty file") as err:
         load_sparse(normal, tumor)
     assert err.value.path == normal and err.value.line == 1
+
+    normal.write_text("gene,sample\ng1,n1\n")
+    tumor.write_bytes(b"gene,sample,count\ng1,s1,1\ng\xff,s2,1\n")
+    with pytest.raises(ParseError, match="not UTF-8 text") as err:
+        load_sparse(normal, tumor)
+    assert err.value.path == tumor and err.value.line == 3
 
 
 def test_prune_drops_all_zero_genes():

@@ -1,4 +1,4 @@
-"""Framework tests: rounding, exact search, heuristic and column generation."""
+"""Framework tests: rounding, exact pool, heuristic and column generation."""
 
 import math
 import random
@@ -13,7 +13,6 @@ from multihit.data import HitRange, MutationMatrix, SampleLabel, SampleRecord
 from multihit.errors import ConsistencyError, ValidationError
 from multihit.framework import (
     SolverConfig,
-    exact_bruteforce,
     rounding_heuristic,
     solve_colgen,
     solve_exact,
@@ -27,11 +26,12 @@ from multihit.synth import SyntheticSpec, generate_synthetic
 from oracles import (
     all_combinations,
     best_selection_by_enumeration,
+    exact_bruteforce,
     reduced_cost_by_loops,
     selection_objective_by_loops,
     tableau_solve,
 )
-from util import random_matrix, toy_matrix
+from util import no_incumbent, random_matrix, toy_matrix
 
 
 def full_pool(m, hit_range):
@@ -79,6 +79,18 @@ def test_rounding_clamps_to_budget_and_guards_float_dust():
     assert indices == () and obj == 0
 
 
+def test_rounding_ranks_ties_toward_the_lower_index():
+    # The stable sort of -z ranks as the rule (-z[j], j) does.
+    m, model = pair_model(beta=5)
+    rng = random.Random(69)
+    for _ in range(20):
+        z = np.array([rng.choice((0.0, 0.25, 0.5, 1.0)) for _ in model.columns])
+        order = sorted(range(len(z)), key=lambda j: (-z[j], j))
+        k = max(0, min(math.ceil(z.sum() - framework.ROUND_TOL), 5))
+        indices, _ = rounding_heuristic(stub(z), model)
+        assert indices == tuple(sorted(order[:k]))
+
+
 def test_rounding_real_relaxation_is_feasible_lower_bound():
     rng = random.Random(70)
     for _ in range(10):
@@ -111,19 +123,30 @@ def test_exact_matches_enumeration():
         assert obj == want
         assert len(sel) <= beta
         assert selection_objective_by_loops(m, [c.genes for c in sel]) == obj
+        rep = solve_exact(m, SolverConfig(hit_range=hit, beta=beta))
+        assert rep.status == "converged"
+        assert rep.objective == rep.upper_bound == want
+        assert len(rep.selection) <= beta
+        assert objective_value(rep.selection, m) == want
 
 
 def test_exact_refuses_over_caps():
+    # The only cap is the pool's: 2^15 - 1 combinations is refused, while
+    # 16 genes at budget 4 solve.  Hit 15-16 keeps the oracle's
+    # enumeration to the 17 combinations of 15 or 16 genes.
     rng = random.Random(72)
-    big = random_matrix(rng, 16, 4, 2)
-    with pytest.raises(ValidationError, match="genes"):
-        exact_bruteforce(big, HitRange(2, 2), 2)
-    small = random_matrix(rng, 6, 4, 2)
-    with pytest.raises(ValidationError, match="budget"):
-        exact_bruteforce(small, HitRange(2, 2), 4)
     wide = random_matrix(rng, 15, 4, 2)
-    with pytest.raises(ValidationError, match="combinations"):
-        exact_bruteforce(wide, HitRange(1, 15), 2)
+    cfg = SolverConfig(hit_range=HitRange(1, 15), beta=2)
+    with pytest.raises(ValidationError, match="combinations, got 32767"):
+        solve_exact(wide, cfg)
+    big = random_matrix(rng, 16, 8, 3, density=0.9)
+    hit = HitRange(15, 16)
+    rep = solve_exact(big, SolverConfig(hit_range=hit, beta=4))
+    want, _ = best_selection_by_enumeration(big, hit, 4)
+    assert want > 0
+    assert rep.status == "converged"
+    assert rep.objective == rep.upper_bound == want
+    assert objective_value(rep.selection, big) == want
 
 
 def test_solve_exact_report_shape():
@@ -136,15 +159,15 @@ def test_solve_exact_report_shape():
     assert rep.status == "converged"
     # Of the toy's 21 pairs, only the 6 inside t2's genes {g1..g4} cover a
     # tumor (t3 has one gene).  {g1, g2} covers t1, t2 and n1; the other 5
-    # cover just t2 and no normal, one distinct cover.  Neither cover
-    # dominates the other, so the search chooses from 2 columns.
+    # cover just t2 and no normal, one distinct cover.  So the pool MIP
+    # chooses from 2 columns.
     assert rep.pool_size == 2
 
 
 def test_solve_exact_keeps_its_time_limit():
-    # The full search takes ~10 s here on a 2-vCPU VM; exact_bruteforce,
-    # which never stops early, finds 46.  A stop in the dive keeps the best
-    # selection found, one in the dominance filter has found none.
+    # The full solve takes ~3.7 s here on a 2-vCPU VM and proves 46.  A stop
+    # in the pool MIP keeps the rounded root relaxation, or HiGHS's
+    # incumbent when it is better; a stop in the enumeration has found none.
     m = random_matrix(random.Random(1), 15, 60, 10, density=0.7)
     for limit in (1.0, 1e-9):
         cfg = SolverConfig(hit_range=HitRange(2, 5), beta=3, total_time_limit=limit)
@@ -158,29 +181,31 @@ def test_solve_exact_keeps_its_time_limit():
     assert rep.selection == [] and rep.pool_size == 0
 
 
-def test_solve_exact_stops_inside_the_dive(monkeypatch):
-    # A clock that passes the deadline at the dive's third expanded node,
-    # after the start and the dominance filter's one reading per distinct
-    # cover: the search stops in the dive with the best selection so far.
+def test_solve_exact_stops_inside_the_enumeration(monkeypatch):
+    # A clock that passes the deadline at the enumeration's 31st reading,
+    # after the start and 30 combinations, and advances from there: the
+    # pool is the distinct covers of those 30, and no LP is built after the
+    # deadline.
     m = random_matrix(random.Random(1), 10, 30, 10, density=0.6)
     hit = HitRange(2, 3)
-    _, best = exact_bruteforce(m, hit, 3)
-    covers = {(c.tumor_cover, c.normal_cover) for c in full_pool(m, hit)}
-    filtered = len([key for key in covers if key[0]])
+    read = full_pool(m, hit)[:30]
+    covers = {(c.tumor_cover, c.normal_cover) for c in read if c.tumor_cover}
     reads = []
 
     def clock():
         reads.append(None)
-        return 0.0 if len(reads) <= 1 + filtered + 2 else 10.0
+        return 0.0 if len(reads) <= 1 + 30 else 10.0 + len(reads)
 
-    monkeypatch.setattr(framework, "time", types.SimpleNamespace(perf_counter=clock))
+    fake = types.SimpleNamespace(perf_counter=clock)
+    monkeypatch.setattr(framework, "time", fake)
+    monkeypatch.setattr(master, "time", fake)
+    monkeypatch.setattr(MasterModel, "build_lp", lambda self: pytest.fail("LP built"))
     rep = solve_exact(m, SolverConfig(hit_range=hit, beta=3, total_time_limit=1.0))
     assert rep.status == "time_limit"
     assert rep.upper_bound is None and rep.gap_percent is None
-    # The start, the filter, three dive readings and the elapsed time.
-    assert len(reads) == 1 + filtered + 3 + 1
-    assert rep.pool_size > 0
-    assert 0 < objective_value(rep.selection, m) == rep.objective <= best
+    assert rep.pool_size == len(covers) > 0
+    assert rep.selection == [] and rep.objective == 0
+    assert rep.lp_iterations == 0 and rep.binary_nodes == 0
 
 
 def test_mip_heuristic_keeps_its_time_limit_while_drawing_its_pool():
@@ -193,6 +218,23 @@ def test_mip_heuristic_keeps_its_time_limit_while_drawing_its_pool():
     assert time.perf_counter() - t0 <= cfg.total_time_limit + 1.0
     assert rep.status == "time_limit"
     assert 0 < rep.pool_size < cfg.gamma2
+
+
+def test_mip_heuristic_reports_its_rounded_root_without_an_incumbent(monkeypatch):
+    # The pool's relaxation is fractional and HiGHS stops before it finds a
+    # selection: the report keeps the rounded root relaxation.
+    import scipy.optimize
+
+    monkeypatch.setattr(scipy.optimize, "milp", no_incumbent)
+    m = random_matrix(random.Random(13), 9, 16, 8, density=0.45)
+    cfg = SolverConfig(hit_range=HitRange(2, 3), beta=3, gamma1=20, gamma2=2000)
+    rep = solve_mip_heuristic(m, cfg)
+    assert rep.pool_size == len(all_combinations(m, cfg.hit_range))
+    assert rep.binary_nodes == 1  # a fractional root, then HiGHS
+    assert rep.status == "time_limit"
+    assert rep.upper_bound is None and rep.gap_percent is None
+    assert rep.objective > 0
+    assert objective_value(rep.selection, m) == rep.objective
 
 
 def test_mip_heuristic_with_exhaustive_pool_is_exact():
@@ -404,9 +446,8 @@ def test_lp_iterations_count_every_simplex_pivot(monkeypatch):
     for solve in (solve_colgen, solve_mip_heuristic, solve_exact):
         pivots.clear()
         rep = solve(m, cfg)
-        assert rep.lp_iterations == sum(pivots)
-        assert (rep.lp_iterations > 0) == (solve is not solve_exact)
-        assert rep.binary_nodes >= (solve is not solve_exact)
+        assert rep.lp_iterations == sum(pivots) > 0
+        assert rep.binary_nodes >= 1
 
 
 def test_timings_cover_phases():

@@ -14,7 +14,6 @@ import pytest
 from multihit import harness
 from multihit.data import HitRange, SampleLabel, prune_genes
 from multihit.errors import ValidationError
-from multihit.framework import exact_bruteforce
 from multihit.harness import (
     ExperimentSpec,
     cell_id,
@@ -24,6 +23,8 @@ from multihit.harness import (
     validate_report,
 )
 from multihit.synth import SyntheticSpec, generate_synthetic
+
+from oracles import exact_bruteforce
 
 
 def planted_spec(n_genes=10, n_tumor=12, n_normal=6, **kw):
@@ -371,8 +372,9 @@ def test_reports_byte_stable_apart_from_timing(tmp_path):
 
 
 def test_failure_capture_keeps_sweep_alive(tmp_path):
+    # 150 genes give 11,175 pairs, above exact mode's pool cap of 5,000.
     big = generate_synthetic(
-        SyntheticSpec(20, 8, 4, planted=((0, 1),), background_rate=0.5), 2
+        SyntheticSpec(150, 8, 4, planted=((0, 1),), background_rate=0.5), 2
     )
     small = generate_synthetic(planted_spec(background_rate=0.1), 11)
     spec = ExperimentSpec(
@@ -389,7 +391,7 @@ def test_failure_capture_keeps_sweep_alive(tmp_path):
     assert len(failures) == 1
     assert failures[0]["cell"].startswith("big__")
     assert failures[0]["error_type"] == "ValidationError"
-    assert "genes" in failures[0]["message"]
+    assert "combinations" in failures[0]["message"]
     assert (out / "failures.json").exists()
     assert (out / "summary.tsv").exists()
 

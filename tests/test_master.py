@@ -29,7 +29,7 @@ from oracles import (
     selection_objective_by_loops,
     tableau_solve,
 )
-from util import csc, random_matrix, toy_matrix
+from util import csc, no_incumbent, random_matrix, toy_matrix
 
 
 def toy_model(beta=10):
@@ -434,16 +434,6 @@ def test_binary_time_limit_before_any_highs_incumbent(monkeypatch):
     # HiGHS stops at its time limit before it finds a selection: the result
     # is empty and keeps the root LP's finite bound.
     import scipy.optimize
-
-    def no_incumbent(*args, **kwargs):
-        return types.SimpleNamespace(
-            status=1,
-            message="Time limit reached",
-            x=None,
-            fun=None,
-            mip_dual_bound=None,
-            mip_node_count=0,
-        )
 
     monkeypatch.setattr(scipy.optimize, "milp", no_incumbent)
     model = MasterModel(*pool_slice(13), 3)

@@ -1,4 +1,6 @@
-"""Shared instance builders for the test suite."""
+"""Shared instance builders and stand-ins for the test suite."""
+
+import types
 
 import scipy.sparse as sp
 
@@ -48,3 +50,16 @@ def csc(a):
     a = sp.csc_matrix(a, dtype=float, copy=True)
     a.sum_duplicates()
     return a.data, a.indices, a.indptr
+
+
+def no_incumbent(*args, **kwargs):
+    """A stand-in for ``scipy.optimize.milp`` that stops at its time limit
+    before it finds a selection."""
+    return types.SimpleNamespace(
+        status=1,
+        message="Time limit reached",
+        x=None,
+        fun=None,
+        mip_dual_bound=None,
+        mip_node_count=0,
+    )

@@ -33,8 +33,6 @@ def generate_candidates(matrix, hit_range, gamma1, gamma2, seed, deadline=math.i
         raise ValidationError(f"gamma1 must be positive, got {gamma1}")
     if gamma2 < 1:
         raise ValidationError(f"gamma2 must be positive, got {gamma2}")
-    if matrix.tumor_count == 0:
-        raise ValidationError("candidate generation needs at least one tumor sample")
     pool = rank_genes_by_tumor_frequency(matrix)[:gamma1]
     if len(pool) < hit_range.k_max:
         raise ValidationError(

@@ -37,9 +37,8 @@ class SolverSettings:
     """Solver settings shared by one solve and a whole sweep.
 
     ``gamma1``/``gamma2`` only matter to the pool heuristic; the budget and
-    time limits apply everywhere.  ``top_q`` lets column generation pull
-    several columns per pricing round.  :class:`SolverConfig` adds the hit
-    range and seed of one solve; ``harness.ExperimentSpec`` adds a sweep's
+    time limits apply everywhere.  :class:`SolverConfig` adds the hit range
+    and seed of one solve; ``harness.ExperimentSpec`` adds a sweep's
     grid.  These two classes hold the only declarations of the defaults.  A
     field's type and ``help`` metadata also make its command-line flag, and
     values are checked by type: ints at least 1 (the budget at least 0) and
@@ -51,7 +50,6 @@ class SolverSettings:
     gamma2: int = field(
         default=100_000, metadata={"help": "target number of candidates"}
     )
-    top_q: int = field(default=1, metadata={"help": "columns per pricing round"})
     master_time_limit: float = field(
         default=30.0,
         metadata={"help": "seconds for the pool MIP after the last relaxation"},
@@ -168,9 +166,7 @@ def _pipeline(matrix, config, initial_columns, use_pricing, started, generation_
             break
         problem = PricingProblem(matrix, rmp.duals, config.hit_range)
         t0 = time.perf_counter()
-        priced = solve_pricing_with_speedup(
-            problem, deadline=deadline, top_q=config.top_q
-        )
+        priced = solve_pricing_with_speedup(problem, deadline=deadline)
         pricing_time += time.perf_counter() - t0
         pricing_nodes += priced.nodes
         iterations += 1
@@ -179,22 +175,21 @@ def _pipeline(matrix, config, initial_columns, use_pricing, started, generation_
             if pricing_converged:
                 ub_star = rmp.objective
             break
-        for comb in priced.candidates:  # led by priced.best
-            try:
-                model.add_column(comb)
-            except DuplicateColumnError as exc:
-                raise ConsistencyError(
-                    f"pricing returned in-pool column {comb.genes} with "
-                    f"reduced cost above {RC_EPS} at iteration "
-                    f"{iterations}; at a relaxation optimum every pool "
-                    "column must price nonpositive"
-                ) from exc
+        try:
+            model.add_column(priced.best)
+        except DuplicateColumnError as exc:
+            raise ConsistencyError(
+                f"pricing returned in-pool column {priced.best.genes} with "
+                f"reduced cost above {RC_EPS} at iteration {iterations}; at a "
+                "relaxation optimum every pool column must price nonpositive"
+            ) from exc
     t0 = time.perf_counter()
-    remaining = max(0.0, deadline - t0)
     # The last relaxation's basis: without pricing, or when pricing
     # converged, it is already optimal for the final pool.
     binary = solve_binary(
-        model, time_limit=min(config.master_time_limit, remaining), warm_start=warm
+        model,
+        deadline=min(deadline, t0 + config.master_time_limit),
+        warm_start=warm,
     )
     binary_time = time.perf_counter() - t0
     if binary.objective > lb_star:

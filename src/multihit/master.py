@@ -139,7 +139,7 @@ def solve_relaxation(model, warm_start=None, deadline=math.inf):
     )
 
 
-def solve_binary(model, time_limit=30.0, warm_start=None):
+def solve_binary(model, deadline=math.inf, warm_start=None):
     """Best integral selection over the pool.
 
     The own simplex solves the pool's relaxation first, warm started from
@@ -147,16 +147,16 @@ def solve_binary(model, time_limit=30.0, warm_start=None):
     its selection values are integral to ``INT_TOL``, that selection is
     optimal (one node).  Otherwise HiGHS (``scipy.optimize.milp``, imported
     only then) solves the same LP with binary selection variables in the
-    time left; the cover flags stay continuous, as a binary selection makes
-    them integral at an optimum.  ``nodes`` is 1 plus HiGHS's nodes, and
-    ``lp_iterations`` counts the own simplex's pivots only.  Selections
-    are accepted only after exact integer re-evaluation.  When the
-    wall-clock limit passes, the status is ``time_limit``: the selection
-    is HiGHS's incumbent, or empty when there is none, and the bound is
-    the smaller of the root LP's and HiGHS's dual bound (infinite when the
-    root LP itself was cut off, or not built because no time was left).
+    time left before ``deadline`` (``time.perf_counter`` scale, ``math.inf``
+    for no limit); the cover flags stay continuous, as a binary selection
+    makes them integral at an optimum.  ``nodes`` is 1 plus HiGHS's nodes,
+    and ``lp_iterations`` counts the own simplex's pivots only.  Selections
+    are accepted only after exact integer re-evaluation.  When the deadline
+    passes, the status is ``time_limit``: the selection is HiGHS's
+    incumbent, or empty when there is none, and the bound is the smaller of
+    the root LP's and HiGHS's dual bound (infinite when the root LP itself
+    was cut off, or not built because the deadline had passed).
     """
-    deadline = time.perf_counter() + time_limit
     root = solve_relaxation(model, warm_start=warm_start, deadline=deadline)
     if root is None:
         return _checked(model, None, 0.0, math.inf, "time_limit", 0, 0)

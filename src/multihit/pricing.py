@@ -9,7 +9,7 @@ order.  The search always returns the exact maximum, even when it is not
 positive, so convergence certificates are meaningful.
 
 Each expanded node takes one step: it scores all of its children at once,
-pools the best of them, then descends.  A node carries its *support*: the
+keeps the best of them, then descends.  A node carries its *support*: the
 samples with a nonzero price that its genes cover (at the root, every
 priced sample).  Gathering the sample-major segments of the support from
 :attr:`MutationMatrix.gene_major` and summing their prices with one
@@ -17,9 +17,9 @@ priced sample).  Gathering the sample-major segments of the support from
 grows with the support rather than the matrix.  A child's support is its
 parent's intersected with the samples of the child's gene.  When the
 children are combinations (at least ``k_min`` genes), the batch's best
-``top_q`` above the pool's cut enter the pool together; the node then
-stops at ``k_max`` or expands the children whose bound still beats the
-cut.  ``PricingResult.nodes`` counts the children scored.
+replaces the incumbent when it beats it; the node then stops at ``k_max``
+or expands the children whose bound still beats the incumbent.
+``PricingResult.nodes`` counts the children scored.
 """
 
 import math
@@ -47,18 +47,15 @@ class PricingResult:
     ``reduced_cost`` is the exact maximum over the admissible set (``-inf``
     when that set is empty); ``best`` is its maximizer when the maximum
     exceeds ``RC_EPS``, else ``None``.  ``proven_optimal`` is claimed only
-    by a search that ran the full admissible set to completion.
-    ``candidates`` holds the top distinct positive columns found, best
-    first, so it starts with ``best`` when there is one.  ``nodes`` is the
-    number of children scored.
+    by a search that ran the full admissible set to completion.  ``nodes``
+    is the number of children scored.
     """
 
-    def __init__(self, best, reduced_cost, proven_optimal, nodes, candidates):
+    def __init__(self, best, reduced_cost, proven_optimal, nodes):
         self.best = best
         self.reduced_cost = reduced_cost
         self.proven_optimal = proven_optimal
         self.nodes = nodes
-        self.candidates = candidates
 
 
 def _scores(rows, support, weights, pos, stop):
@@ -88,17 +85,17 @@ def _held(support, size):
     return held
 
 
-def solve_pricing(problem, deadline=math.inf, top_q=1):
+def solve_pricing(problem, deadline=math.inf):
     """Exact best-reduced-cost search over all genes.
 
     The clock is read once per expanded node; at the first reading past
     ``deadline`` (``time.perf_counter`` scale, ``math.inf`` for no limit)
     the search stops, and the result carries the best found so far and
-    ``proven_optimal=False``.  ``top_q`` additionally collects that many
-    distinct positive columns.  Each expanded node scores its children,
-    pools their best, then descends, so among equal reduced costs the
-    earlier record ranks first and a node's children rank before their
-    descendants.  ``nodes`` counts the children scored.
+    ``proven_optimal=False``.  Each expanded node scores its children,
+    keeps their best, then descends; only a strictly larger reduced cost
+    replaces the incumbent, so among equal reduced costs the earlier record
+    wins and a node's children win over their descendants.  ``nodes``
+    counts the children scored.
     """
     m = problem.matrix
     hit = problem.hit_range
@@ -106,10 +103,7 @@ def solve_pricing(problem, deadline=math.inf, top_q=1):
     duals = problem.duals
     pi, mu, lam = duals.pi, duals.mu, duals.lam
     n_rows = len(order)
-    # pool entries: (rc, path genes), best first; a stable sort keeps the
-    # earlier record first among equal reduced costs.
-    pool = []
-    cut = -math.inf  # the pool's last reduced cost once it holds top_q entries
+    cut, best_genes = -math.inf, None  # the incumbent's reduced cost and genes
     nodes = 0
     aborted = False
 
@@ -119,7 +113,7 @@ def solve_pricing(problem, deadline=math.inf, top_q=1):
         # that of every descendant is at most its covered tumor price minus
         # lam; the caller expands a node only while that bound beats the cut.
         # ``s_t``/``s_n`` are the samples with a nonzero price it covers.
-        nonlocal cut, nodes, aborted
+        nonlocal cut, best_genes, nodes, aborted
         stop = min(n_rows, n_rows - hit.k_min + depth + 1)
         if pos >= stop:
             return
@@ -128,19 +122,14 @@ def solve_pricing(problem, deadline=math.inf, top_q=1):
             return
         nodes += stop - pos
         p2 = _scores(rows_t, s_t, pi, pos, stop)
-        # Only the children whose bound beats the cut can enter the pool
-        # or be expanded; a reduced cost is at most its bound.
+        # Only the children whose bound beats the cut can replace the
+        # incumbent or be expanded; a reduced cost is at most its bound.
         live = np.flatnonzero(p2 - lam > cut)
         if depth + 1 >= hit.k_min and live.size:
             rc = p2[live] - _scores(rows_n, s_n, mu, pos, stop)[live] - lam
-            hits = np.flatnonzero(rc > cut)
-            if hits.size:
-                for i in hits[np.argsort(-rc[hits], kind="stable")[:top_q]].tolist():
-                    pool.append((float(rc[i]), path + (order[pos + live[i]],)))
-                pool.sort(key=lambda e: -e[0])
-                del pool[top_q:]
-                if len(pool) == top_q:
-                    cut = pool[-1][0]
+            i = int(np.argmax(rc))  # the first of equal maxima
+            if rc[i] > cut:
+                cut, best_genes = float(rc[i]), path + (order[pos + live[i]],)
         if depth + 1 == hit.k_max or not live.size:
             return
         held_t, held_n = _held(s_t, len(pi)), _held(s_n, len(mu))
@@ -152,13 +141,11 @@ def solve_pricing(problem, deadline=math.inf, top_q=1):
 
     expand(0, 0, np.flatnonzero(pi), np.flatnonzero(mu), ())
 
-    best_rc = pool[0][0] if pool else -math.inf
-    candidates = [m.combination(genes) for rc, genes in pool if rc > RC_EPS]
-    best = candidates[0] if candidates else None
-    return PricingResult(best, best_rc, not aborted, nodes, candidates)
+    best = m.combination(best_genes) if cut > RC_EPS else None
+    return PricingResult(best, cut, not aborted, nodes)
 
 
-def solve_pricing_with_speedup(problem, deadline=math.inf, top_q=1):
+def solve_pricing_with_speedup(problem, deadline=math.inf):
     """Column generation's pricing call: the exact search, nothing more.
 
     A pass-through to :func:`solve_pricing`, kept under this name because the
@@ -166,4 +153,4 @@ def solve_pricing_with_speedup(problem, deadline=math.inf, top_q=1):
     ``framework.solve_pricing_with_speedup`` for its ``pricing.*`` spans and
     times ``pricing.solve_pricing`` inside it.
     """
-    return solve_pricing(problem, deadline=deadline, top_q=top_q)
+    return solve_pricing(problem, deadline=deadline)

@@ -59,7 +59,7 @@ def bank():
         _, opt = exact_bruteforce(m, HIT23, beta)
         cols = [m.combination(g) for g in all_combinations(m, HIT23)]
         model = MasterModel(m, cols, beta)
-        binary = solve_binary(model, time_limit=30.0)
+        binary = solve_binary(model, deadline=time.perf_counter() + 30.0)
         report = solve_colgen(
             m,
             SolverConfig(

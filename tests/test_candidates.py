@@ -83,11 +83,13 @@ def test_generation_determinism():
 
 
 def test_generation_refusals():
+    # A matrix without tumor samples is no refusal: every gene ranks equal,
+    # and the pool is drawn from them as from any other matrix.
     no_tumors = MutationMatrix(
         ["g0", "g1"], [SampleRecord("n0", SampleLabel.NORMAL, 0b11)]
     )
-    with pytest.raises(ValidationError):
-        generate_candidates(no_tumors, HitRange(1, 1), gamma1=2, gamma2=5, seed=0)
+    pool = generate_candidates(no_tumors, HitRange(1, 1), gamma1=2, gamma2=5, seed=0)
+    assert sorted(c.genes for c in pool) == [(0,), (1,)]
     rng = random.Random(4)
     m = random_matrix(rng, 3, 5, 2)
     with pytest.raises(ValidationError):

@@ -498,10 +498,12 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg.write_text(json.dumps({"betta": 3}), encoding="utf-8")
     assert main(["solve", "--data", data, "--config", str(cfg)]) == 1
     # Known keys holding the wrong type are refused too: a string hit range
-    # is not read as its first character, a float top_q does not crash.
+    # is not read as its first character, a float gamma1 does not crash.
+    # ``top_q`` is no setting, whatever its value.
     for bad, words in (
+        ({"top_q": 1}, "unknown keys: top_q"),
         ({"hit_ranges": "3-4"}, "'hit_ranges' must be a list"),
-        ({"top_q": 1.5}, "top_q must be an int"),
+        ({"gamma1": 1.5}, "gamma1 must be an int"),
         ({"beta": True}, "beta must be an int"),
         ({"master_time_limit": "30"}, "master_time_limit must be a number"),
     ):
@@ -510,6 +512,29 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and words in err
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--data", data, "--top-q", "2"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --top-q 2" in capsys.readouterr().err
+
+
+def test_solve_without_tumor_samples_in_every_mode(tmp_path):
+    # Selecting nothing is optimal; every mode says so with exit 0.
+    data = tmp_path / "normals.tsv"
+    header = "sample_id\tlabel\t" + "\t".join(f"g{j}" for j in range(6))
+    rows = [
+        f"n{i}\tnormal\t" + "\t".join("1" if (i + j) % 3 else "0" for j in range(6))
+        for i in range(4)
+    ]
+    data.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    out = tmp_path / "r.json"
+    for mode, ub in (("colgen", 0.0), ("exact", 0.0), ("mip_heuristic", None)):
+        argv = ["solve", "--data", str(data), "--mode", mode, "--hit", "2-3",
+                "--out", str(out)]
+        assert main(argv) == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["objective"] == 0 and report["selected"] == []
+        assert report["status"] == "converged" and report["ub"] == ub
 
 
 def test_config_must_be_a_json_object(tmp_path, capsys):

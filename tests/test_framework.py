@@ -183,29 +183,32 @@ def test_solve_exact_keeps_its_time_limit():
 
 def test_solve_exact_stops_inside_the_enumeration(monkeypatch):
     # A clock that passes the deadline at the enumeration's 31st reading,
-    # after the start and 30 combinations, and advances from there: the
-    # pool is the distinct covers of those 30, and no LP is built after the
-    # deadline.
+    # after the start and 30 combinations, and then either advances or
+    # stays frozen: the pool is the distinct covers of those 30, and no LP
+    # is built after the deadline, also when the pool MIP's limit is read
+    # off a clock that no longer moves.
     m = random_matrix(random.Random(1), 10, 30, 10, density=0.6)
     hit = HitRange(2, 3)
     read = full_pool(m, hit)[:30]
     covers = {(c.tumor_cover, c.normal_cover) for c in read if c.tumor_cover}
-    reads = []
-
-    def clock():
-        reads.append(None)
-        return 0.0 if len(reads) <= 1 + 30 else 10.0 + len(reads)
-
-    fake = types.SimpleNamespace(perf_counter=clock)
-    monkeypatch.setattr(framework, "time", fake)
-    monkeypatch.setattr(master, "time", fake)
     monkeypatch.setattr(MasterModel, "build_lp", lambda self: pytest.fail("LP built"))
-    rep = solve_exact(m, SolverConfig(hit_range=hit, beta=3, total_time_limit=1.0))
-    assert rep.status == "time_limit"
-    assert rep.upper_bound is None and rep.gap_percent is None
-    assert rep.pool_size == len(covers) > 0
-    assert rep.selection == [] and rep.objective == 0
-    assert rep.lp_iterations == 0 and rep.binary_nodes == 0
+    for step in (1.0, 0.0):
+        reads = []
+
+        def clock(step=step):
+            reads.append(None)
+            return 0.0 if len(reads) <= 1 + 30 else 10.0 + step * len(reads)
+
+        fake = types.SimpleNamespace(perf_counter=clock)
+        monkeypatch.setattr(framework, "time", fake)
+        monkeypatch.setattr(master, "time", fake)
+        cfg = SolverConfig(hit_range=hit, beta=3, total_time_limit=1.0)
+        rep = solve_exact(m, cfg)
+        assert rep.status == "time_limit"
+        assert rep.upper_bound is None and rep.gap_percent is None
+        assert rep.pool_size == len(covers) > 0
+        assert rep.selection == [] and rep.objective == 0
+        assert rep.lp_iterations == 0 and rep.binary_nodes == 0
 
 
 def test_mip_heuristic_keeps_its_time_limit_while_drawing_its_pool():
@@ -372,20 +375,11 @@ def test_stagnation_guard_raises(monkeypatch):
     m = toy_matrix()
     col = m.combination((0, 1))
 
-    def fake_pricing(problem, deadline=None, top_q=1):
-        return PricingResult(col, 0.5, True, 1, [col])
+    def fake_pricing(problem, deadline=None):
+        return PricingResult(col, 0.5, True, 1)
 
     monkeypatch.setattr(framework, "solve_pricing_with_speedup", fake_pricing)
     cfg = SolverConfig(hit_range=HitRange(2, 2), beta=2)
-    with pytest.raises(ConsistencyError, match="in-pool"):
-        framework._pipeline(m, cfg, [col], True, time.perf_counter(), 0.0)
-    # An in-pool column among the extras breaks the same invariant.
-    new = m.combination((2, 3))
-
-    def fake_top_q(problem, deadline=None, top_q=1):
-        return PricingResult(new, 0.5, True, 1, [new, col])
-
-    monkeypatch.setattr(framework, "solve_pricing_with_speedup", fake_top_q)
     with pytest.raises(ConsistencyError, match=r"in-pool column \(0, 1\)"):
         framework._pipeline(m, cfg, [col], True, time.perf_counter(), 0.0)
 
@@ -488,6 +482,27 @@ def test_colgen_on_uncoverable_tumors_converges_at_zero():
     assert rep.gap_percent is None
     assert rep.selection == []
     assert rep.pool_size == 0
+
+
+def test_every_mode_answers_a_matrix_without_tumor_samples():
+    # No combination covers a tumor, so selecting nothing is optimal: the
+    # proving modes bound it at 0, and the pool heuristic draws its pool
+    # from genes that all rank equal.
+    rng = random.Random(7)
+    samples = [
+        SampleRecord(f"n{i}", SampleLabel.NORMAL, rng.getrandbits(12))
+        for i in range(6)
+    ]
+    m = MutationMatrix([f"g{j}" for j in range(12)], samples)
+    cfg = SolverConfig(hit_range=HitRange(2, 3), beta=3)
+    for solve in (solve_colgen, solve_exact, solve_mip_heuristic):
+        rep = solve(m, cfg)
+        assert rep.status == "converged"
+        assert rep.objective == 0 and rep.selection == []
+        if solve is solve_mip_heuristic:
+            assert rep.upper_bound is None and rep.pool_size == 66 + 220
+        else:
+            assert rep.upper_bound == 0.0
 
 
 def test_exact_zero_budget_returns_empty_selection():

@@ -417,8 +417,8 @@ def test_experiment_spec_validation():
         {"gamma2": 5.5},
         {"gamma1": 0},
         {"gamma2": -5},
-        {"top_q": 1.5},
-        {"top_q": True},
+        {"gamma1": True},
+        {"gamma2": 1.5},
         {"master_time_limit": "30"},
         {"total_time_limit": math.nan},
         {"total_time_limit": -1.0},

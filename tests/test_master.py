@@ -252,7 +252,7 @@ def test_binary_matches_subset_enumeration():
         pool = pool[:10]
         beta = rng.randint(1, 3)
         model = MasterModel(m, pool, beta)
-        res = solve_binary(model, time_limit=30.0)
+        res = solve_binary(model, deadline=time.perf_counter() + 30.0)
         assert res.status == "optimal"
         best = 0
         for size in range(1, beta + 1):
@@ -290,7 +290,7 @@ def test_binary_warm_started_from_a_relaxation_keeps_the_optimum():
 
 def test_binary_time_limit_returns_empty():
     _, model = toy_model(beta=2)
-    res = solve_binary(model, time_limit=0.0)
+    res = solve_binary(model, deadline=time.perf_counter() - 1.0)
     assert res.status == "time_limit"
     assert res.selection == []
     assert res.objective == 0
@@ -464,7 +464,7 @@ def test_binary_deadline_between_a_fractional_root_and_highs(monkeypatch):
     )
     monkeypatch.setattr(master, "solve_lp", then_late)
     monkeypatch.setattr(master, "time", late)
-    res = solve_binary(model)
+    res = solve_binary(model, deadline=time.perf_counter() + 30.0)
     assert len(finished) == 1
     assert res.status == "time_limit" and res.nodes == 1
     assert res.lp_iterations == root.iterations > 0
@@ -498,7 +498,7 @@ def test_binary_time_limit_inside_highs_keeps_a_valid_bound(monkeypatch):
     root = solve_relaxation(model)
     limit = 1.0
     t0 = time.perf_counter()
-    res = solve_binary(model, time_limit=limit, warm_start=root.basis)
+    res = solve_binary(model, deadline=t0 + limit, warm_start=root.basis)
     assert time.perf_counter() - t0 <= limit + 1.0
     assert res.status == "time_limit" and len(calls) == 1
     assert res.objective <= 178 <= res.bound

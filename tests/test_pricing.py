@@ -1,4 +1,4 @@
-"""Pricing tests: exactness against enumeration, top-q, limits."""
+"""Pricing tests: exactness against enumeration, ties, limits."""
 
 import itertools
 import math
@@ -91,43 +91,39 @@ def hard_instance(rng, hit, variant, cg_prices=False):
     return m, duals
 
 
-def test_top_q_search_matches_enumeration_on_hard_inputs():
+def check_against_enumeration(m, d, hit, res):
+    """``res`` proves the enumerated maximum, and ``best`` attains it."""
+    want = max(
+        (
+            reduced_cost_by_loops(m, combo, d.pi, d.mu, d.lam)
+            for k in hit.sizes()
+            for combo in itertools.combinations(range(m.n_genes), k)
+        ),
+        default=-math.inf,
+    )
+    assert res.proven_optimal
+    assert res.reduced_cost == pytest.approx(want, abs=1e-9)
+    assert (res.best is None) == (want <= RC_EPS)
+    if res.best is not None:
+        c = res.best
+        got = reduced_cost_by_loops(m, c.genes, d.pi, d.mu, d.lam)
+        assert got == pytest.approx(want, abs=1e-9)
+        assert hit.k_min <= len(c.genes) <= hit.k_max
+        assert (c.tumor_cover, c.normal_cover) == m.coverage(c.genes)
+
+
+def test_search_matches_enumeration_on_hard_inputs():
     rng = random.Random(61)
     hits = [HitRange(*bounds) for bounds in ((1, 1), (2, 2), (2, 3), (2, 4), (3, 3))]
-    for hit, top_q, variant, cg_prices in itertools.product(
-        hits, (1, 2, 3), range(4), (False, True)
-    ):
+    for hit, variant, cg_prices in itertools.product(hits, range(4), (False, True)):
         m, d = hard_instance(rng, hit, variant, cg_prices)
-        all_rc = sorted(
-            (
-                reduced_cost_by_loops(m, combo, d.pi, d.mu, d.lam)
-                for k in hit.sizes()
-                for combo in itertools.combinations(range(m.n_genes), k)
-            ),
-            reverse=True,
-        )
-        res = solve_pricing(PricingProblem(m, d, hit), top_q=top_q)
-        assert res.proven_optimal
-        if all_rc:
-            assert res.reduced_cost == pytest.approx(all_rc[0], abs=1e-9)
-        else:
-            assert res.reduced_cost == -math.inf
-        want = [rc for rc in all_rc[:top_q] if rc > RC_EPS]
-        got = [
-            reduced_cost_by_loops(m, c.genes, d.pi, d.mu, d.lam) for c in res.candidates
-        ]
-        assert got == pytest.approx(want, abs=1e-9)
-        assert res.best == (res.candidates[0] if want else None)
-        assert len({c.genes for c in res.candidates}) == len(res.candidates)
-        for c in res.candidates:
-            assert hit.k_min <= len(c.genes) <= hit.k_max
-            assert (c.tumor_cover, c.normal_cover) == m.coverage(c.genes)
+        check_against_enumeration(m, d, hit, solve_pricing(PricingProblem(m, d, hit)))
 
 
 def test_children_rank_before_their_descendants_on_ties():
     # Gene 0 is the most frequent in tumors, then gene 1, then gene 2.  The
     # triple {0, 1, 2} grows from the pair {0, 1}, an earlier sibling of the
-    # pair {0, 2}, and ties it at the maximum 2; the node of gene 0 pools
+    # pair {0, 2}, and ties it at the maximum 2; the node of gene 0 scores
     # both pairs before it descends, so the pair wins the tie.
     tumors = [0b111, 0b111, 0b011, 0b011, 0b001]
     normals = [0b011, 0b011, 0b011]
@@ -145,8 +141,12 @@ def test_children_rank_before_their_descendants_on_ties():
     problem = PricingProblem(m, d, HitRange(2, 3))
     res = solve_pricing(problem)
     assert res.reduced_cost == 2 and res.best.genes == (0, 2)
-    res = solve_pricing(problem, top_q=2)
-    assert [c.genes for c in res.candidates] == [(0, 2), (0, 1, 2)]
+    # Siblings that tie: the first in gene order wins.
+    d = DualPrices(np.ones(len(tumors)), np.array([1.0, 1.0, 0.0]), 0.0)
+    for combo in ((0, 1), (0, 2)):
+        assert reduced_cost_by_loops(m, combo, d.pi, d.mu, d.lam) == 2
+    res = solve_pricing(PricingProblem(m, d, HitRange(2, 3)))
+    assert res.reduced_cost == 2 and res.best.genes == (0, 1)
 
 
 def test_negative_maximum_is_still_exact():
@@ -189,30 +189,6 @@ def test_deadline_abort_is_not_proven():
     assert not res.proven_optimal
 
 
-def test_top_q_candidates_match_enumeration():
-    rng = random.Random(59)
-    m = random_matrix(rng, 8, 10, 3)
-    duals = DualPrices(
-        pi=np.full(m.tumor_count, 0.5), mu=np.full(m.normal_count, 0.1), lam=0.0
-    )
-    hit = HitRange(2, 2)
-    res = solve_pricing(PricingProblem(m, duals, hit), top_q=4)
-    all_rc = sorted(
-        (
-            reduced_cost_by_loops(m, combo, duals.pi, duals.mu, duals.lam)
-            for combo in itertools.combinations(range(m.n_genes), 2)
-        ),
-        reverse=True,
-    )
-    want = [rc for rc in all_rc[:4] if rc > 1e-6]
-    got = [
-        reduced_cost_by_loops(m, c.genes, duals.pi, duals.mu, duals.lam)
-        for c in res.candidates
-    ]
-    assert got == pytest.approx(want, abs=1e-9)
-    assert all(got[i] >= got[i + 1] for i in range(len(got) - 1))
-
-
 def test_determinism():
     rng = random.Random(60)
     m = random_matrix(rng, 10, 9, 5)
@@ -252,22 +228,7 @@ def test_node_supports_match_enumeration_on_silent_genes_and_samples():
         if trial % 3 == 0:
             d = DualPrices(np.zeros(m.tumor_count), d.mu, d.lam)
         hit = hits[trial % len(hits)]
-        all_rc = sorted(
-            (
-                reduced_cost_by_loops(m, combo, d.pi, d.mu, d.lam)
-                for k in hit.sizes()
-                for combo in itertools.combinations(range(m.n_genes), k)
-            ),
-            reverse=True,
-        )
-        res = solve_pricing(PricingProblem(m, d, hit), top_q=2)
-        assert res.proven_optimal
-        assert res.reduced_cost == pytest.approx(
-            all_rc[0] if all_rc else -math.inf, abs=1e-9
-        )
-        got = [
-            reduced_cost_by_loops(m, c.genes, d.pi, d.mu, d.lam) for c in res.candidates
-        ]
-        assert got == pytest.approx([rc for rc in all_rc[:2] if rc > RC_EPS], abs=1e-9)
+        res = solve_pricing(PricingProblem(m, d, hit))
+        check_against_enumeration(m, d, hit, res)
         if trial % 3 == 0:
             assert res.best is None  # no column covers a priced tumor

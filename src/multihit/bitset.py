@@ -2,23 +2,32 @@
 
 Sample and gene sets are stored as arbitrary-precision ints (bit i = member
 i), so intersection is a single word-level ``&`` regardless of set size.
-Code that needs such sets as indices or as a 0/1 array converts them here,
-with :func:`nonzero`, :func:`unpack`, :func:`pack` and :func:`transpose`
-(row bit sets to column bit sets, with no 0/1 array between); these are the
-only conversions.
+Code that needs such sets as indices or as a 0/1 array converts them here.
+:func:`unpack` and :func:`pack` go between ints and 0/1 arrays.  A bit
+matrix read many ways is converted once, by :func:`byte_rows`, to the
+packed bytes of its rows, and read from those: :func:`nonzero` for the
+index pairs of its set bits, :func:`column` for one column as an int and
+:func:`column_counts` for the set bits of every column.  No samples x genes
+0/1 array is made on the way.  These are the only conversions.
 """
 
 import numpy as np
 
-# Masks joined into bytes per step of _bytes, so only that many bytes
+# Masks joined into bytes per step of byte_rows, so only that many bytes
 # objects live at once next to the array they are copied into.
 _CHUNK = 4096
-# (shift, mask) of the three swaps that transpose every 8 x 8 bit block.
-_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+# Rows unpacked per step of column_counts: the 0/1 array it sums takes
+# this many times the width in bytes, and their per-column sum fits a
+# uint8 (at most 255), which numpy adds ~4x faster than int64.
+_COUNT_ROWS = 64
 
 
-def _bytes(masks, width):
-    """``(len(masks), ceil(width / 8))`` uint8 array of little-endian bytes."""
+def byte_rows(masks, width):
+    """``(len(masks), ceil(width / 8))`` uint8 array of little-endian bytes.
+
+    Row r holds ``masks[r]``; every mask must be nonnegative and below
+    ``2**(8 * ceil(width / 8))``.
+    """
     nbytes = (width + 7) // 8
     flat = np.empty(len(masks) * nbytes, dtype=np.uint8)
     for start in range(0, len(masks), _CHUNK):
@@ -30,33 +39,15 @@ def _bytes(masks, width):
     return flat.reshape(len(masks), nbytes)
 
 
-def _ints(packed):
-    """One int per row of the uint8 array ``packed``, bytes little-endian."""
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
 def unpack(masks, width):
     """``(len(masks), width)`` uint8 0/1 array: ``[r, i]`` is bit i of ``masks[r]``.
 
-    Every mask must be nonnegative and below ``2**(8 * ceil(width / 8))``;
-    bits at ``width`` and above within the last byte are dropped.
+    Masks are bounded as in :func:`byte_rows`; bits at ``width`` and above
+    within the last byte are dropped.
     """
-    return np.unpackbits(_bytes(masks, width), axis=1, count=width, bitorder="little")
-
-
-def nonzero(masks, width):
-    """``np.nonzero(unpack(masks, width))``: the ``(r, i)`` of every set bit.
-
-    The pairs come in row-major order.  Only the nonzero bytes are unpacked,
-    so memory grows with the set bits, not with ``len(masks) * width``.
-    """
-    packed = _bytes(masks, width)
-    r, byte = np.nonzero(packed)
-    bits = np.unpackbits(packed[r, byte][:, None], axis=1, bitorder="little")
-    k, b = np.nonzero(bits)
-    i = 8 * byte[k] + b
-    keep = i < width
-    return r[k][keep], i[keep]
+    return np.unpackbits(
+        byte_rows(masks, width), axis=1, count=width, bitorder="little"
+    )
 
 
 def pack(rows):
@@ -64,31 +55,43 @@ def pack(rows):
 
     The inverse of :func:`unpack`.
     """
-    return _ints(np.packbits(rows, axis=1, bitorder="little"))
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def transpose(masks, width):
-    """Column bit sets of a bit matrix: bit r of column i is bit i of ``masks[r]``.
+def nonzero(rows, width):
+    """The ``(r, i)`` of every set bit below ``width`` of the byte rows ``rows``.
 
-    Equal to ``pack(unpack(masks, width).T)``, one int per bit below
-    ``width``, without unpacking any bit.  The row bytes are cut into 8 x 8
-    bit blocks (8 rows by one byte), each block is read as one 64-bit word,
-    and all words are transposed at once by three masked swaps (Hacker's
-    Delight, 7-3).  Memory stays a few copies of the packed bytes.
+    ``np.nonzero`` of the unpacked rows: the pairs come in row-major
+    order.  Only the nonzero bytes are unpacked, so memory grows with the
+    set bits, not with ``len(rows) * width``.
     """
-    nbytes, groups = (width + 7) // 8, (len(masks) + 7) // 8
-    # words[b, g]: byte k is byte b of row 8g + k (zero past the last row),
-    # so bit 8k + j is column 8b + j of that row; the swaps move it to 8j + k.
-    words = np.zeros((nbytes, 8 * groups), dtype=np.uint8)
-    words[:, : len(masks)] = _bytes(masks, width).T
-    words = words.view("<u8")
-    for shift, mask in _SWAPS:
-        t = words >> shift
-        t ^= words
-        t &= mask
-        words ^= t
-        t <<= shift
-        words ^= t
-    # Byte j of words[b, g] is now column 8b + j over rows 8g to 8g + 7.
-    columns = words.view(np.uint8).reshape(nbytes, groups, 8).transpose(0, 2, 1)
-    return _ints(columns.reshape(8 * nbytes, groups)[:width])
+    r, byte = np.nonzero(rows)
+    bits = np.unpackbits(rows[r, byte][:, None], axis=1, bitorder="little")
+    k, b = np.nonzero(bits)
+    i = 8 * byte[k] + b
+    keep = i < width
+    return r[k][keep], i[keep]
+
+
+def column(rows, i):
+    """Column ``i`` of the byte rows ``rows`` as an int: bit r is bit i of row r.
+
+    ``i`` must be a nonnegative index below the rows' width.
+    """
+    bits = (rows[:, i >> 3] >> (i & 7)) & 1
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def column_counts(rows, width):
+    """Per column below ``width``, how many of the byte rows ``rows`` set it.
+
+    An int64 array; ``_COUNT_ROWS`` rows are unpacked at a time.
+    """
+    counts = np.zeros(width, dtype=np.int64)
+    for start in range(0, len(rows), _COUNT_ROWS):
+        bits = np.unpackbits(
+            rows[start : start + _COUNT_ROWS], axis=1, count=width, bitorder="little"
+        )
+        counts += bits.sum(axis=0, dtype=np.uint8)
+    return counts

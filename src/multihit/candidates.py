@@ -9,7 +9,7 @@ import math
 import random
 import time
 
-from .data import rank_genes_by_tumor_frequency
+from .data import GeneCombination, rank_genes_by_tumor_frequency
 from .errors import ValidationError
 
 # Duplicate draws burn attempts; give up after this many times the target so
@@ -52,5 +52,6 @@ def generate_candidates(matrix, hit_range, gamma1, gamma2, seed, deadline=math.i
         k = rng.randint(hit_range.k_min, hit_range.k_max)
         key = tuple(sorted(rng.sample(pool, k)))
         if key not in found:
-            found[key] = matrix.combination(key)
+            # Already sorted and distinct: its covers are its genes' columns ANDed.
+            found[key] = GeneCombination(key, *matrix.coverage(key))
     return list(found.values())

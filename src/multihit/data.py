@@ -1,15 +1,18 @@
 """Mutation matrices, file formats and train/test splitting.
 
 A :class:`MutationMatrix` holds a binary gene-by-sample mutation table split
-into tumor and normal samples.  Per-sample rows and per-gene columns (built
-on first use) are kept as int bit sets so that combination coverage is a
-chain of word-level ANDs.
-Pricing reads the same table as :class:`GeneRows`, index arrays of each
-class's gene-by-sample 0/1 matrix both row-major and sample-major, built on
-first use.  Every conversion between the int bit sets and numpy arrays goes
-through :mod:`multihit.bitset`: ``transpose`` for columns from rows,
-``pack``/``unpack`` for file rows and pruning, ``nonzero`` for the index
-arrays.
+into tumor and normal samples.  Per-sample rows and per-gene columns are
+kept as int bit sets so that combination coverage is a chain of word-level
+ANDs.  Each class's sample rows are also packed into bytes once, on first
+use; a gene's columns are extracted from those bytes the first time the
+gene is read, so a solve builds the columns it reads and no others.  Tumor
+frequencies are counted over the same bytes.
+Pricing reads the table as :class:`GeneRows`, index arrays of each class's
+gene-by-sample 0/1 matrix both row-major and sample-major, built on first
+use from the set bits of the packed rows.  Every conversion between the
+int bit sets and numpy arrays goes through :mod:`multihit.bitset`:
+``byte_rows`` to pack the rows, ``column``/``column_counts``/``nonzero``
+to read them, ``pack``/``unpack`` for file rows and pruning.
 
 Dense format: UTF-8 TSV with header ``sample_id<TAB>label<TAB><gene>...``,
 labels ``tumor``/``normal`` and entries 0/1, one sample per row; with no
@@ -34,7 +37,7 @@ from operator import or_
 
 import numpy as np
 
-from .bitset import nonzero, pack, transpose, unpack
+from .bitset import byte_rows, column, column_counts, nonzero, pack, unpack
 from .errors import ParseError, ValidationError
 
 _FORBIDDEN_ID_CHARS = "\t\n\r,"
@@ -138,8 +141,9 @@ class MutationMatrix:
     """Immutable tumor/normal mutation table with bit-set rows and columns.
 
     Tumor (normal) columns index bit i to the i-th tumor (normal) sample in
-    matrix order.  Do not mutate after construction; derived structures,
-    the gene columns included, are built once, on first use.
+    matrix order.  Do not mutate after construction; derived structures
+    are built once, on first use: the packed rows of each class, and each
+    gene's columns (:meth:`columns`) when that gene is first read.
     """
 
     def __init__(self, gene_ids, samples):
@@ -170,6 +174,7 @@ class MutationMatrix:
         self.normal_positions = tuple(
             i for i, s in enumerate(samples) if s.label is SampleLabel.NORMAL
         )
+        self._columns = {}
 
     @property
     def n_genes(self):
@@ -187,27 +192,39 @@ class MutationMatrix:
     def normal_count(self):
         return len(self.normal_positions)
 
-    @property
+    @cached_property
     def all_tumor_mask(self):
         return (1 << self.tumor_count) - 1
 
-    @property
+    @cached_property
     def all_normal_mask(self):
         return (1 << self.normal_count) - 1
 
-    def tumor_frequency(self, gene):
-        """Number of tumor samples in which ``gene`` is mutated."""
-        return self.tumor_columns[gene].bit_count()
-
     @cached_property
-    def tumor_columns(self):
-        """Per gene, its tumor samples as a bit set; built on first use."""
-        return _columns(self.samples, self.tumor_positions, self.n_genes)
+    def _byte_rows(self):
+        """The tumor and the normal rows, each packed by :func:`byte_rows`."""
+        return tuple(
+            byte_rows([self.samples[pos].mutations for pos in positions], self.n_genes)
+            for positions in (self.tumor_positions, self.normal_positions)
+        )
 
-    @cached_property
-    def normal_columns(self):
-        """Per gene, its normal samples as a bit set; built on first use."""
-        return _columns(self.samples, self.normal_positions, self.n_genes)
+    def tumor_frequencies(self):
+        """Per gene, the number of tumor samples in which it is mutated (int64)."""
+        return column_counts(self._byte_rows[0], self.n_genes)
+
+    def columns(self, gene):
+        """``(tumor, normal)``: the samples of each class in which ``gene`` is mutated.
+
+        Each is a bit set, extracted from the packed rows the first time
+        the gene is read and cached from then on.
+        """
+        built = self._columns.get(gene)
+        if built is None:
+            if not 0 <= gene < self.n_genes:
+                raise ValidationError(f"gene index {gene} out of range")
+            tumor, normal = self._byte_rows
+            built = self._columns[gene] = (column(tumor, gene), column(normal, gene))
+        return built
 
     @cached_property
     def gene_index(self):
@@ -221,14 +238,14 @@ class MutationMatrix:
         ``order`` lists the gene indices by descending tumor frequency, ties
         by ascending index; row ``r`` of each :class:`GeneRows` is gene
         ``order[r]``.  Built on first use, so matrices that are never priced
-        never hold them.
+        never hold them.  They are read off the set bits of the packed rows,
+        so no gene column is built.
         """
         order = rank_genes_by_tumor_frequency(self)
-        return (
-            order,
-            _gene_rows(self.tumor_columns, order, self.tumor_count),
-            _gene_rows(self.normal_columns, order, self.normal_count),
-        )
+        row_of = np.empty(self.n_genes, dtype=np.int64)
+        row_of[order] = np.arange(self.n_genes)
+        tumor, normal = self._byte_rows
+        return order, _gene_rows(tumor, row_of), _gene_rows(normal, row_of)
 
     def coverage(self, genes):
         """Tumor and normal cover bit sets of the combination ``genes``.
@@ -240,10 +257,9 @@ class MutationMatrix:
         t = self.all_tumor_mask
         n = self.all_normal_mask
         for g in genes:
-            if not 0 <= g < self.n_genes:
-                raise ValidationError(f"gene index {g} out of range")
-            t &= self.tumor_columns[g]
-            n &= self.normal_columns[g]
+            gene_t, gene_n = self.columns(g)
+            t &= gene_t
+            n &= gene_n
             if not t and not n:
                 break
         return t, n
@@ -271,13 +287,7 @@ class MutationMatrix:
 
 def rank_genes_by_tumor_frequency(matrix):
     """Gene indices by descending tumor frequency, ties by ascending index."""
-    n = matrix.n_genes
-    freq = np.fromiter(map(matrix.tumor_frequency, range(n)), np.int64, n)
-    return np.argsort(-freq, kind="stable").tolist()
-
-
-def _columns(samples, positions, n_genes):
-    return tuple(transpose([samples[pos].mutations for pos in positions], n_genes))
+    return np.argsort(-matrix.tumor_frequencies(), kind="stable").tolist()
 
 
 @dataclass(frozen=True)
@@ -301,10 +311,17 @@ def _pointers(ids, size):
     return np.concatenate([[0], np.cumsum(np.bincount(ids, minlength=size))])
 
 
-def _gene_rows(columns, order, count):
-    r, i = nonzero([columns[g] for g in order], count)
+def _gene_rows(rows, row_of):
+    """:class:`GeneRows` of one class's byte rows; gene g is row ``row_of[g]``."""
+    i, g = nonzero(rows, len(row_of))
+    r = row_of[g]
+    # The pairs come sample by sample.  A stable sort by row keeps each
+    # row's samples ascending; a stable sort of that by sample then keeps
+    # each sample's rows ascending.
+    by_row = np.argsort(r, kind="stable")
+    r, i = r[by_row], i[by_row]
     by_sample = np.argsort(i, kind="stable")
-    return GeneRows(_pointers(r, len(order)), i, _pointers(i, count), r[by_sample])
+    return GeneRows(_pointers(r, len(row_of)), i, _pointers(i, len(rows)), r[by_sample])
 
 
 @contextmanager
@@ -475,7 +492,7 @@ def prune_genes(matrix):
     gene column is built.
     """
     union = reduce(or_, (s.mutations for s in matrix.samples), 0)
-    keep = nonzero([union], matrix.n_genes)[1]
+    keep = nonzero(byte_rows([union], matrix.n_genes), matrix.n_genes)[1]
     if len(keep) == matrix.n_genes:
         return matrix
     rows = unpack([s.mutations for s in matrix.samples], matrix.n_genes)[:, keep]

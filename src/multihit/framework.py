@@ -93,7 +93,8 @@ class SolveReport:
     :func:`metrics.optimality_gap` clamped at 0 (a bound met to LP tolerance).
     ``status`` is ``"converged"`` when every proving step finished inside
     its limit, else ``"time_limit"``.  ``pool_size`` is the number of
-    columns of the final pool MIP: in exact mode, the distinct covers.
+    columns of the final pool MIP: in exact mode, the distinct covers; a
+    pool whose build the time limit cut off counts every column drawn.
     ``iterations`` counts pricing rounds, ``pricing_nodes`` the children
     they scored, ``binary_nodes`` the final pool's relaxation (1, or 0 when
     it was cut off) plus HiGHS's branch-and-bound nodes, and
@@ -139,7 +140,14 @@ def rounding_heuristic(relaxation, model):
 
 def _pipeline(matrix, config, initial_columns, use_pricing, started, generation_time):
     deadline = started + config.total_time_limit
-    model = MasterModel(matrix, initial_columns, config.beta)
+    # The clock is read before each pool column, as generation reads it
+    # before each draw.  A build cut off by the deadline is never relaxed
+    # (the deadline has passed, so no LP is built) and carries no bound.
+    model = MasterModel(matrix, [], config.beta)
+    for comb in initial_columns:
+        if time.perf_counter() > deadline:
+            break
+        model.add_column(comb)
     best_selection = []
     lb_star = 0
     ub_star = None
@@ -202,7 +210,8 @@ def _pipeline(matrix, config, initial_columns, use_pricing, started, generation_
         upper_bound=ub_star,
         status="converged" if proved else "time_limit",
         iterations=iterations,
-        pool_size=len(model.columns),
+        # A cut-off build holds a prefix of the pool; the report counts it all.
+        pool_size=max(len(model.columns), len(initial_columns)),
         timings={
             "generation": generation_time,
             "master": master_time,
@@ -220,7 +229,8 @@ def solve_mip_heuristic(matrix, config):
     """The pool pipeline over a randomly generated pool; no bound.
 
     Generation stops early, with the pool drawn so far, when the total time
-    limit passes.
+    limit passes; a pool whose master build the limit cuts off is not
+    solved, and the report has an empty selection.
     """
     started = time.perf_counter()
     pool = generate_candidates(

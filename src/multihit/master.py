@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import metrics
-from .bitset import nonzero
+from .bitset import byte_rows, nonzero
 from .errors import ConsistencyError, DuplicateColumnError, ValidationError
 from .lp import STATUS_OPTIMAL, STATUS_TIME_LIMIT, LinearProgram, solve_lp
 
@@ -86,7 +86,7 @@ class MasterModel:
         # CSC arrays: unit columns for the cover flags, then per selection
         # variable -1 on each tumor it covers and +1 on the budget row.
         # ``nonzero`` gives each column's tumors in order, column by column.
-        z, t = nonzero([c.tumor_cover for c in self.columns], nt)
+        z, t = nonzero(byte_rows([c.tumor_cover for c in self.columns], nt), nt)
         indptr = np.concatenate(
             [np.arange(nt + 1), nt + np.cumsum(np.bincount(z, minlength=n_z) + 1)]
         )

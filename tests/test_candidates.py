@@ -8,7 +8,11 @@ import types
 import pytest
 
 from multihit import candidates
-from multihit.candidates import generate_candidates, rank_genes_by_tumor_frequency
+from multihit.candidates import (
+    ATTEMPT_FACTOR,
+    generate_candidates,
+    rank_genes_by_tumor_frequency,
+)
 from multihit.data import HitRange, MutationMatrix, SampleLabel, SampleRecord
 from multihit.errors import ValidationError
 
@@ -36,10 +40,11 @@ def test_ranking_matches_counting_pass():
 def test_ranking_keeps_index_order_among_tied_frequencies():
     # 6 tumors give 200 genes at most 7 distinct frequencies, so nearly
     # every gene ties with others; a matrix without tumors ties them all.
+    # 130 tumors are counted in more than one chunk of rows.
     rng = random.Random(7)
-    for n_genes, n_tumor in ((200, 6), (40, 0), (0, 3)):
+    for n_genes, n_tumor in ((200, 6), (40, 0), (0, 3), (300, 130)):
         m = random_matrix(rng, n_genes, n_tumor, 4, density=0.2)
-        freq = [bin(c).count("1") for c in m.tumor_columns]
+        freq = [bin(m.columns(g)[0]).count("1") for g in range(n_genes)]
         assert len(set(freq)) < n_genes or n_genes == 0
         expected = sorted(range(n_genes), key=lambda g: (-freq[g], g))
         ranked = rank_genes_by_tumor_frequency(m)
@@ -128,6 +133,40 @@ def test_deadline_stops_generation_on_a_prefix_of_the_draws(monkeypatch):
     cut = generate_candidates(*args, deadline=1.5)
     assert len(cut) == 2 < len(full)
     assert [c.genes for c in cut] == [c.genes for c in full[: len(cut)]]
+
+
+def draws_by_combination(m, hit_range, gamma1, gamma2, seed):
+    """The generation loop with every new key built by ``m.combination``."""
+    pool = rank_genes_by_tumor_frequency(m)[:gamma1]
+    total = sum(math.comb(len(pool), k) for k in hit_range.sizes())
+    rng = random.Random(seed)
+    found = {}
+    attempts = 0
+    while len(found) < min(gamma2, total) and attempts < ATTEMPT_FACTOR * gamma2:
+        attempts += 1
+        k = rng.randint(hit_range.k_min, hit_range.k_max)
+        key = tuple(sorted(rng.sample(pool, k)))
+        if key not in found:
+            found[key] = m.combination(key)
+    return list(found.values())
+
+
+def test_generation_equals_a_combination_reference():
+    # Same draws, same order, same covers as building each new key through
+    # matrix.combination; the pools include exhausted spaces and repeats.
+    rng = random.Random(9)
+    m = random_matrix(rng, 60, 70, 30, density=0.3)
+    cases = [
+        (HitRange(2, 3), 20, 300),
+        (HitRange(1, 1), 10, 50),
+        (HitRange(2, 5), 12, 500),
+        (HitRange(3, 3), 6, 100),  # 20 triples: exhausted
+    ]
+    for hit_range, gamma1, gamma2 in cases:
+        for seed in (0, 1, 17):
+            got = generate_candidates(m, hit_range, gamma1, gamma2, seed)
+            assert got == draws_by_combination(m, hit_range, gamma1, gamma2, seed)
+    assert len(generate_candidates(m, HitRange(3, 3), 6, 100, 0)) == 20
 
 
 def test_uncovered_combos_kept_by_default():

@@ -3,15 +3,18 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from multihit.bitset import pack, unpack
+from multihit.bitset import unpack
 from multihit.data import (
     GeneCombination,
+    GeneRows,
     HitRange,
     MutationMatrix,
     SampleLabel,
     SampleRecord,
+    _pointers,
     _train_share,
     load_dense,
     load_sparse,
@@ -258,12 +261,14 @@ def test_id_faults_name_the_first_bad_id(kind, bad):
 def test_ids_with_inner_spaces_are_accepted():
     samples = [SampleRecord("sample 1", SampleLabel.TUMOR, 1)]
     m = MutationMatrix(["gene A", "gene\u00a0B"], samples)
-    assert m.gene_ids == ("gene A", "gene\u00a0B") and m.tumor_columns == (1, 0)
+    assert m.gene_ids == ("gene A", "gene\u00a0B")
+    assert m.columns(0) == (1, 0) and m.columns(1) == (0, 0)
 
 
 def test_building_columns_keeps_no_unpacked_array():
     # 1,000 tumors by 4,000 genes at ~1% density: the 0/1 array of the
-    # tumor rows alone would take tumor_count * n_genes bytes.
+    # tumor rows alone would take tumor_count * n_genes bytes.  Counting
+    # the tumor frequencies and building the gene-major rows stay below it.
     rng = random.Random(7)
     n_genes = 4000
     samples = [
@@ -279,17 +284,19 @@ def test_building_columns_keeps_no_unpacked_array():
     tracemalloc.start()
     try:
         m = MutationMatrix(gene_ids, samples)
-        m.tumor_columns, m.normal_columns  # built on first use
+        freq = m.tumor_frequencies()
+        order, tumor, normal = m.gene_major
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < m.tumor_count * m.n_genes
-    for positions, columns in (
-        (m.tumor_positions, m.tumor_columns),
-        (m.normal_positions, m.normal_columns),
-    ):
-        rows = unpack([samples[i].mutations for i in positions], n_genes)
-        assert columns == tuple(pack(rows.T))
+    rows = unpack([samples[i].mutations for i in m.tumor_positions], n_genes)
+    assert freq.tolist() == rows.sum(axis=0).tolist()
+    assert m._columns == {}  # neither reads a gene column
+    want = gene_rows_from_columns(m)
+    assert order == want[0]
+    assert_same_gene_rows(tumor, want[1])
+    assert_same_gene_rows(normal, want[2])
 
 
 def test_train_share_rounding():
@@ -424,16 +431,86 @@ def test_gene_rows_hold_each_class_both_ways():
     m = random_matrix(rng, 9, 7, 5, density=0.4)
     order, tumor, normal = m.gene_major
     assert sorted(order) == list(range(m.n_genes))
-    freq = [m.tumor_frequency(g) for g in order]
+    freq = m.tumor_frequencies()[order].tolist()
     assert freq == sorted(freq, reverse=True)
-    for rows, columns, count in (
-        (tumor, m.tumor_columns, m.tumor_count),
-        (normal, m.normal_columns, m.normal_count),
-    ):
-        bits = unpack([columns[g] for g in order], count)
+    for rows, side, count in ((tumor, 0, m.tumor_count), (normal, 1, m.normal_count)):
+        bits = unpack([m.columns(g)[side] for g in order], count)
         for r in range(len(order)):
             seg = rows.row_samples[rows.row_ptr[r] : rows.row_ptr[r + 1]]
             assert list(seg) == list(bits[r].nonzero()[0])
         for s in range(count):
             seg = rows.sample_rows[rows.sample_ptr[s] : rows.sample_ptr[s + 1]]
             assert list(seg) == list(bits[:, s].nonzero()[0])
+
+
+def columns_by_loops(m, positions, gene):
+    """Bit r is gene ``gene`` of the r-th sample at ``positions``, bit by bit."""
+    return sum(
+        ((m.samples[pos].mutations >> gene) & 1) << r for r, pos in enumerate(positions)
+    )
+
+
+@pytest.mark.parametrize("n_genes", [1, 7, 8, 9, 65])
+def test_columns_match_a_per_bit_loop(n_genes):
+    rng = random.Random(n_genes)
+    for n_tumor, n_normal in ((9, 4), (0, 5), (6, 0), (17, 8)):
+        m = random_matrix(rng, n_genes, n_tumor, n_normal, density=0.4)
+        # The last gene is mutated nowhere: every row drops its top bit.
+        m = MutationMatrix(
+            m.gene_ids,
+            [
+                SampleRecord(s.sample_id, s.label, s.mutations & ~(1 << (n_genes - 1)))
+                for s in m.samples
+            ],
+        )
+        genes = list(range(n_genes))
+        rng.shuffle(genes)  # built in any order, each on its first read
+        for g in genes:
+            want = (
+                columns_by_loops(m, m.tumor_positions, g),
+                columns_by_loops(m, m.normal_positions, g),
+            )
+            assert m.columns(g) == want
+            assert m.columns(g) is m.columns(g)  # cached
+        assert m.columns(n_genes - 1) == (0, 0)
+        assert sorted(m._columns) == list(range(n_genes))
+        assert m.tumor_frequencies().tolist() == [
+            m.columns(g)[0].bit_count() for g in range(n_genes)
+        ]
+        for bad in (-1, n_genes, n_genes + 7, 8 * n_genes):
+            with pytest.raises(ValidationError, match="out of range"):
+                m.columns(bad)
+
+
+def gene_rows_from_columns(m):
+    """``gene_major`` as built from every gene's full columns."""
+    freq = [m.columns(g)[0].bit_count() for g in range(m.n_genes)]
+    order = sorted(range(m.n_genes), key=lambda g: (-freq[g], g))
+    out = [order]
+    for side, count in ((0, m.tumor_count), (1, m.normal_count)):
+        r, i = np.nonzero(unpack([m.columns(g)[side] for g in order], count))
+        by_sample = np.argsort(i, kind="stable")
+        out.append(
+            GeneRows(
+                _pointers(r, m.n_genes), i, _pointers(i, count), r[by_sample]
+            )
+        )
+    return tuple(out)
+
+
+def assert_same_gene_rows(got, want):
+    for name in ("row_ptr", "row_samples", "sample_ptr", "sample_rows"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_gene_major_equals_its_construction_from_full_columns():
+    rng = random.Random(72)
+    shapes = ((9, 7, 5), (40, 12, 6), (65, 0, 4), (8, 5, 0), (0, 3, 2), (200, 6, 4))
+    for n_genes, n_tumor, n_normal in shapes:
+        m = random_matrix(rng, n_genes, n_tumor, n_normal, density=0.3)
+        order, tumor, normal = m.gene_major
+        want = gene_rows_from_columns(m)
+        assert order == want[0]
+        assert_same_gene_rows(tumor, want[1])
+        assert_same_gene_rows(normal, want[2])

@@ -8,7 +8,7 @@ import types
 import numpy as np
 import pytest
 
-from multihit import framework, master, pricing
+from multihit import candidates, framework, master, pricing
 from multihit.data import HitRange, MutationMatrix, SampleLabel, SampleRecord
 from multihit.errors import ConsistencyError, ValidationError
 from multihit.framework import (
@@ -221,6 +221,39 @@ def test_mip_heuristic_keeps_its_time_limit_while_drawing_its_pool():
     assert time.perf_counter() - t0 <= cfg.total_time_limit + 1.0
     assert rep.status == "time_limit"
     assert 0 < rep.pool_size < cfg.gamma2
+
+
+def test_mip_heuristic_builds_no_model_once_generation_passes_the_deadline(
+    monkeypatch,
+):
+    # A clock that passes the deadline as generation returns: no column
+    # joins the master, no LP is built, and the report still counts the
+    # whole drawn pool.
+    m = random_matrix(random.Random(2), 12, 20, 8, density=0.4)
+    cfg = SolverConfig(
+        hit_range=HitRange(2, 3), beta=3, gamma2=50, total_time_limit=1.0
+    )
+    late = []
+    fake = types.SimpleNamespace(perf_counter=lambda: 10.0 if late else 0.0)
+    for module in (framework, master, candidates):
+        monkeypatch.setattr(module, "time", fake)
+    drawn = []
+
+    def generate(*args, **kwargs):
+        drawn.extend(candidates.generate_candidates(*args, **kwargs))
+        late.append(True)
+        return drawn
+
+    monkeypatch.setattr(framework, "generate_candidates", generate)
+    monkeypatch.setattr(MasterModel, "add_column", lambda *a: pytest.fail("built"))
+    monkeypatch.setattr(MasterModel, "build_lp", lambda self: pytest.fail("LP built"))
+    rep = solve_mip_heuristic(m, cfg)
+    assert len(drawn) == cfg.gamma2
+    assert rep.status == "time_limit"
+    assert rep.upper_bound is None and rep.gap_percent is None
+    assert rep.pool_size == cfg.gamma2
+    assert rep.selection == [] and rep.objective == 0
+    assert rep.lp_iterations == 0 and rep.binary_nodes == 0
 
 
 def test_mip_heuristic_reports_its_rounded_root_without_an_incumbent(monkeypatch):

@@ -164,6 +164,46 @@ def test_run_cell_produces_schema_valid_report():
     assert cell["binary_nodes"] >= 1 and cell["lp_iterations"] >= 1
 
 
+def test_run_cell_builds_only_the_gene_columns_it_reads(monkeypatch):
+    # A pool cell reads the columns of the top gamma1 genes on the train
+    # half and those of its at most beta selected combinations (3 genes
+    # each) on the test half; each gene read builds a tumor and a normal
+    # column, and no other gene's are built.
+    matrix = generate_synthetic(
+        planted_spec(2500, 60, 30, background_rate=0.03, normal_rate=0.01), 1
+    )
+    split_train_test, prune = harness.split_train_test, harness.prune_genes
+    halves = {}
+
+    def split(*args):
+        halves["train"], halves["test"] = split_train_test(*args)
+        return halves["train"], halves["test"]
+
+    def pruned(m):
+        halves["train"] = prune(m)
+        return halves["train"]
+
+    monkeypatch.setattr(harness, "split_train_test", split)
+    monkeypatch.setattr(harness, "prune_genes", pruned)
+    hit = HitRange(2, 3)
+    spec = ExperimentSpec(
+        instances=(("wide", matrix),),
+        hit_ranges=(hit,),
+        modes=("mip_heuristic",),
+        seeds=(1,),
+        beta=10,
+        gamma1=100,
+        gamma2=1000,
+        train_fraction=0.75,
+    )
+    cell = run_cell("wide", matrix, hit, "mip_heuristic", 1, spec)
+    train, test = halves["train"], halves["test"]
+    assert train.n_genes >= 2000 and test.n_genes == matrix.n_genes
+    assert cell["objective"] > 0 and cell["n_comb"] == 1000
+    assert 0 < 2 * len(train._columns) <= 2 * spec.gamma1
+    assert 0 < 2 * len(test._columns) <= 2 * 3 * spec.beta
+
+
 def test_run_cell_colgen_carries_bound():
     spec = small_experiment(None, modes=("colgen",))
     name, matrix = spec.instances[0]

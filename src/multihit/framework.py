@@ -1,10 +1,12 @@
 """End-to-end solvers: column generation, pool heuristic and exact pool.
 
-All three modes run one pipeline (``_pipeline``): build a pool, relax it
-and round the relaxation into the incumbent, in column generation price
-and repeat, then solve the pool MIP (``master.solve_binary``) warm
-started from the last relaxation's basis.  The report carries the best
-integral selection seen anywhere along the way.
+All three modes run one pipeline (``_pipeline``): build a pool and relax
+it; in column generation price, round the relaxation into the incumbent
+when pricing adds a column, and repeat.  The pool MIP
+(``master.solve_binary``) starts from the last relaxation: it rounds it
+and calls HiGHS only when the rounding falls short of the LP's integer
+floor.  The report carries the best integral selection seen anywhere
+along the way.
 ``solve_colgen`` starts from an empty pool and lets pricing build it; the
 bound it reports is trusted only when pricing proves that no combination
 with positive reduced cost remains, so a timed-out run carries no bound.
@@ -24,10 +26,8 @@ import numpy as np
 from . import metrics
 from .candidates import generate_candidates
 from .errors import ConsistencyError, DuplicateColumnError, ValidationError
-from .master import MasterModel, solve_binary, solve_relaxation
+from .master import MasterModel, rounding_heuristic, solve_binary, solve_relaxation
 from .pricing import RC_EPS, PricingProblem, solve_pricing_with_speedup
-
-ROUND_TOL = 1e-6
 
 EXACT_MAX_POOL = 5000
 
@@ -96,8 +96,9 @@ class SolveReport:
     columns of the final pool MIP: in exact mode, the distinct covers; a
     pool whose build the time limit cut off counts every column drawn.
     ``iterations`` counts pricing rounds, ``pricing_nodes`` the children
-    they scored, ``binary_nodes`` the final pool's relaxation (1, or 0 when
-    it was cut off) plus HiGHS's branch-and-bound nodes, and
+    they scored, ``binary_nodes`` the final pool's relaxation, which the
+    pool MIP rounds (1, or 0 when it was cut off), plus HiGHS's
+    branch-and-bound nodes, and
     ``lp_iterations`` the own simplex's pivots over every master relaxation
     that finished, the final pool's included; HiGHS's are not counted.
     These counters mean the same in every mode, exact mode included.
@@ -119,23 +120,6 @@ class SolveReport:
         ub = self.upper_bound
         gap = None if ub is None else metrics.optimality_gap(self.objective, ub)
         self.gap_percent = None if gap is None else max(gap, 0.0)
-
-
-def rounding_heuristic(relaxation, model):
-    """Integer selection from a relaxation: keep the largest z values.
-
-    Keeps ``ceil(sum z)`` columns (clamped to the budget and pool size),
-    ties broken toward the lower column index, and recomputes the objective
-    exactly on the rounded selection, so the returned value is always a
-    valid lower bound.  Returns ``(indices, objective)``.
-    """
-    z = relaxation.z
-    k = math.ceil(float(sum(z)) - ROUND_TOL)
-    k = max(0, min(k, model.beta, len(z)))
-    order = np.argsort(-z, kind="stable")
-    indices = tuple(sorted(order[:k].tolist()))
-    chosen = [model.columns[j] for j in indices]
-    return indices, metrics.objective_value(chosen, model.matrix)
 
 
 def _pipeline(matrix, config, initial_columns, use_pricing, started, generation_time):
@@ -166,10 +150,6 @@ def _pipeline(matrix, config, initial_columns, use_pricing, started, generation_
             break  # the deadline passed before or inside the LP; no bound
         warm = rmp.basis
         lp_iterations += rmp.iterations
-        indices, rounded = rounding_heuristic(rmp, model)
-        if rounded > lb_star:
-            lb_star = rounded
-            best_selection = [model.columns[j] for j in indices]
         if not use_pricing:
             break
         problem = PricingProblem(matrix, rmp.duals, config.hit_range)
@@ -183,6 +163,10 @@ def _pipeline(matrix, config, initial_columns, use_pricing, started, generation_
             if pricing_converged:
                 ub_star = rmp.objective
             break
+        indices, rounded = rounding_heuristic(rmp, model)
+        if rounded > lb_star:
+            lb_star = rounded
+            best_selection = [model.columns[j] for j in indices]
         try:
             model.add_column(priced.best)
         except DuplicateColumnError as exc:
@@ -192,12 +176,10 @@ def _pipeline(matrix, config, initial_columns, use_pricing, started, generation_
                 "relaxation optimum every pool column must price nonpositive"
             ) from exc
     t0 = time.perf_counter()
-    # The last relaxation's basis: without pricing, or when pricing
-    # converged, it is already optimal for the final pool.
+    # ``rmp`` is the final pool's relaxation, or None when the deadline cut
+    # it off; pricing added no column after it.
     binary = solve_binary(
-        model,
-        deadline=min(deadline, t0 + config.master_time_limit),
-        warm_start=warm,
+        model, deadline=min(deadline, t0 + config.master_time_limit), root=rmp
     )
     binary_time = time.perf_counter() - t0
     if binary.objective > lb_star:

@@ -4,10 +4,10 @@ The LP maximizes covered tumors minus multiplicity-counted normal coverings.
 A combination's normal coverings are linear in its selection variable, so
 they are its objective cost: ``-normal_cover.bit_count()``.  One row per
 tumor links its cover flag to the selection variables, and a final budget
-row caps how many combinations may be picked.  ``solve_binary`` returns
-the relaxation's selection when it is integral and otherwise hands the
-same LP, with binary selection variables, to HiGHS; cover flags are
-integral at an optimum once the selection is binary.
+row caps how many combinations may be picked.  ``solve_binary`` rounds the
+relaxation and stops when the rounding meets the LP's integer floor;
+otherwise it hands the same LP, with binary selection variables, to HiGHS.
+Cover flags are integral at an optimum once the selection is binary.
 """
 
 import math
@@ -18,9 +18,9 @@ import numpy as np
 from . import metrics
 from .bitset import byte_rows, nonzero
 from .errors import ConsistencyError, DuplicateColumnError, ValidationError
-from .lp import STATUS_OPTIMAL, STATUS_TIME_LIMIT, LinearProgram, solve_lp
+from .lp import CHECK_TOL, STATUS_OPTIMAL, STATUS_TIME_LIMIT, LinearProgram, solve_lp
 
-INT_TOL = 1e-6
+ROUND_TOL = 1e-6
 
 
 class DualPrices:
@@ -55,7 +55,7 @@ class BinarySolveResult:
 
 
 class MasterModel:
-    """Matrix + duplicate-free column pool + budget, with a cached LP."""
+    """Matrix + duplicate-free column pool + budget."""
 
     def __init__(self, matrix, columns, beta):
         if isinstance(beta, bool) or not isinstance(beta, int) or beta < 0:
@@ -64,7 +64,6 @@ class MasterModel:
         self.beta = beta
         self.columns = []
         self._keys = set()
-        self._cached_lp = None
         for c in columns:
             self.add_column(c)
 
@@ -75,13 +74,10 @@ class MasterModel:
         self.matrix.check(comb)
         self.columns.append(comb)
         self._keys.add(comb.genes)
-        self._cached_lp = None
         return len(self.columns) - 1
 
     def build_lp(self):
-        """The relaxation LP; cached until the pool changes."""
-        if self._cached_lp is not None:
-            return self._cached_lp
+        """The relaxation LP of the current pool."""
         nt, n_z = self.matrix.tumor_count, len(self.columns)
         # CSC arrays: unit columns for the cover flags, then per selection
         # variable -1 on each tumor it covers and +1 on the budget row.
@@ -102,10 +98,7 @@ class MasterModel:
         rhs = np.concatenate([np.zeros(nt), [float(self.beta)]])
         lower = np.zeros(nt + n_z)
         upper = np.concatenate([np.ones(nt), np.full(n_z, np.inf)])
-        self._cached_lp = LinearProgram(
-            objective, (data, indices, indptr), rhs, lower, upper
-        )
-        return self._cached_lp
+        return LinearProgram(objective, (data, indices, indptr), rhs, lower, upper)
 
 
 def solve_relaxation(model, warm_start=None, deadline=math.inf):
@@ -139,42 +132,66 @@ def solve_relaxation(model, warm_start=None, deadline=math.inf):
     )
 
 
-def solve_binary(model, deadline=math.inf, warm_start=None):
+def rounding_heuristic(relaxation, model):
+    """Integer selection from a relaxation: keep the largest z values.
+
+    Keeps ``ceil(sum z)`` columns (clamped to the budget and pool size),
+    ties broken toward the lower column index, and recomputes the objective
+    exactly on the rounded selection, so the returned value is always a
+    valid lower bound.  Returns ``(indices, objective)``.
+    """
+    z = relaxation.z
+    k = math.ceil(float(sum(z)) - ROUND_TOL)
+    k = max(0, min(k, model.beta, len(z)))
+    order = np.argsort(-z, kind="stable")
+    indices = tuple(sorted(order[:k].tolist()))
+    chosen = [model.columns[j] for j in indices]
+    return indices, metrics.objective_value(chosen, model.matrix)
+
+
+def solve_binary(model, deadline=math.inf, root=None):
     """Best integral selection over the pool.
 
-    The own simplex solves the pool's relaxation first, warm started from
-    the :class:`~multihit.lp.Basis` ``warm_start`` when one is given.  When
-    its selection values are integral to ``INT_TOL``, that selection is
-    optimal (one node).  Otherwise HiGHS (``scipy.optimize.milp``, imported
-    only then) solves the same LP with binary selection variables in the
-    time left before ``deadline`` (``time.perf_counter`` scale, ``math.inf``
-    for no limit); the cover flags stay continuous, as a binary selection
-    makes them integral at an optimum.  ``nodes`` is 1 plus HiGHS's nodes,
-    and ``lp_iterations`` counts the own simplex's pivots only.  Selections
-    are accepted only after exact integer re-evaluation.  When the deadline
-    passes, the status is ``time_limit``: the selection is HiGHS's
-    incumbent, or empty when there is none, and the bound is the smaller of
-    the root LP's and HiGHS's dual bound (infinite when the root LP itself
-    was cut off, or not built because the deadline had passed).
+    ``root`` is the :class:`RmpSolution` of the pool as it stands; without
+    one, the own simplex solves the relaxation here.  The root is rounded
+    (:func:`rounding_heuristic`).  The objective is an integer, so a
+    rounding worth ``floor(root.objective + tol)``, with ``tol`` the
+    simplex's own check tolerance, is optimal (one node).  Otherwise HiGHS
+    (``scipy.optimize.milp``, imported only then) solves the same LP with
+    binary selection variables in the time left before ``deadline``
+    (``time.perf_counter`` scale, ``math.inf`` for no limit); the cover
+    flags stay continuous, as a binary selection makes them integral at an
+    optimum.  The result is the better of HiGHS's incumbent and the
+    rounding, the rounding on a tie.  ``nodes`` is 1 plus HiGHS's nodes,
+    and ``lp_iterations`` counts the pivots of a root solved here.
+    Selections are accepted only after exact integer re-evaluation.  When
+    the deadline passes, the status is ``time_limit`` and the bound the
+    smaller of the root LP's and HiGHS's dual bound; when it passes before
+    the root is solved, the selection is empty and the bound infinite.
     """
-    root = solve_relaxation(model, warm_start=warm_start, deadline=deadline)
+    iterations = 0
     if root is None:
-        return _checked(model, None, 0.0, math.inf, "time_limit", 0, 0)
-    z = root.z
-    if np.all(np.abs(z - np.round(z)) <= INT_TOL):
-        return _checked(
-            model, z, root.objective, root.objective, "optimal", 1, root.iterations
+        root = solve_relaxation(model, deadline=deadline)
+        if root is None:
+            return _checked(model, [], 0.0, math.inf, "time_limit", 0, 0)
+        iterations = root.iterations
+    if len(root.z) != len(model.columns):
+        raise ConsistencyError(
+            f"root relaxation has {len(root.z)} selection values for a pool "
+            f"of {len(model.columns)} columns"
         )
-    if time.perf_counter() > deadline:
-        return _checked(
-            model, None, 0.0, root.objective, "time_limit", 1, root.iterations
-        )
+    selection, value = rounding_heuristic(root, model)
+    tol = CHECK_TOL * (1.0 + abs(root.objective))
+    closed = value >= math.floor(root.objective + tol)
+    if closed or time.perf_counter() > deadline:
+        status = "optimal" if closed else "time_limit"
+        return _checked(model, selection, value, root.objective, status, 1, iterations)
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     lp, nt = model.build_lp(), model.matrix.tumor_count
     res = milp(
         -lp.objective,
-        integrality=np.concatenate([np.zeros(nt), np.ones(len(z))]),
+        integrality=np.concatenate([np.zeros(nt), np.ones(len(root.z))]),
         bounds=Bounds(0.0, 1.0),
         constraints=LinearConstraint(lp.a_matrix, -np.inf, lp.rhs),
         options={
@@ -184,26 +201,25 @@ def solve_binary(model, deadline=math.inf, warm_start=None):
     )
     if res.status not in (0, 1):  # 1: the time limit passed
         raise ConsistencyError(f"HiGHS ended with status {res.status}: {res.message}")
-    if res.x is None:  # stopped before HiGHS found a selection
-        z, value = None, 0.0
-    else:
-        z, value = res.x[nt:], -res.fun
+    # The objective is an integer, so HiGHS beats the rounding by at least 1.
+    if res.x is not None and -res.fun > value + 0.5:
+        selection, value = np.flatnonzero(res.x[nt:] > 0.5).tolist(), -res.fun
     bound = root.objective
     if res.mip_dual_bound is not None and math.isfinite(res.mip_dual_bound):
         bound = min(bound, -res.mip_dual_bound)
     status = "optimal" if res.status == 0 else "time_limit"
     nodes = 1 + (res.mip_node_count or 0)
-    return _checked(model, z, value, bound, status, nodes, root.iterations)
+    return _checked(model, selection, value, bound, status, nodes, iterations)
 
 
-def _checked(model, z, value, bound, status, nodes, lp_iterations):
-    """The result for the columns with ``z`` above 1/2 (none for ``None``).
+def _checked(model, selection, value, bound, status, nodes, lp_iterations):
+    """The result for the columns ``selection``.
 
-    Their exact objective must lie between the solver's ``value`` for the
-    point and ``bound``, to a relative 1e-4; an optimal result's bound is
-    that exact objective.
+    Their exact objective must lie between the solver's ``value`` for them
+    and ``bound``, to a relative 1e-4; an optimal result's bound is that
+    exact objective.
     """
-    selection = [] if z is None else np.flatnonzero(z > 0.5).tolist()
+    selection = list(selection)
     exact = metrics.objective_value([model.columns[k] for k in selection], model.matrix)
     tol = 1e-4 * (1.0 + abs(value))
     if not value - tol <= exact <= bound + tol:

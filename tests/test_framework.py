@@ -86,7 +86,7 @@ def test_rounding_ranks_ties_toward_the_lower_index():
     for _ in range(20):
         z = np.array([rng.choice((0.0, 0.25, 0.5, 1.0)) for _ in model.columns])
         order = sorted(range(len(z)), key=lambda j: (-z[j], j))
-        k = max(0, min(math.ceil(z.sum() - framework.ROUND_TOL), 5))
+        k = max(0, min(math.ceil(z.sum() - master.ROUND_TOL), 5))
         indices, _ = rounding_heuristic(stub(z), model)
         assert indices == tuple(sorted(order[:k]))
 
@@ -257,16 +257,17 @@ def test_mip_heuristic_builds_no_model_once_generation_passes_the_deadline(
 
 
 def test_mip_heuristic_reports_its_rounded_root_without_an_incumbent(monkeypatch):
-    # The pool's relaxation is fractional and HiGHS stops before it finds a
-    # selection: the report keeps the rounded root relaxation.
+    # The pool's rounded relaxation falls short of its integer floor and
+    # HiGHS stops before it finds a selection: the report keeps the rounded
+    # root relaxation.
     import scipy.optimize
 
     monkeypatch.setattr(scipy.optimize, "milp", no_incumbent)
-    m = random_matrix(random.Random(13), 9, 16, 8, density=0.45)
+    m = random_matrix(random.Random(4), 9, 16, 8, density=0.45)
     cfg = SolverConfig(hit_range=HitRange(2, 3), beta=3, gamma1=20, gamma2=2000)
     rep = solve_mip_heuristic(m, cfg)
     assert rep.pool_size == len(all_combinations(m, cfg.hit_range))
-    assert rep.binary_nodes == 1  # a fractional root, then HiGHS
+    assert rep.binary_nodes == 1  # the rounded root, then HiGHS
     assert rep.status == "time_limit"
     assert rep.upper_bound is None and rep.gap_percent is None
     assert rep.objective > 0
@@ -459,6 +460,9 @@ def test_colgen_determinism():
 
 
 def test_lp_iterations_count_every_simplex_pivot(monkeypatch):
+    # Each pool's LP is solved once: the pool MIP starts from the last
+    # relaxation, so column generation solves one LP per pricing round and
+    # the other modes one in all.
     pivots = []
     solve_lp = master.solve_lp
 
@@ -474,6 +478,7 @@ def test_lp_iterations_count_every_simplex_pivot(monkeypatch):
         pivots.clear()
         rep = solve(m, cfg)
         assert rep.lp_iterations == sum(pivots) > 0
+        assert len(pivots) == (rep.iterations if solve is solve_colgen else 1)
         assert rep.binary_nodes >= 1
 
 

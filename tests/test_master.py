@@ -16,9 +16,15 @@ import pytest
 from multihit import master
 from multihit.candidates import generate_candidates
 from multihit.data import HitRange
-from multihit.errors import DuplicateColumnError, ValidationError
-from multihit.lp import STATUS_TIME_LIMIT, LinearProgram, LpSolution
-from multihit.master import MasterModel, solve_binary, solve_relaxation
+from multihit.errors import ConsistencyError, DuplicateColumnError, ValidationError
+from multihit.lp import CHECK_TOL, STATUS_TIME_LIMIT, LinearProgram, LpSolution
+from multihit.master import (
+    MasterModel,
+    RmpSolution,
+    rounding_heuristic,
+    solve_binary,
+    solve_relaxation,
+)
 from multihit.metrics import objective_value
 from multihit.synth import SyntheticSpec, generate_synthetic
 
@@ -49,6 +55,13 @@ def pool_slice(seed):
     pool = full_pool(m, HitRange(2, 3))
     rng.shuffle(pool)
     return m, pool[:40]
+
+
+def rounding_falls_short(model, root):
+    """Whether the rounded root is worth less than the LP's integer floor."""
+    _, value = rounding_heuristic(root, model)
+    tol = CHECK_TOL * (1 + abs(root.objective))
+    return value < math.floor(root.objective + tol)
 
 
 def counting_milp(monkeypatch):
@@ -268,24 +281,28 @@ def test_binary_matches_subset_enumeration():
         assert res.bound == pytest.approx(res.objective)
 
 
-def test_binary_warm_started_from_a_relaxation_keeps_the_optimum():
-    # Column generation hands the binary solve the last relaxation's basis:
-    # for the same pool it is optimal at once, and one from before columns
-    # were added is a valid start too.
+def test_binary_warm_started_from_a_relaxation_keeps_the_optimum(monkeypatch):
+    # Column generation hands the binary solve the last relaxation as its
+    # root: the pool's optimum is the same as from a root solved inside,
+    # and no LP is solved again.  A root of another pool is refused.
+    cases = []
     for seed in range(8):
         m, pool = pool_slice(seed)
         model = MasterModel(m, pool[:30], 3)
-        earlier = solve_relaxation(model).basis
+        earlier = solve_relaxation(model)
         for c in pool[30:]:
             model.add_column(c)
-        cold = solve_binary(model)
-        last = solve_relaxation(model, warm_start=earlier)
-        for warm in (last.basis, earlier):
-            res = solve_binary(model, warm_start=warm)
-            assert res.status == cold.status == "optimal"
-            assert res.objective == cold.objective
-            assert res.bound == pytest.approx(cold.bound)
-        assert solve_binary(model, warm_start=last.basis).lp_iterations == 0
+        root = solve_relaxation(model, warm_start=earlier.basis)
+        cases.append((model, earlier, root, solve_binary(model)))
+    monkeypatch.setattr(master, "solve_lp", lambda *a, **k: pytest.fail("LP"))
+    for model, earlier, root, cold in cases:
+        res = solve_binary(model, root=root)
+        assert res.status == cold.status == "optimal"
+        assert (res.selection, res.objective) == (cold.selection, cold.objective)
+        assert res.bound == pytest.approx(cold.bound)
+        assert res.lp_iterations == 0
+        with pytest.raises(ConsistencyError, match="30 selection values"):
+            solve_binary(model, root=earlier)
 
 
 def test_binary_time_limit_returns_empty():
@@ -352,45 +369,73 @@ def test_slow_degenerate_root_lp_reaches_its_optimum():
 
 def test_fractional_pools_reach_highs_and_match_enumeration(monkeypatch):
     # Few full pools have a fractional relaxation, so draw slices and keep
-    # those that do: every one of them goes to HiGHS, whose selection must
-    # reach the enumerated optimum, and a second solve must repeat it.
+    # those that do.  The objective is an integer, so a rounding worth the
+    # LP's integer floor is the pool's optimum: that solve ends in one node
+    # without HiGHS.  Every other one goes to HiGHS, and a second solve must
+    # repeat it.  Each selection must reach the enumerated optimum.
     calls = counting_milp(monkeypatch)
-    solved = 0
-    for seed in range(160):
+    solved = closed = 0
+    for seed in range(320):
         m, pool = pool_slice(seed)
         model = MasterModel(m, pool, 3)
-        z = solve_relaxation(model).z
-        if np.all(np.abs(z - np.round(z)) <= master.INT_TOL):
+        root = solve_relaxation(model)
+        if np.allclose(root.z, np.round(root.z), atol=1e-6):
             continue
-        res = solve_binary(model)
-        assert res.status == "optimal" and res.nodes > 1
+        res = solve_binary(model, root=root)
         want, _ = best_selection_by_enumeration(
             m, HitRange(2, 3), 3, [c.genes for c in pool]
         )
+        assert res.status == "optimal"
         assert res.objective == want == res.bound
         chosen = [pool[k].genes for k in res.selection]
         assert len(chosen) <= 3
         assert selection_objective_by_loops(m, chosen) == want
+        if not rounding_falls_short(model, root):
+            assert res.nodes == 1 and want == math.floor(root.objective + 1e-6)
+            closed += 1
+            continue
+        assert res.nodes > 1
         again = solve_binary(model)
         assert (again.selection, again.nodes) == (res.selection, res.nodes)
         solved += 1
-    assert solved >= 15
+    assert solved >= 15 and closed >= 10
     assert len(calls) == 2 * solved
 
 
+def test_a_root_just_under_an_integer_still_reaches_highs(monkeypatch):
+    # A root LP value computed 1e-7 under an integer may be that integer:
+    # a rounding one below it proves nothing, and HiGHS finds the selection
+    # worth the integer.
+    calls = counting_milp(monkeypatch)
+    model = MasterModel(*pool_slice(17), 3)
+    root = solve_relaxation(model)
+    assert root.objective == pytest.approx(7.0, abs=1e-9)
+    low = RmpSolution(7.0 - 1e-7, root.z, root.duals, root.basis, 0)
+    assert rounding_heuristic(low, model)[1] == 6
+    res = solve_binary(model, root=low)
+    assert len(calls) == 1
+    assert res.status == "optimal" and res.objective == 7 == res.bound
+
+
 def test_highs_is_imported_only_for_a_fractional_root():
-    # An integral relaxation ends the solve without importing
-    # scipy.optimize (~26 MB of resident memory); a fractional one loads it.
+    # An integral relaxation, and a fractional one whose rounding meets the
+    # LP's integer floor, end the solve without importing scipy.optimize
+    # (~26 MB of resident memory); a rounding below the floor loads it.
     tests = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(master.__file__))
     path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
-    for seed, branched in ((0, False), (13, True)):
+    cases = ((0, False, False), (9, True, False), (13, True, True))
+    for seed, fractional, branched in cases:
         code = (
             "import sys\n"
-            "from multihit.master import MasterModel, solve_binary\n"
+            "import numpy as np\n"
+            "from multihit.master import MasterModel, solve_binary, solve_relaxation\n"
             "from test_master import pool_slice\n"
-            f"res = solve_binary(MasterModel(*pool_slice({seed}), 3))\n"
-            "print(res.nodes > 1, 'scipy.optimize' in sys.modules)\n"
+            f"model = MasterModel(*pool_slice({seed}), 3)\n"
+            "z = solve_relaxation(model).z\n"
+            "res = solve_binary(model)\n"
+            "print(not np.allclose(z, np.round(z), atol=1e-6), res.nodes > 1,\n"
+            "      'scipy.optimize' in sys.modules)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
@@ -400,7 +445,7 @@ def test_highs_is_imported_only_for_a_fractional_root():
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [str(branched)] * 2
+        assert proc.stdout.split() == [str(fractional)] + [str(branched)] * 2
 
 
 def test_binary_deadline_inside_the_root_lp(monkeypatch):
@@ -432,25 +477,29 @@ def test_relaxation_after_the_deadline_builds_no_lp(monkeypatch):
 
 def test_binary_time_limit_before_any_highs_incumbent(monkeypatch):
     # HiGHS stops at its time limit before it finds a selection: the result
-    # is empty and keeps the root LP's finite bound.
+    # is the rounded root and keeps the root LP's finite bound.
     import scipy.optimize
 
     monkeypatch.setattr(scipy.optimize, "milp", no_incumbent)
     model = MasterModel(*pool_slice(13), 3)
     root = solve_relaxation(model)
+    indices, rounded = rounding_heuristic(root, model)
+    assert rounding_falls_short(model, root)
     res = solve_binary(model)
     assert res.status == "time_limit" and res.nodes == 1
-    assert res.selection == [] and res.objective == 0
+    assert res.selection == list(indices) and res.objective == rounded > 0
     assert math.isfinite(res.bound) and res.bound == root.objective
 
 
 def test_binary_deadline_between_a_fractional_root_and_highs(monkeypatch):
-    # The root LP finishes fractional, then the clock is past the deadline:
-    # the root's pivots and bound are kept, and HiGHS is not called.
+    # The root LP finishes with a rounding below its integer floor, then the
+    # clock is past the deadline: the rounded root, its pivots and bound are
+    # kept, and HiGHS is not called.
     calls = counting_milp(monkeypatch)
     model = MasterModel(*pool_slice(13), 3)
     root = solve_relaxation(model)
-    assert not np.all(np.abs(root.z - np.round(root.z)) <= master.INT_TOL)
+    indices, rounded = rounding_heuristic(root, model)
+    assert rounding_falls_short(model, root)
     finished = []
     real = master.solve_lp
 
@@ -468,7 +517,7 @@ def test_binary_deadline_between_a_fractional_root_and_highs(monkeypatch):
     assert len(finished) == 1
     assert res.status == "time_limit" and res.nodes == 1
     assert res.lp_iterations == root.iterations > 0
-    assert res.selection == [] and res.objective == 0
+    assert res.selection == list(indices) and res.objective == rounded > 0
     assert res.bound == root.objective
     assert calls == []
 
@@ -487,9 +536,9 @@ def test_binary_root_cut_off_counts_no_pivots(monkeypatch):
 def test_binary_time_limit_inside_highs_keeps_a_valid_bound(monkeypatch):
     # HiGHS proves 178 on this hub pool in ~4.5 s on a 2-vCPU VM, far
     # beyond the limit.  The root LP (~1,400 pivots) is solved before the
-    # timed call and its basis handed in, so the timed root takes 0 pivots
-    # and the limit goes to HiGHS.  A stop inside HiGHS keeps the time
-    # limit, and its selection and bound bracket the optimum.
+    # timed call and handed in, so the timed call solves no LP and the
+    # limit goes to HiGHS.  A stop inside HiGHS keeps the time limit, and
+    # its selection and bound bracket the optimum.
     calls = counting_milp(monkeypatch)
     planted = ((0, 1), (2, 3), (4, 5, 6)) + tuple((7 + i,) for i in range(25))
     m = generate_synthetic(SyntheticSpec(300, 200, 60, planted, 0.3, 0.01, 0.01), 1)
@@ -498,7 +547,7 @@ def test_binary_time_limit_inside_highs_keeps_a_valid_bound(monkeypatch):
     root = solve_relaxation(model)
     limit = 1.0
     t0 = time.perf_counter()
-    res = solve_binary(model, deadline=t0 + limit, warm_start=root.basis)
+    res = solve_binary(model, deadline=t0 + limit, root=root)
     assert time.perf_counter() - t0 <= limit + 1.0
     assert res.status == "time_limit" and len(calls) == 1
     assert res.objective <= 178 <= res.bound

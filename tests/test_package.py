@@ -45,9 +45,10 @@ def test_entry_modules_leave_scipy_optimize_and_linalg_unloaded():
     # LU factorisation (scipy.linalg) ~7.6 MB and scipy.sparse ~22 MB.  The
     # own simplex solves every LP on plain CSC arrays, and
     # master.solve_binary imports HiGHS inside the call, only for a pool
-    # whose relaxation is fractional; a module-level import of any of them
-    # would bring that cost back to every run.  jsonschema (~70 modules,
-    # ~4 MB) is imported only where a report is validated.
+    # whose rounded relaxation falls short of the LP's integer floor; a
+    # module-level import of any of them would bring that cost back to
+    # every run.  jsonschema (~70 modules, ~4 MB) is imported only where a
+    # report is validated.
     code = "import multihit.cli, multihit.framework, multihit.harness"
     assert run_and_list_heavy_modules(code) == ["[]"]
 

@@ -54,8 +54,10 @@ def test_tracer_targets_exist_and_probes_read_real_solves(tmp_path):
     assert colgen["framework.rounds"] == report.iterations > 0
     assert colgen["pricing.nodes"] == report.pricing_nodes
     assert colgen["master.bnb.nodes"] == report.binary_nodes
-    # Every relaxation after the first and the final binary solve start warm.
-    assert colgen["lp.warm_calls"] == report.iterations
+    # One LP per round, every one after the first warm; the pool MIP starts
+    # from the last relaxation and solves none.
+    assert colgen["lp.warm_calls"] == report.iterations - 1
+    assert colgen["lp.calls"] == report.iterations
     assert colgen["lp.max_rows"] == matrix.tumor_count + 1
     pool = tracing.solve_metrics(tracer, 2)
     assert pool["candidates.columns"] == 50

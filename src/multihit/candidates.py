@@ -27,18 +27,15 @@ def generate_candidates(matrix, hit_range, gamma1, gamma2, seed, deadline=math.i
     generation stops with the combinations drawn so far, a prefix of the
     same draws.
     Returns combinations in first-draw order, including any that cover no
-    tumor sample.
+    tumor sample.  Sizes are drawn up to the pool's size, so a pool smaller
+    than ``hit_range.k_min`` yields no combination.
     """
     if gamma1 < 1:
         raise ValidationError(f"gamma1 must be positive, got {gamma1}")
     if gamma2 < 1:
         raise ValidationError(f"gamma2 must be positive, got {gamma2}")
     pool = rank_genes_by_tumor_frequency(matrix)[:gamma1]
-    if len(pool) < hit_range.k_max:
-        raise ValidationError(
-            f"gene pool of size {len(pool)} cannot host combinations of size "
-            f"{hit_range.k_max}"
-        )
+    k_max = min(hit_range.k_max, len(pool))
     total_possible = sum(math.comb(len(pool), k) for k in hit_range.sizes())
     target = min(gamma2, total_possible)
     rng = random.Random(seed)
@@ -49,7 +46,7 @@ def generate_candidates(matrix, hit_range, gamma1, gamma2, seed, deadline=math.i
         if time.perf_counter() > deadline:
             break
         attempts += 1
-        k = rng.randint(hit_range.k_min, hit_range.k_max)
+        k = rng.randint(hit_range.k_min, k_max)
         key = tuple(sorted(rng.sample(pool, k)))
         if key not in found:
             # Already sorted and distinct: its covers are its genes' columns ANDed.

@@ -6,10 +6,9 @@ matrix), ``split`` (train/test TSVs), ``solve`` (one instance, one mode),
 results directory).
 
 Settings resolve, lowest first, from the command's own defaults, the
-``--config`` JSON file, the environment variables
-``MULTIHIT_MASTER_TIME_LIMIT`` / ``MULTIHIT_TOTAL_TIME_LIMIT`` for the two
-time limits, then the flags; anything left unset takes
-``harness.ExperimentSpec``'s default.
+``--config`` JSON file, then the flags; anything left unset takes
+``harness.ExperimentSpec``'s default.  A config's keys are exactly
+``ExperimentSpec``'s fields.
 
 The ``synth`` size and rate flags are generated from ``SyntheticSpec``'s
 fields, under the names a sweep config's ``synth`` entries use too.
@@ -37,7 +36,6 @@ from .data import (
 from .errors import ConsistencyError, ValidationError
 from .framework import SolverSettings
 from .harness import (
-    METRIC_KEYS,
     MODES,
     ExperimentSpec,
     emit_report,
@@ -46,15 +44,14 @@ from .harness import (
     validate_report,
     write_summary,
 )
+from .metrics import METRIC_KEYS
 from .synth import SyntheticSpec, generate_synthetic
 
-_ENV_VARS = {
-    "master_time_limit": "MULTIHIT_MASTER_TIME_LIMIT",
-    "total_time_limit": "MULTIHIT_TOTAL_TIME_LIMIT",
-}
+# The keys a config file may set: the spec's fields.
+_CONFIG_KEYS = {f.name for f in fields(ExperimentSpec)}
 
-# The keys a config file may set: the spec's fields and the one-seed shorthand.
-_CONFIG_KEYS = {f.name for f in fields(ExperimentSpec)} | {"seed"}
+# The grid keys, ExperimentSpec's tuple fields: a config gives each as a list.
+_GRID = tuple(f.name for f in fields(ExperimentSpec) if f.type is tuple)
 
 # A --hit, --mode or --seed flag replaces its config list with one entry.
 _LISTED = {"hit": "hit_ranges", "mode": "modes", "seed": "seeds"}
@@ -69,16 +66,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _env_float(name):
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValidationError(f"{name} must be a number, got {raw!r}") from None
 
 
 def _load_json(path, kind):
@@ -103,7 +90,7 @@ def _load_config(path):
         )
     # A null value leaves its setting unset.
     config = {key: value for key, value in config.items() if value is not None}
-    for key in ("instances", "hit_ranges", "modes", "seeds"):
+    for key in _GRID:
         if key in config and not isinstance(config[key], list):
             raise ValidationError(
                 f"config {path}: {key!r} must be a list, got {config[key]!r}"
@@ -114,19 +101,12 @@ def _load_config(path):
 def _resolve_spec(args, config, instances, **defaults):
     """The command's spec over ``instances``, every setting resolved.
 
-    Values layer, lowest first: the command's ``defaults``, the config file
-    (a ``seed`` stands in for a missing ``seeds`` list), the two time-limit
-    environment variables, then the flags.  Anything left unset takes
-    ``ExperimentSpec``'s default.
+    Values layer, lowest first: the command's ``defaults``, the config
+    file, then the flags.  Anything left unset takes ``ExperimentSpec``'s
+    default.
     """
     values = dict(defaults)
     values.update(config)
-    if "seed" in values:
-        values.setdefault("seeds", [values.pop("seed")])
-    for key, name in _ENV_VARS.items():
-        value = _env_float(name)
-        if value is not None:
-            values[key] = value
     for key, value in vars(args).items():
         if value is not None and key in _LISTED:
             values[_LISTED[key]] = [value]
@@ -223,8 +203,10 @@ def cmd_split(args):
 
 def cmd_solve(args):
     config = _load_config(args.config)
-    # solve runs one cell: one matrix, seed, hit range and mode.
-    for key, most in (("instances", 0), ("seeds", 0), ("hit_ranges", 1), ("modes", 1)):
+    # solve runs one cell: its own matrix and at most one entry of each
+    # other grid list.
+    for key in _GRID:
+        most = 0 if key == "instances" else 1
         if len(config.get(key, ())) > most:
             raise ValidationError(
                 f"solve runs one cell; use sweep for the config's {key!r}"

@@ -59,9 +59,8 @@ class SolverSettings:
     )
 
     def __post_init__(self):
-        # Settings also come from config files and the environment, so the
-        # types are checked too; a bool is not an int here, and NaN is not
-        # above 0.
+        # Settings also come from config files, so the types are checked
+        # too; a bool is not an int here, and NaN is not above 0.
         for f in fields(SolverSettings):
             name, value = f.name, getattr(self, f.name)
             number = isinstance(value, (int, float)) and not isinstance(value, bool)

@@ -38,9 +38,6 @@ _SOLVERS = {
 
 MODES = tuple(_SOLVERS)
 
-# The keys of a report's metrics blocks, in the order summaries list them.
-METRIC_KEYS = ("mcc", "spec", "sens", "f1", "precision")
-
 
 @functools.cache
 def _report_validator():
@@ -86,7 +83,8 @@ class ExperimentSpec(SolverSettings):
     entry in ``seeds``.  The grid's defaults are declared here only.  A
     cell's report file is named by :func:`cell_id`, so instance names must
     be nonempty strings without a path separator, and no instance name or
-    grid entry may repeat.
+    grid entry may repeat.  Names must also be printable: a tab or newline
+    would break the summary's rows.
     """
 
     instances: tuple
@@ -109,9 +107,10 @@ class ExperimentSpec(SolverSettings):
                 raise ValidationError(f"seeds must be ints, got {seed!r}")
         names = [name for name, _ in self.instances]
         for name in names:
-            if not (isinstance(name, str) and name) or "/" in name or "\\" in name:
+            printable = isinstance(name, str) and name and name.isprintable()
+            if not printable or "/" in name or "\\" in name:
                 raise ValidationError(
-                    f"instance name {name!r} must be a nonempty string "
+                    f"instance name {name!r} must be a nonempty printable string "
                     "without '/' or '\\'"
                 )
         grid = {
@@ -213,7 +212,7 @@ _SUMMARY_COLUMNS = (
     *(
         (f"{k}_{half}", lambda r, k=k, half=half: _fmt(r[f"metrics_{half}"][k], 3))
         for half in ("train", "test")
-        for k in METRIC_KEYS
+        for k in metrics.METRIC_KEYS
     ),
     ("time_total", lambda r: _fmt(r["time_seconds"]["total"], 2)),
 )

@@ -168,6 +168,8 @@ def solve_binary(model, deadline=math.inf, root=None):
     the deadline passes, the status is ``time_limit`` and the bound the
     smaller of the root LP's and HiGHS's dual bound; when it passes before
     the root is solved, the selection is empty and the bound infinite.
+    HiGHS's ``time_limit`` is not a hard stop, so a HiGHS solve can end
+    somewhat past ``deadline``.
     """
     iterations = 0
     if root is None:

@@ -17,6 +17,17 @@ from .errors import ConsistencyError, ValidationError
 
 GAP_TOL = 1e-6
 
+# The report key of each metric and the Metrics field behind it, in the
+# order summaries list them.
+_REPORT_FIELDS = {
+    "mcc": "mcc",
+    "spec": "specificity",
+    "sens": "sensitivity",
+    "f1": "f1",
+    "precision": "precision",
+}
+METRIC_KEYS = tuple(_REPORT_FIELDS)
+
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -40,17 +51,8 @@ class Metrics:
 
     def to_json_dict(self):
         """Rounded 3-decimal dict with stable keys; undefined stays null."""
-
-        def r(v):
-            return None if v is None else round(v, 3)
-
-        return {
-            "mcc": r(self.mcc),
-            "spec": r(self.specificity),
-            "sens": r(self.sensitivity),
-            "f1": r(self.f1),
-            "precision": r(self.precision),
-        }
+        values = {key: getattr(self, name) for key, name in _REPORT_FIELDS.items()}
+        return {k: None if v is None else round(v, 3) for k, v in values.items()}
 
 
 def _bit_counts(selected, matrix):

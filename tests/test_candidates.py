@@ -95,12 +95,15 @@ def test_generation_refusals():
     )
     pool = generate_candidates(no_tumors, HitRange(1, 1), gamma1=2, gamma2=5, seed=0)
     assert sorted(c.genes for c in pool) == [(0,), (1,)]
+    # A pool smaller than the largest size is no refusal either: sizes run
+    # up to the pool's, so 3 genes at hit 2-4 give their 3 pairs and one
+    # triple, and a pool of 2 at hit 2-3 gives its one pair.
     rng = random.Random(4)
     m = random_matrix(rng, 3, 5, 2)
-    with pytest.raises(ValidationError):
-        generate_candidates(m, HitRange(2, 4), gamma1=10, gamma2=5, seed=0)
-    with pytest.raises(ValidationError):
-        generate_candidates(m, HitRange(2, 3), gamma1=2, gamma2=5, seed=0)
+    pool = generate_candidates(m, HitRange(2, 4), gamma1=10, gamma2=5, seed=0)
+    assert sorted(c.genes for c in pool) == [(0, 1), (0, 1, 2), (0, 2), (1, 2)]
+    pool = generate_candidates(m, HitRange(2, 3), gamma1=2, gamma2=5, seed=0)
+    assert len(pool) == 1 and len(pool[0].genes) == 2
     for gamma1, gamma2 in ((0, 5), (10, 0)):
         with pytest.raises(ValidationError, match="must be positive"):
             generate_candidates(m, HitRange(2, 2), gamma1, gamma2, seed=0)
@@ -138,13 +141,14 @@ def test_deadline_stops_generation_on_a_prefix_of_the_draws(monkeypatch):
 def draws_by_combination(m, hit_range, gamma1, gamma2, seed):
     """The generation loop with every new key built by ``m.combination``."""
     pool = rank_genes_by_tumor_frequency(m)[:gamma1]
+    k_max = min(hit_range.k_max, len(pool))
     total = sum(math.comb(len(pool), k) for k in hit_range.sizes())
     rng = random.Random(seed)
     found = {}
     attempts = 0
     while len(found) < min(gamma2, total) and attempts < ATTEMPT_FACTOR * gamma2:
         attempts += 1
-        k = rng.randint(hit_range.k_min, hit_range.k_max)
+        k = rng.randint(hit_range.k_min, k_max)
         key = tuple(sorted(rng.sample(pool, k)))
         if key not in found:
             found[key] = m.combination(key)
@@ -161,6 +165,7 @@ def test_generation_equals_a_combination_reference():
         (HitRange(1, 1), 10, 50),
         (HitRange(2, 5), 12, 500),
         (HitRange(3, 3), 6, 100),  # 20 triples: exhausted
+        (HitRange(2, 5), 4, 100),  # sizes up to the pool's 4: exhausted
     ]
     for hit_range, gamma1, gamma2 in cases:
         for seed in (0, 1, 17):

@@ -169,28 +169,25 @@ def test_config_defaults_and_flag_override(tmp_path):
         assert json.load(fh)["objective"] == 2  # flag beats config
 
 
-def test_env_time_limit_and_flag_precedence(tmp_path, monkeypatch):
+def test_time_limits_are_not_read_from_the_environment(tmp_path, monkeypatch, capsys):
+    # A time limit comes from the config file or a flag, like every other
+    # setting; these variables name no setting.
     data = write_tiny(tmp_path)
     out = str(tmp_path / "r.json")
     monkeypatch.setenv("MULTIHIT_TOTAL_TIME_LIMIT", "1e-9")
-    rc = main(["solve", "--data", data, "--mode", "colgen", "--hit", "2",
-               "--beta", "2", "--out", out])
-    assert rc == 0
+    monkeypatch.setenv("MULTIHIT_MASTER_TIME_LIMIT", "not-a-number")
+    argv = ["solve", "--data", data, "--mode", "colgen", "--hit", "2", "--beta", "2"]
+    assert main(argv + ["--out", out]) == 0
+    with open(out, encoding="utf-8") as fh:
+        assert json.load(fh)["status"] == "converged"
+    assert main(argv + ["--total-time-limit", "1e-9", "--out", out]) == 0
     with open(out, encoding="utf-8") as fh:
         cell = json.load(fh)
     assert cell["status"] == "time_limit" and cell["ub"] is None
-    rc = main(["solve", "--data", data, "--mode", "colgen", "--hit", "2",
-               "--beta", "2", "--total-time-limit", "60", "--out", out])
-    assert rc == 0
-    with open(out, encoding="utf-8") as fh:
-        assert json.load(fh)["status"] == "converged"
-    monkeypatch.setenv("MULTIHIT_TOTAL_TIME_LIMIT", "not-a-number")
-    rc = main(["solve", "--data", data, "--mode", "colgen", "--hit", "2"])
-    assert rc == 1
     # NaN parses as a float but is no time limit; it must not "solve" nothing.
-    monkeypatch.setenv("MULTIHIT_TOTAL_TIME_LIMIT", "nan")
-    rc = main(["solve", "--data", data, "--mode", "colgen", "--hit", "2"])
-    assert rc == 1
+    capsys.readouterr()
+    assert main(argv + ["--total-time-limit", "nan"]) == 1
+    assert "total_time_limit must be a number above 0" in capsys.readouterr().err
 
 
 def test_validation_exit_codes(tmp_path, capsys):
@@ -263,7 +260,7 @@ def test_validation_exit_codes(tmp_path, capsys):
     argv = ["solve", "--data", write_tiny(tmp_path), "--config", str(cfg_path)]
     argv += ["--out", str(out)]
     for cfg, key in (
-        ({"seeds": [5]}, "'seeds'"),
+        ({"seeds": [5, 6]}, "'seeds'"),
         ({"instances": [instance]}, "'instances'"),
         ({"hit_ranges": ["2", "2-3"]}, "'hit_ranges'"),
         ({"modes": ["exact", "colgen"]}, "'modes'"),
@@ -282,20 +279,25 @@ def test_validation_exit_codes(tmp_path, capsys):
     with open(out, encoding="utf-8") as fh:
         report = json.load(fh)
     assert report["hit_range"] == "2" and report["mode"] == "exact"
+    # One seed is fine as well.
+    cfg_path.write_text(json.dumps({"seeds": [5]}), encoding="utf-8")
+    assert main(argv) == 0
+    with open(out, encoding="utf-8") as fh:
+        assert json.load(fh)["seed"] == 5
 
 
 def test_unset_settings_take_the_spec_defaults(tmp_path, capsys):
     # solve and sweep resolve through one path: a missing or null setting
     # falls back to ExperimentSpec's default (hit range 2-3, budget 10), and
-    # a config seed is the one seed run.
+    # a config's one-entry seed list is the seed run.
     data = write_tiny(tmp_path)
     cfg_path = tmp_path / "cfg.json"
     out = tmp_path / "r.json"
     for cfg, want, printed in (
         ({}, {"hit_range": "2-3", "seed": 0}, "budget 10"),
         ({"beta": None}, {"hit_range": "2-3", "objective": 2}, "budget 10"),
-        ({"seed": 9}, {"seed": 9}, "budget 10"),
-        ({"seed": 9, "beta": 1}, {"seed": 9, "objective": 1}, "budget 1"),
+        ({"seeds": [9]}, {"seed": 9}, "budget 10"),
+        ({"seeds": [9], "beta": 1}, {"seed": 9, "objective": 1}, "budget 1"),
     ):
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         argv = ["solve", "--data", data, "--mode", "colgen", "--config", str(cfg_path)]
@@ -322,16 +324,16 @@ def test_unset_settings_take_the_spec_defaults(tmp_path, capsys):
 
 def test_null_grid_keys_are_unset(tmp_path, capsys):
     # A null grid list means "not set", like any other null setting: solve
-    # then runs the config's one seed, and sweep the default seed 0.
+    # and sweep then run the default seed 0.
     data = write_tiny(tmp_path)
     cfg_path = tmp_path / "cfg.json"
     out = tmp_path / "r.json"
-    cfg = {"seed": 9, "seeds": None, "hit_ranges": None, "modes": None, "beta": 1}
+    cfg = {"seeds": None, "hit_ranges": None, "modes": None, "beta": 1}
     cfg_path.write_text(json.dumps({**cfg, "instances": None}), encoding="utf-8")
     argv = ["solve", "--data", data, "--config", str(cfg_path), "--out", str(out)]
     assert main(argv) == 0
     report = json.loads(out.read_text(encoding="utf-8"))
-    assert report["seed"] == 9 and report["hit_range"] == "2-3"
+    assert report["seed"] == 0 and report["hit_range"] == "2-3"
     assert report["mode"] == "colgen" and report["objective"] == 1
     synth = {"genes": 6, "tumors": 4, "normals": 2, "planted": [[0, 1]]}
     cfg = {"instances": [{"name": "tiny", "synth": synth}], "seeds": None}
@@ -397,13 +399,17 @@ def test_sweep_and_report_commands(tmp_path):
     assert len(solo) == 2
     for p in solo:
         assert json.loads(p.read_text(encoding="utf-8"))["seed"] == 7
-    # Without a seed list the sweep runs the one seed that solve would use.
+    # "seed" is no config key: seeds come as a list, or as the --seed flag.
     del cfg["seeds"]
     cfg["seed"] = 5
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     single_dir = tmp_path / "single"
-    rc = main(["sweep", "--config", str(cfg_path), "--out-dir", str(single_dir)])
-    assert rc == 0
+    argv = ["sweep", "--config", str(cfg_path), "--out-dir", str(single_dir)]
+    assert main(argv) == 1
+    assert not single_dir.exists()
+    del cfg["seed"]
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(argv + ["--seed", "5"]) == 0
     single = [p for p in single_dir.iterdir() if p.name.endswith(".json")]
     assert len(single) == 2
     for p in single:
@@ -411,8 +417,9 @@ def test_sweep_and_report_commands(tmp_path):
 
 
 def test_sweep_refuses_report_names_that_collide_or_escape(tmp_path, capsys):
-    # Two instances named "a" would write one report file, and "../escape"
-    # one outside --out-dir; the sweep refuses both before writing anything.
+    # Two instances named "a" would write one report file, "../escape" one
+    # outside --out-dir and "a\tb" a summary row with one field too many;
+    # the sweep refuses them all before writing anything.
     synth = {"genes": 10, "tumors": 12, "normals": 6, "planted": [[0, 1]]}
     base = {"hit_ranges": ["2"], "modes": ["mip_heuristic"], "beta": 2, "gamma2": 50}
     a = {"name": "a", "synth": synth}
@@ -427,6 +434,11 @@ def test_sweep_refuses_report_names_that_collide_or_escape(tmp_path, capsys):
         ),
         ({**base, "instances": [a, {**a, "synth": {**synth, "seed": 1}}]}, "a appears"),
         ({**base, "instances": [a], "seeds": [0, 0]}, "0 appears twice in seeds"),
+        # A tab would split the name over two summary.tsv fields.
+        (
+            {**base, "instances": [{"name": "a\tb", "synth": synth}]},
+            "instance name 'a\\tb'",
+        ),
     ):
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 1
@@ -499,9 +511,11 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert main(["solve", "--data", data, "--config", str(cfg)]) == 1
     # Known keys holding the wrong type are refused too: a string hit range
     # is not read as its first character, a float gamma1 does not crash.
-    # ``top_q`` is no setting, whatever its value.
+    # ``top_q`` is no setting, whatever its value, and ``seed`` is none
+    # either: a config gives its seeds as the ``seeds`` list.
     for bad, words in (
         ({"top_q": 1}, "unknown keys: top_q"),
+        ({"seed": 1}, "unknown keys: seed"),
         ({"hit_ranges": "3-4"}, "'hit_ranges' must be a list"),
         ({"gamma1": 1.5}, "gamma1 must be an int"),
         ({"beta": True}, "beta must be an int"),

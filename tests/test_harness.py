@@ -12,8 +12,20 @@ import jsonschema
 import pytest
 
 from multihit import harness
-from multihit.data import HitRange, SampleLabel, prune_genes
+from multihit.data import (
+    HitRange,
+    MutationMatrix,
+    SampleLabel,
+    SampleRecord,
+    prune_genes,
+)
 from multihit.errors import ValidationError
+from multihit.framework import (
+    SolverConfig,
+    solve_colgen,
+    solve_exact,
+    solve_mip_heuristic,
+)
 from multihit.harness import (
     ExperimentSpec,
     cell_id,
@@ -202,6 +214,36 @@ def test_run_cell_builds_only_the_gene_columns_it_reads(monkeypatch):
     assert cell["objective"] > 0 and cell["n_comb"] == 1000
     assert 0 < 2 * len(train._columns) <= 2 * spec.gamma1
     assert 0 < 2 * len(test._columns) <= 2 * 3 * spec.beta
+
+
+def test_every_mode_answers_a_training_half_with_fewer_genes_than_k_max():
+    # run_cell prunes never-mutated genes, so a training half can hold fewer
+    # genes than the hit range's largest size.  The pool heuristic then draws
+    # the sizes that fit, and none below the smallest size.
+    samples = [
+        SampleRecord("t0", SampleLabel.TUMOR, 0b11),
+        SampleRecord("t1", SampleLabel.TUMOR, 0b01),
+        SampleRecord("n0", SampleLabel.NORMAL, 0),
+    ]
+    m = MutationMatrix(list("abcde"), samples)
+    pruned = prune_genes(m)
+    assert pruned.n_genes == 2
+    cfg = SolverConfig(hit_range=HitRange(2, 3), beta=3)
+    for solve in (solve_colgen, solve_exact, solve_mip_heuristic):
+        rep = solve(pruned, cfg)
+        assert rep.status == "converged" and rep.objective == 1
+        assert [c.genes for c in rep.selection] == [(0, 1)]
+        if solve is solve_mip_heuristic:
+            assert rep.upper_bound is None and rep.pool_size == 1
+        else:
+            assert rep.upper_bound == 1.0
+    # No training samples: the pruned half has no gene at all.
+    spec = ExperimentSpec(instances=(("m", m),), beta=3, train_fraction=0.0)
+    for mode in ("colgen", "exact", "mip_heuristic"):
+        cell = run_cell("m", m, HitRange(2, 3), mode, 0, spec)
+        assert cell["status"] == "converged" and cell["objective"] == 0
+        assert cell["n_comb"] == 0 and cell["selected"] == []
+        assert cell["ub"] == (None if mode == "mip_heuristic" else 0.0)
 
 
 def test_run_cell_colgen_carries_bound():
@@ -448,8 +490,8 @@ def test_experiment_spec_validation():
         ExperimentSpec(instances=(("a", m),), hit_ranges=(HitRange(2, 2),), modes=())
     with pytest.raises(ValidationError, match="budget"):
         ExperimentSpec(instances=(("a", m),), hit_ranges=(HitRange(2, 2),), beta=-1)
-    # Settings read from config files and the environment: wrong types and
-    # non-numbers are refused, not run or crashed on.
+    # Settings read from config files: wrong types and non-numbers are
+    # refused, not run or crashed on.
     for bad in (
         {"beta": True},
         {"beta": 2.0},
@@ -477,8 +519,9 @@ def test_experiment_spec_validation():
 def test_experiment_spec_refuses_cells_that_share_a_report_file():
     # Each cell's report is named by its cell id, so an instance name must
     # stay inside the output directory, and no name or grid entry repeats.
+    # A name is printable too, as a tab or newline would break summary rows.
     m = generate_synthetic(planted_spec(), 0)
-    for name in ("", "../escape", "a/b", "a\\b", 3, None):
+    for name in ("", "../escape", "a/b", "a\\b", "a\tb", "a\nb", 3, None):
         with pytest.raises(ValidationError, match="instance name"):
             ExperimentSpec(instances=((name, m),))
     for grid, words in (

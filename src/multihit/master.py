@@ -141,7 +141,7 @@ def rounding_heuristic(relaxation, model):
     valid lower bound.  Returns ``(indices, objective)``.
     """
     z = relaxation.z
-    k = math.ceil(float(sum(z)) - ROUND_TOL)
+    k = math.ceil(float(z.sum()) - ROUND_TOL)
     k = max(0, min(k, model.beta, len(z)))
     order = np.argsort(-z, kind="stable")
     indices = tuple(sorted(order[:k].tolist()))

@@ -8,7 +8,7 @@ import types
 import numpy as np
 import pytest
 
-from multihit import candidates, framework, master, pricing
+from multihit import candidates, framework, lp, master, pricing
 from multihit.data import HitRange, MutationMatrix, SampleLabel, SampleRecord
 from multihit.errors import ConsistencyError, ValidationError
 from multihit.framework import (
@@ -457,6 +457,37 @@ def test_colgen_determinism():
     assert a.upper_bound == b.upper_bound
     assert a.iterations == b.iterations
     assert a.pool_size == b.pool_size
+
+
+def test_unit_swap_update_leaves_the_colgen_path_as_it_was(monkeypatch):
+    # Declining the simplex's in-place factor update makes factor() run on
+    # every pivot; column generation must then take the same path.  No
+    # count is pinned, since BLAS threading may move them.
+    planted = ((0, 1), (2, 3), (4, 5, 6), (7,), (8,), (9,), (10,), (11,))
+    m = generate_synthetic(SyntheticSpec(60, 80, 30, planted, 0.3, 0.01, 0.01), 1)
+    cfg = SolverConfig(hit_range=HitRange(2, 3), beta=10)
+    swap_units = lp._Simplex.swap_units
+    updated = []
+
+    def counted(s, *args):
+        updated.append(swap_units(s, *args))
+        return updated[-1]
+
+    monkeypatch.setattr(lp._Simplex, "swap_units", counted)
+    a = solve_colgen(m, cfg)
+    assert any(updated)
+    monkeypatch.setattr(lp._Simplex, "swap_units", lambda s, *args: False)
+    b = solve_colgen(m, cfg)
+    assert [c.genes for c in a.selection] == [c.genes for c in b.selection]
+    for name in (
+        "objective",
+        "upper_bound",
+        "iterations",
+        "pricing_nodes",
+        "lp_iterations",
+        "binary_nodes",
+    ):
+        assert getattr(a, name) == getattr(b, name), name
 
 
 def test_lp_iterations_count_every_simplex_pivot(monkeypatch):

@@ -404,6 +404,27 @@ def test_master_lps_from_the_crash_start_match_tableau_oracle():
     assert most >= 0.9
 
 
+CHVATAL_C = [10.0, -57.0, -9.0, -24.0]
+CHVATAL_ROWS = [[0.5, -5.5, -2.5, 9.0], [0.5, -1.5, -0.5, 1.0], [1.0, 0.0, 0.0, 0.0]]
+
+
+def chvatal_lp():
+    """Chvatal's cycling example; its optimum is 1."""
+    return make_lp(CHVATAL_C, CHVATAL_ROWS, [0.0, 0.0, 1.0], [0.0] * 4, [np.inf] * 4)
+
+
+class LowestIndexTies(lp._Simplex):
+    """The simplex with ratio-test ties always left to the lowest basic
+    index, as under Bland's rule, so Dantzig's rule can cycle."""
+
+    def ratio_test(self, delta, t_flip):
+        bland, self.bland = self.bland, True
+        try:
+            return super().ratio_test(delta, t_flip)
+        finally:
+            self.bland = bland
+
+
 def test_revisited_basis_switches_to_blands_rule():
     # Chvatal's cycling example.  Dantzig's rule, with ratio-test ties left
     # to the lowest basic index, returns to the slack basis after 6
@@ -411,14 +432,7 @@ def test_revisited_basis_switches_to_blands_rule():
     # and the solve must still reach the optimum 1.
     bases, blands = [], []
 
-    class LowestIndexTies(lp._Simplex):
-        def ratio_test(self, delta, t_flip):
-            bland, self.bland = self.bland, True
-            try:
-                return super().ratio_test(delta, t_flip)
-            finally:
-                self.bland = bland
-
+    class Recorded(LowestIndexTies):
         def step(self):
             outcome = super().step()
             if outcome is None:
@@ -426,10 +440,8 @@ def test_revisited_basis_switches_to_blands_rule():
                 blands.append(self.bland)
             return outcome
 
-    c = [10.0, -57.0, -9.0, -24.0]
-    rows = [[0.5, -5.5, -2.5, 9.0], [0.5, -1.5, -0.5, 1.0], [1.0, 0.0, 0.0, 0.0]]
-    p = make_lp(c, rows, [0.0, 0.0, 1.0], [0.0] * 4, [np.inf] * 4)
-    s = LowestIndexTies(p, math.inf)
+    p = chvatal_lp()
+    s = Recorded(p, math.inf)
     s.cold_start()
     start = frozenset(s.basic.tolist())
     outcome = s.run()
@@ -438,9 +450,72 @@ def test_revisited_basis_switches_to_blands_rule():
     assert blands[:6] == [False] * 5 + [True]
     assert not blands[-1]  # the last pivot is nondegenerate and ends it
     assert float(p.objective @ s.primal_values()[:4]) == pytest.approx(1.0)
-    status, obj, _ = tableau_solve(c, rows, p.rhs, p.lower, p.upper)
+    status, obj, _ = tableau_solve(CHVATAL_C, CHVATAL_ROWS, p.rhs, p.lower, p.upper)
     assert status == STATUS_OPTIMAL and obj == pytest.approx(1.0)
     assert solve_lp(p).objective == pytest.approx(1.0)
+
+
+FACTORS = (
+    "pos_u",
+    "pos_k",
+    "rows_u",
+    "free",
+    "z_rows",
+    "z_vals",
+    "z_cols",
+    "core",
+    "core_inv",
+)
+
+
+def test_unit_swap_update_builds_the_factors_of_a_fresh_factor(monkeypatch):
+    # After every pivot that takes the in-place update, a fresh factor()
+    # must build bit-identical factors, so no pivot path can move.
+    swap_units = lp._Simplex.swap_units
+    updates = {}
+    family = None
+
+    def checked(s, leave, r_out, r_in):
+        if not swap_units(s, leave, r_out, r_in):
+            return False
+        updated = [getattr(s, name).copy() for name in FACTORS]
+        s.factor()
+        for name, mine in zip(FACTORS, updated):
+            fresh = getattr(s, name)
+            assert mine.dtype == fresh.dtype and np.array_equal(mine, fresh), name
+        updates[family] = updates.get(family, 0) + 1
+        return True
+
+    monkeypatch.setattr(lp._Simplex, "swap_units", checked)
+    rng = np.random.default_rng(RNG_SEED + 7)
+    pools = random.Random(RNG_SEED + 7)
+    for family, make in (
+        ("random_lp", lambda: random_lp(rng)),
+        ("random_unit_lp", lambda: random_unit_lp(rng)),
+        ("random_master_lp", lambda: random_master_lp(pools, 30, 10, 20)),
+    ):
+        for _ in range(20):
+            solve_lp(make())
+        assert updates.get(family, 0) > 0, family
+    # A warm start: the basis of a 20-column pool, extended by 20 columns.
+    family = "warm"
+    m = random_matrix(pools, 12, 30, 10, density=0.3)
+    pairs = list(itertools.combinations(range(12), 2))
+    model = MasterModel(m, [m.combination(q) for q in pairs[:20]], 3)
+    basis = solve_lp(model.build_lp()).basis
+    for q in pairs[20:40]:
+        model.add_column(m.combination(q))
+    s = lp._Simplex(model.build_lp(), math.inf)
+    assert s.try_warm_start(basis) and s.run() == STATUS_OPTIMAL
+    assert updates.get(family, 0) > 0
+    # The Bland-mode LP: none of its pivots swaps two unit columns, so the
+    # update must decline each, and the solve still reaches the optimum 1.
+    family = "bland"
+    p = chvatal_lp()
+    s = LowestIndexTies(p, math.inf)
+    s.cold_start()
+    assert s.run() == STATUS_OPTIMAL and "bland" not in updates
+    assert float(p.objective @ s.primal_values()[:4]) == pytest.approx(1.0)
 
 
 def test_singular_warm_basis_falls_back_to_cold_start():

@@ -5,6 +5,11 @@ matrix), ``split`` (train/test TSVs), ``solve`` (one instance, one mode),
 ``sweep`` (config-driven grid of cells) and ``report`` (re-summarize a
 results directory).
 
+``solve`` names its instance by the data file's stem, and ``split`` writes
+that instance's halves as :func:`harness.cell_halves` draws them: the train
+file is what a ``solve`` with the same ``--data``, ``--seed`` and
+``--train-fraction`` trains on, before pruning.
+
 Settings resolve, lowest first, from the command's own defaults, the
 ``--config`` JSON file, then the flags; anything left unset takes
 ``harness.ExperimentSpec``'s default.  A config's keys are exactly
@@ -29,8 +34,6 @@ from .data import (
     load_dense,
     load_sparse,
     open_utf8,
-    prune_genes,
-    split_train_test,
     write_dense,
 )
 from .errors import ConsistencyError, ValidationError
@@ -38,6 +41,7 @@ from .framework import SolverSettings
 from .harness import (
     MODES,
     ExperimentSpec,
+    cell_halves,
     emit_report,
     run_cell,
     run_experiment,
@@ -130,8 +134,6 @@ def _metric_line(label, block):
 
 def cmd_ingest(args):
     matrix = load_sparse(args.normal, args.tumor)
-    if args.prune:
-        matrix = prune_genes(matrix)
     write_dense(matrix, args.out)
     print(
         f"wrote {args.out}: {matrix.n_genes} genes, "
@@ -187,11 +189,15 @@ def cmd_synth(args):
     return 0
 
 
+def _instance_name(path):
+    """The instance name of the data file ``path``: its stem."""
+    return os.path.splitext(os.path.basename(path))[0]
+
+
 def cmd_split(args):
     matrix = load_dense(args.data)
-    train, test = split_train_test(
-        matrix, args.train_fraction, args.seed, stratified=not args.no_stratify
-    )
+    name = _instance_name(args.data)
+    train, test = cell_halves(name, matrix, args.train_fraction, args.seed)
     write_dense(train, args.train_out)
     write_dense(test, args.test_out)
     print(
@@ -212,7 +218,7 @@ def cmd_solve(args):
                 f"solve runs one cell; use sweep for the config's {key!r}"
             )
     matrix = load_dense(args.data)
-    name = os.path.splitext(os.path.basename(args.data))[0]
+    name = _instance_name(args.data)
     spec = _resolve_spec(args, config, ((name, matrix),), train_fraction=1.0)
     [hit], [mode], [seed] = spec.hit_ranges, spec.modes, spec.seeds
     cell = run_cell(name, matrix, hit, mode, seed, spec)
@@ -319,7 +325,6 @@ def build_parser():
     p.add_argument("--normal", required=True, help="normal CSV (gene,sample)")
     p.add_argument("--tumor", required=True, help="tumor CSV (gene,sample,count)")
     p.add_argument("--out", required=True, help="dense TSV to write")
-    p.add_argument("--prune", action="store_true", help="drop never-mutated genes")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("synth", help="generate a synthetic dense TSV")
@@ -339,8 +344,8 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("split", help="stratified train/test split of a dense TSV")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("split", help="write the train/test halves a solve uses")
+    p.add_argument("--data", required=True, help="dense TSV instance")
     p.add_argument(
         "--train-fraction",
         type=float,
@@ -350,12 +355,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--train-out", required=True, dest="train_out")
     p.add_argument("--test-out", required=True, dest="test_out")
-    p.add_argument(
-        "--no-stratify",
-        action="store_true",
-        dest="no_stratify",
-        help="shuffle globally instead of per class",
-    )
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("solve", help="solve one instance in one mode")

@@ -24,7 +24,7 @@ and one triple per line; an entry is mutated iff count >= 1.  The normal file
 has header ``gene,sample`` and one pair per line, each pair marking a
 mutation.  The gene universe is the union of genes seen in either file
 (sorted lexicographically); samples keep first-appearance order, tumor file
-first.
+first.  A leading UTF-8 byte-order mark is ignored in every file read.
 """
 
 import enum
@@ -326,13 +326,13 @@ def _gene_rows(rows, row_of):
 
 @contextmanager
 def open_utf8(path):
-    """``path`` opened as UTF-8 text.
+    """``path`` opened as UTF-8 text, a leading byte-order mark skipped.
 
     A byte sequence that is not UTF-8, read anywhere inside the ``with``
     block, raises a :class:`ParseError` naming the path and the first line
     that holds one.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -509,32 +509,23 @@ def _train_share(fraction, count):
     return max(0, min(count, math.ceil(round(fraction * count, 9) - 0.5)))
 
 
-def split_train_test(matrix, train_fraction, seed, stratified=True):
-    """Deterministic train/test split, stratified per class by default.
+def split_train_test(matrix, train_fraction, seed):
+    """Deterministic train/test split, stratified per class.
 
-    Each class contributes its rounded share of samples to the train side;
-    with ``stratified=False`` a single shuffle over all samples is used.
+    Each class contributes its rounded share of samples to the train side.
     Sample order within each side follows matrix order, so the result does
-    not depend on shuffle internals beyond membership.
+    not depend on shuffle internals beyond membership.  A cell seeds this
+    split through ``harness.cell_halves``.
     """
     if not 0.0 <= train_fraction <= 1.0:
         raise ValidationError(f"train fraction {train_fraction} outside [0, 1]")
     rng = random.Random(seed)
-    if stratified:
-        if train_fraction < 1.0 and (
-            matrix.tumor_count == 0 or matrix.normal_count == 0
-        ):
-            raise ValidationError(
-                "stratified split needs at least one sample per class"
-            )
-        train = set()
-        for positions in (matrix.tumor_positions, matrix.normal_positions):
-            pool = list(positions)
-            rng.shuffle(pool)
-            train.update(pool[: _train_share(train_fraction, len(pool))])
-    else:
-        pool = list(range(matrix.n_samples))
+    if train_fraction < 1.0 and (matrix.tumor_count == 0 or matrix.normal_count == 0):
+        raise ValidationError("stratified split needs at least one sample per class")
+    train = set()
+    for positions in (matrix.tumor_positions, matrix.normal_positions):
+        pool = list(positions)
         rng.shuffle(pool)
-        train = set(pool[: _train_share(train_fraction, matrix.n_samples)])
+        train.update(pool[: _train_share(train_fraction, len(pool))])
     test = [i for i in range(matrix.n_samples) if i not in train]
     return matrix.subset(train), matrix.subset(test)

@@ -1,6 +1,7 @@
 """Experiment harness: sweep cells, per-cell JSON reports, TSV summary.
 
-One cell is (instance, hit range, mode, seed).  Each cell splits its matrix,
+One cell is (instance, hit range, mode, seed).  Each cell splits its matrix
+(:func:`cell_halves`, seeded by the instance name and the cell's seed),
 prunes never-mutated genes from the training half, solves in the requested
 mode and evaluates the selection on both halves.  ``run_cell`` checks each
 report against the bundled JSON schema once, before returning it, so every
@@ -140,11 +141,15 @@ def _test_view(selection, train, test):
     return out
 
 
+def cell_halves(name, matrix, train_fraction, seed):
+    """The unpruned train and test halves of instance ``name`` in a cell
+    with base ``seed``; ``multihit split`` writes these same halves."""
+    return split_train_test(matrix, train_fraction, derive_seed(seed, f"split:{name}"))
+
+
 def run_cell(name, matrix, hit_range, mode, seed, spec):
     """Solve one cell and return its schema-valid report dict."""
-    train, test = split_train_test(
-        matrix, spec.train_fraction, derive_seed(seed, f"split:{name}")
-    )
+    train, test = cell_halves(name, matrix, spec.train_fraction, seed)
     train = prune_genes(train)
     config = SolverConfig(
         **{f.name: getattr(spec, f.name) for f in fields(SolverSettings)},

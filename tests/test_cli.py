@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import multihit
-from multihit import cli
+from multihit import cli, harness
 from multihit.cli import main
-from multihit.data import load_dense, split_train_test, write_dense
+from multihit.data import load_dense, prune_genes, write_dense
 from multihit.errors import ConsistencyError
 from multihit.harness import validate_report
 from multihit.synth import SyntheticSpec, generate_synthetic
@@ -111,20 +112,62 @@ def test_split_command(tmp_path):
     assert train.normal_count == 6 and test.normal_count == 2
 
 
-def test_split_command_without_stratification(tmp_path):
-    data = tmp_path / "m.tsv"
-    matrix = generate_synthetic(SyntheticSpec(6, 12, 8, background_rate=0.3), 2)
+def _same_answer(a, b):
+    """Whether two reports hold the same answer and counters."""
+    keys = (
+        "status", "objective", "ub", "n_comb", "selected", "metrics_train",
+        "iterations", "pricing_nodes", "binary_nodes", "lp_iterations",
+    )
+    return all(a[key] == b[key] for key in keys)
+
+
+def test_split_writes_the_halves_of_the_solve_cell(tmp_path, monkeypatch, capsys):
+    # split names the instance by the file stem, as solve does, so it writes
+    # the halves the solve cell draws, and its train file solves to the
+    # cell's answer.
+    spec = SyntheticSpec(
+        30, 40, 15, ((0, 1), (2, 3, 4)),
+        planted_rate=0.5, background_rate=0.05, normal_rate=0.05,
+    )
+    matrix = generate_synthetic(spec, 1)
+    data = tmp_path / "noisy.tsv"
     write_dense(matrix, data)
     outs = [str(tmp_path / "train.tsv"), str(tmp_path / "test.tsv")]
-    argv = ["split", "--data", str(data), "--train-fraction", "0.75", "--seed", "4"]
-    argv += ["--train-out", outs[0], "--test-out", outs[1], "--no-stratify"]
-    assert main(argv) == 0
-    want = split_train_test(matrix, 0.75, 4, stratified=False)
-    assert [load_dense(p).samples for p in outs] == [m.samples for m in want]
-    assert want != split_train_test(matrix, 0.75, 4)
+    flags = ["--seed", "3", "--train-fraction", "0.75"]
+    argv = ["split", "--data", str(data), *flags]
+    assert main([*argv, "--train-out", outs[0], "--test-out", outs[1]]) == 0
+    written = [load_dense(p) for p in outs]
+    assert all(m.gene_ids == matrix.gene_ids for m in written)
+
+    drawn = []
+
+    def recorded(*args):
+        drawn.append(split(*args))
+        return drawn[-1]
+
+    split = harness.split_train_test
+    monkeypatch.setattr(harness, "split_train_test", recorded)
+    reports = [str(tmp_path / "cell.json"), str(tmp_path / "train.json")]
+    assert main(["solve", "--data", str(data), *flags, "--out", reports[0]]) == 0
+    assert main(["solve", "--data", outs[0], "--seed", "3", "--out", reports[1]]) == 0
+    cell, train = (json.loads(Path(p).read_text(encoding="utf-8")) for p in reports)
+    assert cell["objective"] > 0 and _same_answer(cell, train)
+
+    def ids(m):
+        return [s.sample_id for s in m.samples]
+
+    assert [ids(m) for m in written] == [ids(m) for m in drawn[0]]
+    want = harness.cell_halves("noisy", matrix, 0.75, 3)
+    assert [ids(m) for m in written] == [ids(m) for m in want]
+
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--train-out", outs[0], "--test-out", outs[1], "--no-stratify"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --no-stratify" in capsys.readouterr().err
 
 
-def test_ingest_command(tmp_path):
+def test_ingest_command(tmp_path, capsys):
     (tmp_path / "tumor.csv").write_text(
         "gene,sample,count\nbraf,s1,2\nkras,s1,1\nbraf,s2,1\ndead,s1,0\n",
         encoding="utf-8",
@@ -133,19 +176,46 @@ def test_ingest_command(tmp_path):
         "gene,sample\nkras,h1\n", encoding="utf-8"
     )
     out = str(tmp_path / "dense.tsv")
-    rc = main(
-        [
-            "ingest",
-            "--normal", str(tmp_path / "normal.csv"),
-            "--tumor", str(tmp_path / "tumor.csv"),
-            "--out", out,
-            "--prune",
-        ]
-    )
-    assert rc == 0
+    argv = [
+        "ingest",
+        "--normal", str(tmp_path / "normal.csv"),
+        "--tumor", str(tmp_path / "tumor.csv"),
+        "--out", out,
+    ]
+    assert main(argv) == 0
     matrix = load_dense(out)
-    assert matrix.gene_ids == ("braf", "kras")  # 'dead' pruned
+    assert matrix.gene_ids == ("braf", "dead", "kras")  # every declared gene
     assert matrix.tumor_count == 2 and matrix.normal_count == 1
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--prune"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --prune" in capsys.readouterr().err
+
+    # A cell prunes its own training half, so the never-mutated gene
+    # changes no answer.
+    pruned = tmp_path / "pruned.tsv"
+    write_dense(prune_genes(matrix), pruned)
+    assert load_dense(pruned).gene_ids == ("braf", "kras")
+    reports = [str(tmp_path / "dense.json"), str(tmp_path / "pruned.json")]
+    for data, report in zip((out, str(pruned)), reports):
+        assert main(["solve", "--data", data, "--beta", "1", "--out", report]) == 0
+    full, small = (json.loads(Path(p).read_text(encoding="utf-8")) for p in reports)
+    assert full["objective"] == 1 and _same_answer(full, small)
+    assert full["metrics_test"] == small["metrics_test"]
+
+
+def test_config_with_a_byte_order_mark(tmp_path):
+    data = write_tiny(tmp_path)
+    reports = []
+    for prefix in ("", "\ufeff"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(prefix + json.dumps({"beta": 1}), encoding="utf-8")
+        out = tmp_path / f"r{len(reports)}.json"
+        argv = ["solve", "--data", data, "--mode", "exact", "--hit", "2"]
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text(encoding="utf-8")))
+    assert len(reports[1]["selected"]) == 1 and _same_answer(*reports)
 
 
 def test_config_defaults_and_flag_override(tmp_path):

@@ -107,6 +107,37 @@ def test_dense_parse_errors(tmp_path):
     assert err.value.path == path and err.value.line == 3
 
 
+def test_dense_file_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "m.tsv"
+    text = "sample_id\tlabel\tg1\tg2\nt1\ttumor\t1\t0\nn1\tnormal\t0\t1\n"
+    path.write_text(text, encoding="utf-8")
+    want = load_dense(path)
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    got = load_dense(path)
+    assert (got.gene_ids, got.samples) == (want.gene_ids, want.samples)
+    # A byte that is not UTF-8 still names its line.
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode() + b"n\xff\tnormal\t0\t0\n")
+    with pytest.raises(ParseError, match="not UTF-8 text") as err:
+        load_dense(path)
+    assert err.value.line == 4
+
+
+def test_sparse_files_with_a_byte_order_mark(tmp_path):
+    tumor = tmp_path / "tumor.csv"
+    normal = tmp_path / "normal.csv"
+    texts = {
+        tumor: "gene,sample,count\ng1,s1,2\ng2,s2,1\n",
+        normal: "gene,sample\ng3,m1\n",
+    }
+    for path, text in texts.items():
+        path.write_text(text, encoding="utf-8")
+    want = load_sparse(normal, tumor)
+    for path, text in texts.items():
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        got = load_sparse(normal, tumor)
+        assert (got.gene_ids, got.samples) == (want.gene_ids, want.samples)
+
+
 def test_sparse_ingestion(tmp_path):
     tumor = tmp_path / "tumor.csv"
     normal = tmp_path / "normal.csv"
@@ -363,14 +394,6 @@ def test_split_edges():
         split_train_test(only_tumors, 0.5, seed=0)
     with pytest.raises(ValidationError):
         split_train_test(m, 1.5, seed=0)
-
-
-def test_global_split_flag():
-    rng = random.Random(8)
-    m = random_matrix(rng, 6, 9, 5)
-    train, test = split_train_test(m, 0.5, seed=3, stratified=False)
-    assert train.n_samples == 7
-    assert test.n_samples == 7
 
 
 def test_coverage_on_toy():

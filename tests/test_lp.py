@@ -71,6 +71,23 @@ def test_inconsistent_bounds_report_infeasible():
         LinearProgram([1.0], csc(np.zeros((0, 1))), np.zeros(0), [2.0], [1.0])
 
 
+@pytest.mark.parametrize(
+    "c, b, lower, upper, message",
+    [
+        ([1.0, 1.0], [1.0], [0.0], [1.0, 1.0], "one entry per variable"),
+        ([1.0, 1.0], [1.0], [0.0, 0.0], [1.0], "one entry per variable"),
+        ([np.inf, 1.0], [1.0], [0.0, 0.0], [1.0, 1.0], "objective must be finite"),
+        ([1.0, 1.0], [np.nan], [0.0, 0.0], [1.0, 1.0], "rhs must be finite"),
+        ([1.0, 1.0], [1.0], [np.nan, 0.0], [1.0, 1.0], "must not be NaN"),
+        ([1.0, 1.0], [1.0], [0.0, 0.0], [1.0, np.nan], "must not be NaN"),
+        ([1.0, 1.0], [1.0], [-np.inf, 0.0], [1.0, 1.0], "lower bounds must be finite"),
+    ],
+)
+def test_malformed_lp_data_is_refused(c, b, lower, upper, message):
+    with pytest.raises(ValidationError, match=message):
+        make_lp(c, [[1.0, 1.0]], b, lower, upper)
+
+
 def test_infeasible_slack_basis_is_refused():
     # x + y >= 2 written as -x - y <= -2: the slack basis starts at -2.
     with pytest.raises(ValidationError, match="slack basis"):

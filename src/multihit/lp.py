@@ -24,18 +24,33 @@ one (O(k^2)), the new core row is read off the core columns (O(nnz of the
 core columns)), and the core is inverted again (O(k^3)).  This builds
 exactly the factors a refactorization would, so no pivot depends on it.
 Every other pivot, and every ``REFACTOR_EVERY``-th, refactors, at
-O(nnz + m + k^3).  Most master LP pivots are unit swaps on a small core:
-365 of the 386 pivots of the benchmark's paper-scale root LP take the
-update, at a median k of 2.  Pricing and the ratio test add O(nnz + m) per
-pivot.
+O(nnz + m + k^3).  Pricing and the ratio test add O(nnz + m) per pivot.
+
+A selection that enters a master LP takes the cover flags of every tumor
+it covers to their upper bound 1 in the same step.  One of them leaves the
+basis; each other row tied with the leaving one in the ratio test, whose
+basic variable is a structural unit column now at its finite upper bound,
+is handed to that row's slack (a *release*).  The column and the slack are
+the same ``e_r``, so the basis matrix and its factors stay as they are:
+the slack turns basic at the column's value minus its bound (about 0) and
+the column nonbasic at that bound; in a master LP the row's tumor is then
+priced at 0 instead of 1.  Left basic, each such flag would leave
+in a degenerate pivot of its own: the benchmark's paper-scale root LP took
+386 pivots, 369 of them degenerate swaps of a slack in for a cover flag,
+and takes 34 with releases (20 of them unit swaps, at a median k of 12),
+to the same point.
 
 The solver prices with Dantzig's rule.  Within a run of degenerate pivots
 it keeps an order-independent 64-bit hash of each basic set, updated in
 O(1) per pivot; when one repeats, it switches to Bland's rule until the
 next nondegenerate step.  A cycle must revisit a basic set, so the solver
-cannot cycle; a hash collision only switches early.  Every optimal result
-is verified against strong duality and complementary slackness before
-being returned.
+cannot cycle; a hash collision only switches early.  Releases cannot make
+it cycle: only a pivot chosen by Dantzig's rule whose step is above
+``PIVOT_TOL`` releases, so each release follows a strict rise of the
+objective and moves no point: no basis from before that rise can return,
+and the run of hashes seen restarts from the relabelled basis.  Every
+optimal result is verified against strong duality and complementary
+slackness before being returned.
 
 Row duals are reported with the usual sign convention for a maximization
 with ``<=`` rows: nonnegative at optimality (up to tolerance).
@@ -352,7 +367,8 @@ class _Simplex:
     # -- pivoting ---------------------------------------------------------
 
     def ratio_test(self, delta, t_flip):
-        """Leaving row (-1 for a bound flip) and step length.
+        """Leaving row (-1 for a bound flip), step length, and the rows
+        tied for the step, the leaving row among them (none for a flip).
 
         The smallest step wins.  Rows within ``PIVOT_TOL`` of it go to the
         largest ``|delta|``, or to the lowest basic index under Bland's
@@ -367,13 +383,13 @@ class _Simplex:
         np.maximum(t, 0.0, out=t)
         t_min = t.min(initial=np.inf)
         if not np.isfinite(t_min) or t_min > t_flip + PIVOT_TOL:
-            return -1, t_flip
+            return -1, t_flip, None
         ties = np.nonzero(t <= t_min + PIVOT_TOL)[0]
         if self.bland:
             leave = ties[np.argmin(self.basic[ties])]
         else:
             leave = ties[np.argmax(np.abs(delta[ties]))]
-        return int(leave), t[leave]
+        return int(leave), t[leave], ties
 
     def step(self):
         """One simplex iteration.  Returns None to continue, or a status."""
@@ -385,13 +401,16 @@ class _Simplex:
         sigma = 1.0 if at_lower else -1.0
         alpha = self.ftran(self.column(j))
         delta = sigma * alpha
-        leave, t_best = self.ratio_test(delta, self.ub_hat[j])
+        leave, t_best, ties = self.ratio_test(delta, self.ub_hat[j])
         if not np.isfinite(t_best):
             return STATUS_UNBOUNDED
         self.iterations += 1
         if leave >= 0:
             self.basis_hash ^= _key(self.basic[leave]) ^ _key(j)
-        self.note_basis(t_best <= PIVOT_TOL)
+        degenerate = t_best <= PIVOT_TOL
+        # Read before note_basis, which ends Bland's rule on this step.
+        release = not (degenerate or self.bland)
+        self.note_basis(degenerate)
         self.beta -= t_best * delta
         entering_value = (0.0 if at_lower else self.ub_hat[j]) + sigma * t_best
         if leave < 0:
@@ -403,12 +422,34 @@ class _Simplex:
         self.basic[leave] = j
         self.set_status(j, IN_BASIS)
         self.beta[leave] = entering_value
+        if release:
+            self.release_at_upper(ties[(ties != leave) & (delta[ties] < 0.0)])
         self.since_refactor += 1
         if self.since_refactor >= REFACTOR_EVERY:
             self.refactor()
         elif not self.swap_units(leave, self.unit_row[out], self.unit_row[j]):
             self.factor()
         return None
+
+    def release_at_upper(self, rows):
+        """Release each of basis positions ``rows`` that holds a structural
+        unit column, at its upper bound after this step, to its row's slack
+        (see the module docstring).  The slack is nonbasic, as no two basic
+        unit columns share a row, and ``B`` keeps its columns, so the
+        factors stay as they are."""
+        cols = self.basic[rows]
+        unit = (cols < self.n) & (self.unit_row[cols] >= 0)
+        rows, cols = rows[unit], cols[unit]
+        if not rows.size:
+            return
+        slacks = self.n + self.unit_row[cols]
+        self.beta[rows] -= self.ub_hat[cols]
+        self.basic[rows] = slacks
+        self.status[cols], self.sign[cols] = AT_UPPER, _SIGN[AT_UPPER]
+        self.status[slacks], self.sign[slacks] = IN_BASIS, _SIGN[IN_BASIS]
+        for j in np.concatenate([cols, slacks]).tolist():
+            self.basis_hash ^= _key(j)
+        self.seen = {self.basis_hash}
 
     def note_basis(self, degenerate):
         """Bland's rule from the first basic set that repeats within a run

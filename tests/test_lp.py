@@ -14,6 +14,7 @@ import pytest
 import scipy.sparse as sp
 
 from multihit import lp
+from multihit.data import MutationMatrix, SampleLabel, SampleRecord
 from multihit.errors import ConsistencyError, ValidationError
 from multihit.lp import (
     STATUS_ITERATION_LIMIT,
@@ -277,7 +278,7 @@ def random_unit_lp(rng, n=6, m=8):
 
 def test_factorization_solves_the_same_systems_as_dense_algebra(monkeypatch):
     rng = np.random.default_rng(RNG_SEED + 3)
-    cores = []
+    cores, released = [], []
     step = lp._Simplex.step
     refactor = lp._Simplex.refactor
 
@@ -294,11 +295,13 @@ def test_factorization_solves_the_same_systems_as_dense_algebra(monkeypatch):
         check(s)
 
     def checked_step(s):
-        # After every pivot that changes the basis.
+        # After every pivot that changes the basis, releases included.
         before = s.basic.copy()
         outcome = step(s)
-        if np.any(s.basic != before):
+        changed = int(np.sum(s.basic != before))
+        if changed:
             check(s)
+            released.append(changed > 1)
         return outcome
 
     monkeypatch.setattr(lp._Simplex, "refactor", checked_refactor)
@@ -320,6 +323,8 @@ def test_factorization_solves_the_same_systems_as_dense_algebra(monkeypatch):
         assert sol.status == STATUS_OPTIMAL and {m for m, _ in cores} == {31}
         # Cover flags are unit columns; selections form the core.
         assert max(k for _, k in cores) <= n_columns
+    # Some of the checked pivots released rows to their slacks.
+    assert any(released)
 
 
 def test_unit_column_alone_in_its_row_starts_at_its_optimum():
@@ -419,6 +424,166 @@ def test_master_lps_from_the_crash_start_match_tableau_oracle():
         assert sol.status == status == STATUS_OPTIMAL
         assert sol.objective == pytest.approx(obj, abs=1e-6 * (1 + abs(obj)))
     assert most >= 0.9
+
+
+def one_pair_pool_lp(k):
+    """The master LP of a pool of one pair, budget 1: the pair covers
+    tumors 0 to k - 1, misses tumors k and k + 1, and covers no normal."""
+    samples = [
+        SampleRecord(f"t{i}", SampleLabel.TUMOR, 0b11 if i < k else 0b01)
+        for i in range(k + 2)
+    ]
+    samples.append(SampleRecord("n0", SampleLabel.NORMAL, 0b10))
+    m = MutationMatrix(["g0", "g1"], samples)
+    return MasterModel(m, [m.combination((0, 1))], 1).build_lp()
+
+
+class NoRelease(lp._Simplex):
+    """The simplex with flags tied at their upper bound left basic."""
+
+    def release_at_upper(self, rows):
+        pass
+
+
+class AlwaysBland(lp._Simplex):
+    """The simplex under Bland's rule from its first pivot on."""
+
+    def __init__(self, p, deadline):
+        super().__init__(p, deadline)
+        self.bland = True
+
+    def note_basis(self, degenerate):
+        super().note_basis(degenerate)
+        self.bland = True
+
+
+def test_flags_tied_at_their_upper_bound_leave_the_basis_together():
+    # The pair enters at 1 and takes its k cover flags to their upper
+    # bound 1 in one step.  One flag leaves the basis and the other k - 1
+    # are released to their rows' slacks, so the root is optimal after
+    # that one pivot, with every covered tumor priced at 0.  Left basic,
+    # the flags leave one degenerate pivot at a time, as they do under
+    # Bland's rule, which releases nothing.
+    k = 6
+    p = one_pair_pool_lp(k)
+    sol = solve_lp(p)
+    assert sol.status == STATUS_OPTIMAL and sol.iterations == 1
+    assert sol.objective == k
+    assert list(sol.basis.status[:k]) == [lp.AT_UPPER] * k
+    assert np.array_equal(sol.x, [1.0] * k + [0.0, 0.0, 1.0])
+    assert np.array_equal(sol.duals, [0.0] * k + [1.0, 1.0, 0.0])
+    for slow in (NoRelease, AlwaysBland):
+        s = slow(p, math.inf)
+        s.cold_start()
+        assert s.run() == STATUS_OPTIMAL and s.iterations == k
+        assert np.array_equal(s.primal_values()[: p.n_vars], sol.x)
+
+
+def test_a_degenerate_pivot_releases_nothing():
+    # Unit columns 0 and 1 start basic at their upper bound 1.  Column 2
+    # would push both above it, and row 2 holds it at 0, so each pivot is
+    # degenerate: column 1 ties column 0 in the first ratio test, at its
+    # upper bound, and must stay basic until it leaves on its own.
+    rows = [[1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [0.0, 0.0, 1.0]]
+    p = make_lp([1.0, 1.0, 0.5], rows, [1.0, 1.0, 0.0], [0.0] * 3, [1.0, 1.0, np.inf])
+    s = lp._Simplex(p, math.inf)
+    s.cold_start()
+    assert list(s.basic) == [0, 1, 5] and np.array_equal(s.beta, [1.0, 1.0, 0.0])
+    bases = []
+    while s.step() is None:
+        bases.append(s.basic.tolist())
+    assert bases == [[2, 1, 5], [2, 3, 5], [2, 3, 4]]
+    assert np.array_equal(s.primal_values()[:3], [1.0, 1.0, 0.0])
+
+
+def hash_offset(s):
+    """The simplex's basis hash XOR the keys of its basic set: constant
+    over a solve while the hash follows every change of the basic set."""
+    offset = s.basis_hash
+    for j in s.basic.tolist():
+        offset ^= lp._key(j)
+    return offset
+
+
+def test_releases_follow_only_nondegenerate_dantzig_pivots(monkeypatch):
+    # A pivot that moved no point, or one chosen under Bland's rule,
+    # changes one basis position, even where unit columns at their upper
+    # bound tie its leaving row; only the other pivots may release.  The
+    # basis hash follows every change, releases included.
+    ratio_test, step = lp._Simplex.ratio_test, lp._Simplex.step
+    last, counts = [], {"held": 0, "released": 0}
+
+    def recorded(s, delta, t_flip):
+        leave, t, ties = ratio_test(s, delta, t_flip)
+        last.append((leave, t, ties, delta, s.bland))
+        return leave, t, ties
+
+    def checked(s):
+        last.clear()
+        before, offset = s.basic.copy(), hash_offset(s)
+        outcome = step(s)
+        assert hash_offset(s) == offset
+        if outcome is None:
+            leave, t, ties, delta, bland = last[0]
+            changed = int(np.sum(s.basic != before))
+            if t <= lp.PIVOT_TOL or bland:
+                assert changed <= 1
+                if ties is not None:
+                    tied = before[ties[(ties != leave) & (delta[ties] < 0.0)]]
+                    counts["held"] += int(np.any(s.unit_row[tied[tied < s.n]] >= 0))
+            else:
+                counts["released"] += changed > 1
+        return outcome
+
+    monkeypatch.setattr(lp._Simplex, "ratio_test", recorded)
+    monkeypatch.setattr(lp._Simplex, "step", checked)
+    rng = np.random.default_rng(RNG_SEED + 9)
+    pools = random.Random(RNG_SEED + 9)
+    for _ in range(40):
+        solve_lp(random_unit_lp(rng))
+        solve_lp(random_master_lp(pools, 20, 8, pools.randint(1, 40)))
+    for slow in (NoRelease, AlwaysBland):
+        s = slow(one_pair_pool_lp(6), math.inf)
+        s.cold_start()
+        assert s.run() == STATUS_OPTIMAL
+    assert counts["held"] > 0 and counts["released"] > 0
+
+
+def test_released_bases_reach_the_tableau_optimum(monkeypatch):
+    # A release relabels a vertex and moves no point, so each family still
+    # reaches the dense tableau's optimum; the master LPs must release.
+    release = lp._Simplex.release_at_upper
+    released = {}
+    family = None
+
+    def counted(s, rows):
+        before = s.basic.copy()
+        release(s, rows)
+        released[family] = released.get(family, 0) + int(np.sum(s.basic != before))
+
+    monkeypatch.setattr(lp._Simplex, "release_at_upper", counted)
+    rng = np.random.default_rng(RNG_SEED + 8)
+    pools = random.Random(RNG_SEED + 8)
+    for family, make in (
+        ("random_lp", lambda: random_lp(rng)),
+        ("random_unit_lp", lambda: random_unit_lp(rng)),
+        (
+            "random_master_lp",
+            lambda: random_master_lp(
+                pools, 20, 8, pools.randint(1, 40), beta=pools.randint(1, 4)
+            ),
+        ),
+    ):
+        for _ in range(40):
+            p = make()
+            sol = solve_lp(p)
+            status, obj, _ = tableau_solve(
+                p.objective, p.a_matrix.toarray(), p.rhs, p.lower, p.upper
+            )
+            assert sol.status == status
+            if status == STATUS_OPTIMAL:
+                assert sol.objective == pytest.approx(obj, abs=1e-6 * (1 + abs(obj)))
+    assert released.get("random_master_lp", 0) > 0
 
 
 CHVATAL_C = [10.0, -57.0, -9.0, -24.0]

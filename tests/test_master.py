@@ -298,7 +298,11 @@ def test_binary_warm_started_from_a_relaxation_keeps_the_optimum(monkeypatch):
     for model, earlier, root, cold in cases:
         res = solve_binary(model, root=root)
         assert res.status == cold.status == "optimal"
-        assert (res.selection, res.objective) == (cold.selection, cold.objective)
+        # The warm and the cold root may end on different optimal vertices,
+        # and so round to different selections worth the same optimum.
+        chosen = [model.columns[k].genes for k in res.selection]
+        assert selection_objective_by_loops(model.matrix, chosen) == cold.objective
+        assert res.objective == cold.objective
         assert res.bound == pytest.approx(cold.bound)
         assert res.lp_iterations == 0
         with pytest.raises(ConsistencyError, match="30 selection values"):
@@ -405,27 +409,52 @@ def test_fractional_pools_reach_highs_and_match_enumeration(monkeypatch):
 def test_a_root_just_under_an_integer_still_reaches_highs(monkeypatch):
     # A root LP value computed 1e-7 under an integer may be that integer:
     # a rounding one below it proves nothing, and HiGHS finds the selection
-    # worth the integer.
+    # worth the integer.  The case is the first pool slice whose root LP
+    # is worth an integer that its rounding misses and the pool attains.
     calls = counting_milp(monkeypatch)
-    model = MasterModel(*pool_slice(17), 3)
-    root = solve_relaxation(model)
-    assert root.objective == pytest.approx(7.0, abs=1e-9)
-    low = RmpSolution(7.0 - 1e-7, root.z, root.duals, root.basis, 0)
-    assert rounding_heuristic(low, model)[1] == 6
+    for seed in range(100):
+        m, pool = pool_slice(seed)
+        model = MasterModel(m, pool, 3)
+        root = solve_relaxation(model)
+        v = round(root.objective)
+        if abs(root.objective - v) > 1e-9:
+            continue
+        low = RmpSolution(v - 1e-7, root.z, root.duals, root.basis, 0)
+        if rounding_heuristic(low, model)[1] == v - 1:
+            want, _ = best_selection_by_enumeration(
+                m, HitRange(2, 3), 3, [c.genes for c in pool]
+            )
+            if want == v:
+                break
+    else:
+        pytest.fail("no pool slice has a root just above its rounding")
     res = solve_binary(model, root=low)
     assert len(calls) == 1
-    assert res.status == "optimal" and res.objective == 7 == res.bound
+    assert res.status == "optimal" and res.objective == v == res.bound
 
 
 def test_highs_is_imported_only_for_a_fractional_root():
     # An integral relaxation, and a fractional one whose rounding meets the
     # LP's integer floor, end the solve without importing scipy.optimize
     # (~26 MB of resident memory); a rounding below the floor loads it.
+    # The cases are the first pool slice of each kind: (fractional root,
+    # rounding below the floor).
     tests = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(master.__file__))
     path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
-    cases = ((0, False, False), (9, True, False), (13, True, True))
-    for seed, fractional, branched in cases:
+    kinds = {(False, False): None, (True, False): None, (True, True): None}
+    for seed in range(200):
+        model = MasterModel(*pool_slice(seed), 3)
+        root = solve_relaxation(model)
+        fractional = not np.allclose(root.z, np.round(root.z), atol=1e-6)
+        kind = (fractional, rounding_falls_short(model, root))
+        if kind in kinds and kinds[kind] is None:
+            kinds[kind] = seed
+        if None not in kinds.values():
+            break
+    else:
+        pytest.fail(f"a kind of root is missing among the pool slices: {kinds}")
+    for (fractional, branched), seed in kinds.items():
         code = (
             "import sys\n"
             "import numpy as np\n"

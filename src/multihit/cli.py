@@ -349,8 +349,9 @@ def build_parser():
     p.add_argument(
         "--train-fraction",
         type=float,
-        default=ExperimentSpec.train_fraction,
+        required=True,
         dest="train_fraction",
+        help="fraction of each class in the train file; give solve the same",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--train-out", required=True, dest="train_out")

@@ -85,8 +85,12 @@ _MASK64 = (1 << 64) - 1
 
 
 def _key(j):
-    """A 64-bit key for variable ``j``: splitmix64 of its index."""
-    z = (int(j) + 1) * 0x9E3779B97F4A7C15 & _MASK64
+    """A 64-bit key for variable ``j``: splitmix64 of its index.
+
+    ``j`` is an int, or a 1-d uint64 array for one key per entry: uint64
+    arithmetic wraps modulo 2**64 where int arithmetic is masked.
+    """
+    z = (j + 1) * 0x9E3779B97F4A7C15 & _MASK64
     z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
     return z ^ z >> 31
@@ -406,7 +410,7 @@ class _Simplex:
             return STATUS_UNBOUNDED
         self.iterations += 1
         if leave >= 0:
-            self.basis_hash ^= _key(self.basic[leave]) ^ _key(j)
+            self.basis_hash ^= _key(int(self.basic[leave])) ^ _key(int(j))
         degenerate = t_best <= PIVOT_TOL
         # Read before note_basis, which ends Bland's rule on this step.
         release = not (degenerate or self.bland)
@@ -447,8 +451,8 @@ class _Simplex:
         self.basic[rows] = slacks
         self.status[cols], self.sign[cols] = AT_UPPER, _SIGN[AT_UPPER]
         self.status[slacks], self.sign[slacks] = IN_BASIS, _SIGN[IN_BASIS]
-        for j in np.concatenate([cols, slacks]).tolist():
-            self.basis_hash ^= _key(j)
+        keys = _key(np.concatenate([cols, slacks]).astype(np.uint64))
+        self.basis_hash ^= int(np.bitwise_xor.reduce(keys))
         self.seen = {self.basis_hash}
 
     def note_basis(self, degenerate):

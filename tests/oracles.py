@@ -3,12 +3,16 @@
 Everything here is deliberately written against the *definitions*, not
 against the package internals: dense full-tableau simplex with Bland's rule,
 loop-based coverage and reduced costs, Fraction-based metric formulas.  Keep
-these free of imports from the solver modules they are checking.
+these free of imports from the solver modules they are checking.  The one
+copy of solver code is the pricing search that scores one node at a time,
+which the block search must match count for count.
 """
 
 import itertools
 import math
+import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -302,3 +306,102 @@ def metrics_by_fractions(tp, fp, tn, fn):
     den = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
     mcc = None if den == 0 else (tp * tn - fp * fn) / math.sqrt(den)
     return {"sensitivity": sens, "specificity": spec, "precision": prec, "f1": f1, "mcc": mcc}
+
+
+# ---------------------------------------------------------------------------
+# Pricing one node at a time.
+
+PRICING_RC_EPS = 1e-6
+
+
+def _seq_scores(rows, support, weights, pos, stop):
+    """Per row ``pos..stop-1``: the sum of ``weights`` over its ``support`` samples.
+
+    Gathers the sample-major segments of the support and adds them up in
+    one ``np.bincount``, so the work grows with the support, not the matrix.
+    """
+    lo = rows.sample_ptr[support]
+    size = rows.sample_ptr[support + 1] - lo
+    end = size.cumsum()
+    at = np.arange(end[-1] if end.size else 0) + (lo - end + size).repeat(size)
+    weights = weights[support].repeat(size)
+    return np.bincount(rows.sample_rows[at], weights, stop)[pos:stop]
+
+
+def _seq_within(rows, r, held):
+    """The samples of row ``r`` for which the boolean ``held`` is set, in order."""
+    samples = rows.row_samples[rows.row_ptr[r] : rows.row_ptr[r + 1]]
+    return samples[held[samples]]
+
+
+def _seq_held(support, size):
+    """A boolean mask of ``size`` entries, set on the ``support`` samples."""
+    held = np.zeros(size, dtype=bool)
+    held[support] = True
+    return held
+
+
+def sequential_pricing(problem, deadline=math.inf):
+    """The exact best-reduced-cost search that scores one node's children
+    at a time: ``pricing.solve_pricing`` as it was before it scored a block
+    of siblings at once, kept to check that the block search returns the
+    same best genes, reduced cost, ``proven_optimal`` and ``nodes``.
+
+    The clock is read once per expanded node; at the first reading past
+    ``deadline`` (``time.perf_counter`` scale, ``math.inf`` for no limit)
+    the search stops, and the result carries the best found so far and
+    ``proven_optimal=False``.  Each expanded node scores its children,
+    keeps their best, then descends; only a strictly larger reduced cost
+    replaces the incumbent, so among equal reduced costs the earlier record
+    wins and a node's children win over their descendants.  ``nodes``
+    counts the children scored.
+    """
+    m = problem.matrix
+    hit = problem.hit_range
+    order, rows_t, rows_n = m.gene_major
+    duals = problem.duals
+    pi, mu, lam = duals.pi, duals.mu, duals.lam
+    n_rows = len(order)
+    cut, best_genes = -math.inf, None  # the incumbent's reduced cost and genes
+    nodes = 0
+    aborted = False
+
+    def expand(pos, depth, s_t, s_n, path):
+        # Children are rows pos..stop-1; later rows leave too few genes to
+        # reach k_min.  Duals are nonnegative, so a child's reduced cost and
+        # that of every descendant is at most its covered tumor price minus
+        # lam; the caller expands a node only while that bound beats the cut.
+        # ``s_t``/``s_n`` are the samples with a nonzero price it covers.
+        nonlocal cut, best_genes, nodes, aborted
+        stop = min(n_rows, n_rows - hit.k_min + depth + 1)
+        if pos >= stop:
+            return
+        if time.perf_counter() > deadline:
+            aborted = True
+            return
+        nodes += stop - pos
+        p2 = _seq_scores(rows_t, s_t, pi, pos, stop)
+        # Only the children whose bound beats the cut can replace the
+        # incumbent or be expanded; a reduced cost is at most its bound.
+        live = np.flatnonzero(p2 - lam > cut)
+        if depth + 1 >= hit.k_min and live.size:
+            rc = p2[live] - _seq_scores(rows_n, s_n, mu, pos, stop)[live] - lam
+            i = int(np.argmax(rc))  # the first of equal maxima
+            if rc[i] > cut:
+                cut, best_genes = float(rc[i]), path + (order[pos + live[i]],)
+        if depth + 1 == hit.k_max or not live.size:
+            return
+        held_t, held_n = _seq_held(s_t, len(pi)), _seq_held(s_n, len(mu))
+        for i in live.tolist():
+            r = pos + i
+            if not aborted and p2[i] - lam > cut:
+                c_t = _seq_within(rows_t, r, held_t)
+                c_n = _seq_within(rows_n, r, held_n)
+                expand(r + 1, depth + 1, c_t, c_n, path + (order[r],))
+
+    expand(0, 0, np.flatnonzero(pi), np.flatnonzero(mu), ())
+
+    best = m.combination(best_genes) if cut > PRICING_RC_EPS else None
+    return SimpleNamespace(
+        best=best, reduced_cost=cut, proven_optimal=not aborted, nodes=nodes
+    )

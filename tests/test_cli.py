@@ -112,6 +112,20 @@ def test_split_command(tmp_path):
     assert train.normal_count == 6 and test.normal_count == 2
 
 
+def test_split_requires_the_train_fraction(tmp_path, capsys):
+    # solve trains on every sample unless told otherwise, so split has no
+    # default fraction that could name a different cell.
+    outs = [tmp_path / "train.tsv", tmp_path / "test.tsv"]
+    argv = ["split", "--data", write_tiny(tmp_path), "--seed", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--train-out", str(outs[0]), "--test-out", str(outs[1])])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "the following arguments are required: --train-fraction" in err
+    assert not any(p.exists() for p in outs)
+
+
 def _same_answer(a, b):
     """Whether two reports hold the same answer and counters."""
     keys = (

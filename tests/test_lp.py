@@ -505,6 +505,22 @@ def hash_offset(s):
     return offset
 
 
+def test_basis_keys_of_an_array_are_those_of_its_ints():
+    # One formula hashes one variable per pivot and a release's many at
+    # once: the uint64 array wraps where the ints are masked, bit for bit
+    # and with no overflow warning.
+    rng = np.random.default_rng(7)
+    js = np.concatenate([[0, 1, 2**32 - 1, 2**40], rng.integers(0, 2**40, 500)])
+    want = [lp._key(j) for j in js.tolist()]
+    got = lp._key(js.astype(np.uint64))
+    assert got.dtype == np.uint64 and got.tolist() == want
+    for size in (1, 2, 7, len(js)):
+        folded = 0
+        for key in want[:size]:
+            folded ^= key
+        assert int(np.bitwise_xor.reduce(got[:size])) == folded
+
+
 def test_releases_follow_only_nondegenerate_dantzig_pivots(monkeypatch):
     # A pivot that moved no point, or one chosen under Bland's rule,
     # changes one basis position, even where unit columns at their upper

@@ -3,15 +3,17 @@
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from multihit import pricing
 from multihit.data import HitRange, MutationMatrix, SampleLabel, SampleRecord
 from multihit.master import DualPrices
 from multihit.pricing import RC_EPS, PricingProblem, solve_pricing
 
-from oracles import reduced_cost_by_loops
+from oracles import reduced_cost_by_loops, sequential_pricing
 from util import random_matrix
 
 
@@ -53,14 +55,20 @@ def test_solver_matches_enumeration():
             assert res.best is None
 
 
+def cg_duals(rng, matrix):
+    """The prices column generation meets: tumor prices in {0, 0.5, 1},
+    every normal price 1 and ``lam`` in {0, 1}, so equal reduced costs are
+    the rule."""
+    pi = [rng.choice((0, 0.5, 1)) for _ in range(matrix.tumor_count)]
+    return DualPrices(pi, [1] * matrix.normal_count, rng.choice((0, 1)))
+
+
 def hard_instance(rng, hit, variant, cg_prices=False):
     """A random matrix with genes mutated nowhere, plus per ``variant``: 0
     nothing more, 1 no normal samples, 2 no tumor samples, 3 fewer genes
     than ``hit.k_max``.  Duals lie on a 1e-3 grid, so reduced costs tie
-    often and no positive one is near ``RC_EPS``.  ``cg_prices`` draws the
-    prices column generation meets instead: tumor prices in {0, 0.5, 1},
-    every normal price 1 and ``lam`` in {0, 1}, so equal reduced costs are
-    the rule."""
+    often and no positive one is near ``RC_EPS``.  ``cg_prices`` draws
+    :func:`cg_duals` instead."""
     n_genes = hit.k_max - 1 if variant == 3 else rng.randint(hit.k_max, 9)
     silent = set(rng.sample(range(n_genes), n_genes // 3))
     samples = [
@@ -81,8 +89,7 @@ def hard_instance(rng, hit, variant, cg_prices=False):
     ]
     m = MutationMatrix([f"g{j}" for j in range(n_genes)], samples)
     if cg_prices:
-        pi = [rng.choice((0, 0.5, 1)) for _ in range(m.tumor_count)]
-        return m, DualPrices(pi, [1] * m.normal_count, rng.choice((0, 1)))
+        return m, cg_duals(rng, m)
     duals = DualPrices(
         pi=[rng.randint(0, 1000) / 1000 for _ in range(m.tumor_count)],
         mu=[rng.randint(0, 1000) / 1000 for _ in range(m.normal_count)],
@@ -232,3 +239,125 @@ def test_node_supports_match_enumeration_on_silent_genes_and_samples():
         check_against_enumeration(m, d, hit, res)
         if trial % 3 == 0:
             assert res.best is None  # no column covers a priced tumor
+
+
+def assert_same_search(got, want):
+    """Two pricing results with the same best genes, reduced cost, proof
+    and node count, bit for bit."""
+    assert got.reduced_cost == want.reduced_cost
+    assert (got.best is None) == (want.best is None)
+    if got.best is not None:
+        assert got.best.genes == want.best.genes
+    assert got.nodes == want.nodes
+    assert got.proven_optimal == want.proven_optimal
+
+
+def dyadic_duals(rng, matrix, cg_prices):
+    """Prices on a 1/64 grid, so every sum of them is exact; ``cg_prices``
+    draws :func:`cg_duals` instead."""
+    if cg_prices:
+        return cg_duals(rng, matrix)
+    return DualPrices(
+        pi=[rng.randint(0, 64) / 64 for _ in range(matrix.tumor_count)],
+        mu=[rng.randint(0, 64) / 64 for _ in range(matrix.normal_count)],
+        lam=rng.randint(0, 32) / 64,
+    )
+
+
+def test_block_search_matches_the_node_at_a_time_search(monkeypatch):
+    # Scoring a block of siblings at once changes neither the search nor
+    # its counts: random matrices of every density, hard inputs with
+    # column generation's tied prices, and matrices wide enough that a
+    # block reaches BLOCK_CELLS scores.
+    rng = random.Random(63)
+    hits = [HitRange(*bounds) for bounds in ((1, 3), (2, 2), (2, 3), (2, 4), (3, 3))]
+    cells = []
+    block_scores = pricing._block_scores
+
+    def recorded(*args):
+        scores = block_scores(*args)
+        cells.append(scores.size)
+        return scores
+
+    monkeypatch.setattr(pricing, "_block_scores", recorded)
+    checked = 0
+    for trial in range(250):
+        hit = hits[trial % len(hits)]
+        m = random_matrix(
+            rng,
+            rng.randint(hit.k_max, 40),
+            rng.randint(0, 30),
+            rng.randint(0, 12),
+            density=rng.uniform(0.05, 0.7),
+        )
+        d = dyadic_duals(rng, m, trial % 2 == 0)
+        problem = PricingProblem(m, d, hit)
+        assert_same_search(solve_pricing(problem), sequential_pricing(problem))
+        checked += 1
+    for hit, variant, _ in itertools.product(hits, range(4), range(4)):
+        m, d = hard_instance(rng, hit, variant, cg_prices=True)
+        problem = PricingProblem(m, d, hit)
+        assert_same_search(solve_pricing(problem), sequential_pricing(problem))
+        checked += 1
+    for trial in range(3):
+        m = random_matrix(rng, 2000 + 500 * trial, 60, 20, density=0.04)
+        d = dyadic_duals(rng, m, trial != 1)
+        problem = PricingProblem(m, d, HitRange(2, 3))
+        assert_same_search(solve_pricing(problem), sequential_pricing(problem))
+        checked += 1
+    assert checked >= 300
+    assert max(cells) > pricing.BLOCK_CELLS // 2
+
+
+def test_a_limit_inside_a_block_keeps_the_incumbent_exact(monkeypatch):
+    # The clock passes the deadline at its k-th reading, for every k of a
+    # full search: at the root, before a block, or at a child expanded
+    # inside a block (every expansion below the root is one).  The result
+    # is never proven, never above the exact maximum, its best column has
+    # the reduced cost it reports, and it counts no more children than
+    # the full search.  No block is scored after that reading.
+    rng = random.Random(64)
+    clock = SimpleNamespace(reads=0, past=math.inf, blocks=None)
+
+    def perf_counter():
+        clock.reads += 1
+        if clock.reads < clock.past:
+            return -1.0
+        clock.blocks = len(blocks)
+        return 1.0
+
+    blocks = []
+    block_scores = pricing._block_scores
+
+    def recorded(*args):
+        blocks.append(args[1])
+        return block_scores(*args)
+
+    monkeypatch.setattr(pricing, "time", SimpleNamespace(perf_counter=perf_counter))
+    monkeypatch.setattr(pricing, "_block_scores", recorded)
+    inside = 0
+    for hit, cg_prices, n_genes in itertools.product(
+        (HitRange(2, 3), HitRange(2, 4)), (True, False), (60, 80)
+    ):
+        m = random_matrix(rng, n_genes, 30, 10, density=0.35)
+        d = dyadic_duals(rng, m, cg_prices)
+        problem = PricingProblem(m, d, hit)
+        clock.reads, clock.past = 0, math.inf
+        blocks.clear()
+        full = solve_pricing(problem, deadline=0.0)
+        assert_same_search(full, sequential_pricing(problem))
+        reads = clock.reads
+        inside += reads - 1 - len(blocks)
+        for k in range(1, reads + 1):
+            clock.reads, clock.past = 0, k
+            res = solve_pricing(problem, deadline=0.0)
+            assert clock.reads == k and len(blocks) == clock.blocks
+            assert not res.proven_optimal
+            assert res.reduced_cost <= full.reduced_cost
+            assert res.nodes <= full.nodes
+            if res.best is not None:
+                genes = res.best.genes
+                assert hit.k_min <= len(genes) <= hit.k_max
+                got = reduced_cost_by_loops(m, genes, d.pi, d.mu, d.lam)
+                assert got == res.reduced_cost
+    assert inside > 0

@@ -16,15 +16,10 @@ feasible: ``b - A l >= 0``, and then so is the crash basis.
 :class:`LinearProgram` refuses any other LP; there is no phase one.  The
 master LPs of this package all satisfy this.  The basis is factored by its
 unit columns, at most one per row, plus the inverse of the k x k core that
-the other k basic columns leave on the remaining rows.  A pivot that swaps
-one unit column for another, the entering one's row being a core row,
-updates these factors in place: that row leaves the sorted core rows and
-the leaving column's row joins them in order, the rows between shift by
-one (O(k^2)), the new core row is read off the core columns (O(nnz of the
-core columns)), and the core is inverted again (O(k^3)).  This builds
-exactly the factors a refactorization would, so no pivot depends on it.
-Every other pivot, and every ``REFACTOR_EVERY``-th, refactors, at
-O(nnz + m + k^3).  Pricing and the ratio test add O(nnz + m) per pivot.
+the other k basic columns leave on the remaining rows.  Every pivot that
+changes the basis refactors, at O(nnz + m + k^3); every
+``REFACTOR_EVERY``-th also recomputes the basic values, which the other
+pivots update.  Pricing and the ratio test add O(nnz + m) per pivot.
 
 A selection that enters a master LP takes the cover flags of every tumor
 it covers to their upper bound 1 in the same step.  One of them leaves the
@@ -37,8 +32,7 @@ the column nonbasic at that bound; in a master LP the row's tumor is then
 priced at 0 instead of 1.  Left basic, each such flag would leave
 in a degenerate pivot of its own: the benchmark's paper-scale root LP took
 386 pivots, 369 of them degenerate swaps of a slack in for a cover flag,
-and takes 34 with releases (20 of them unit swaps, at a median k of 12),
-to the same point.
+and takes 34 with releases, to the same point.
 
 The solver prices with Dantzig's rule.  Within a run of degenerate pivots
 it keeps an order-independent 64-bit hash of each basic set, updated in
@@ -284,43 +278,8 @@ class _Simplex:
         core = np.zeros((k, k))
         in_core = slot[self.z_rows] >= 0
         core[slot[self.z_rows[in_core]], self.z_cols[in_core]] = self.z_vals[in_core]
-        self.core = core
-        self.invert_core()
-
-    def swap_units(self, leave, r_out, r_in):
-        """Update the factors in place after a pivot that put the unit
-        column of row ``r_in`` at basis position ``leave`` in place of the
-        unit column of row ``r_out``; ``-1`` marks a core column.  The
-        factors are exactly those :meth:`factor` builds.  Returns False,
-        changing nothing, unless both columns are unit columns and
-        ``r_in`` is a core row."""
-        if r_out < 0 or r_in < 0:
-            return False
-        free, core = self.free, self.core
-        a = int(np.searchsorted(free, r_in))
-        if a == len(free) or free[a] != r_in:
-            return False
-        self.rows_u[np.searchsorted(self.pos_u, leave)] = r_in
-        # r_in leaves the sorted core rows and r_out joins them in order; the
-        # rows between the two places shift by one, in free and in core.
-        b = int(np.searchsorted(free, r_out))
-        if b > a:
-            b -= 1
-            free[a:b] = free[a + 1 : b + 1]
-            core[a:b] = core[a + 1 : b + 1]
-        else:
-            free[b + 1 : a + 1] = free[b:a]
-            core[b + 1 : a + 1] = core[b:a]
-        free[b] = r_out
-        on_row = self.z_rows == r_out
-        core[b] = 0.0
-        core[b, self.z_cols[on_row]] = self.z_vals[on_row]
-        self.invert_core()
-        return True
-
-    def invert_core(self):
         try:
-            self.core_inv = np.linalg.inv(self.core)
+            self.core_inv = np.linalg.inv(core)
         except np.linalg.LinAlgError as exc:
             raise ConsistencyError("singular basis matrix") from exc
 
@@ -431,7 +390,7 @@ class _Simplex:
         self.since_refactor += 1
         if self.since_refactor >= REFACTOR_EVERY:
             self.refactor()
-        elif not self.swap_units(leave, self.unit_row[out], self.unit_row[j]):
+        else:
             self.factor()
         return None
 

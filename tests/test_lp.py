@@ -653,69 +653,6 @@ def test_revisited_basis_switches_to_blands_rule():
     assert solve_lp(p).objective == pytest.approx(1.0)
 
 
-FACTORS = (
-    "pos_u",
-    "pos_k",
-    "rows_u",
-    "free",
-    "z_rows",
-    "z_vals",
-    "z_cols",
-    "core",
-    "core_inv",
-)
-
-
-def test_unit_swap_update_builds_the_factors_of_a_fresh_factor(monkeypatch):
-    # After every pivot that takes the in-place update, a fresh factor()
-    # must build bit-identical factors, so no pivot path can move.
-    swap_units = lp._Simplex.swap_units
-    updates = {}
-    family = None
-
-    def checked(s, leave, r_out, r_in):
-        if not swap_units(s, leave, r_out, r_in):
-            return False
-        updated = [getattr(s, name).copy() for name in FACTORS]
-        s.factor()
-        for name, mine in zip(FACTORS, updated):
-            fresh = getattr(s, name)
-            assert mine.dtype == fresh.dtype and np.array_equal(mine, fresh), name
-        updates[family] = updates.get(family, 0) + 1
-        return True
-
-    monkeypatch.setattr(lp._Simplex, "swap_units", checked)
-    rng = np.random.default_rng(RNG_SEED + 7)
-    pools = random.Random(RNG_SEED + 7)
-    for family, make in (
-        ("random_lp", lambda: random_lp(rng)),
-        ("random_unit_lp", lambda: random_unit_lp(rng)),
-        ("random_master_lp", lambda: random_master_lp(pools, 30, 10, 20)),
-    ):
-        for _ in range(20):
-            solve_lp(make())
-        assert updates.get(family, 0) > 0, family
-    # A warm start: the basis of a 20-column pool, extended by 20 columns.
-    family = "warm"
-    m = random_matrix(pools, 12, 30, 10, density=0.3)
-    pairs = list(itertools.combinations(range(12), 2))
-    model = MasterModel(m, [m.combination(q) for q in pairs[:20]], 3)
-    basis = solve_lp(model.build_lp()).basis
-    for q in pairs[20:40]:
-        model.add_column(m.combination(q))
-    s = lp._Simplex(model.build_lp(), math.inf)
-    assert s.try_warm_start(basis) and s.run() == STATUS_OPTIMAL
-    assert updates.get(family, 0) > 0
-    # The Bland-mode LP: none of its pivots swaps two unit columns, so the
-    # update must decline each, and the solve still reaches the optimum 1.
-    family = "bland"
-    p = chvatal_lp()
-    s = LowestIndexTies(p, math.inf)
-    s.cold_start()
-    assert s.run() == STATUS_OPTIMAL and "bland" not in updates
-    assert float(p.objective @ s.primal_values()[:4]) == pytest.approx(1.0)
-
-
 def test_singular_warm_basis_falls_back_to_cold_start():
     # Tumor row 0's slack and its cover flag (variable 0) both basic: two
     # unit columns on one row.
@@ -763,6 +700,35 @@ def test_large_master_root_lp_needs_no_dense_basis():
     # switch to Bland's rule after a fixed degenerate streak took over
     # 10,000; switching only on a repeated basis avoids that.
     assert sol.iterations <= 1970
+
+
+def test_master_lp_whose_core_passes_100_rows_reaches_the_highs_optimum(
+    monkeypatch,
+):
+    # A dense core of over 100 rows, re-inverted at every pivot: 201 rows,
+    # 2,285 pivots, a core of at most 109 rows.  The tableau oracle takes
+    # minutes at this size, so HiGHS is the reference.
+    from scipy.optimize import linprog
+
+    rng = random.Random(6)
+    m = random_matrix(rng, 30, 200, 30, density=0.3)
+    pairs = rng.sample(list(itertools.combinations(range(30), 2)), 300)
+    p = MasterModel(m, [m.combination(q) for q in pairs], 110).build_lp()
+    cores = []
+    factor = lp._Simplex.factor
+
+    def spy(s):
+        factor(s)
+        cores.append(len(s.pos_k))
+
+    monkeypatch.setattr(lp._Simplex, "factor", spy)
+    sol = solve_lp(p)
+    assert sol.status == STATUS_OPTIMAL
+    assert max(cores) > 100
+    bounds = np.column_stack([p.lower, p.upper])
+    ref = linprog(-p.objective, p.a_matrix, p.rhs, bounds=bounds, method="highs")
+    assert ref.status == 0
+    assert abs(sol.objective + ref.fun) <= lp.CHECK_TOL * (1 + abs(ref.fun))
 
 
 def check_kernel(p, dense):

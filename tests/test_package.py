@@ -93,30 +93,44 @@ def test_bit_set_conversions_live_only_in_bitset():
     assert offenders == []
 
 
+def definitions(tree):
+    """``(name, line range)`` of each function, method and class in
+    ``tree``, dunder methods excepted, and of each module-level ALL-CAPS
+    constant, one per name of a tuple assignment."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in ast.walk(tree):
+        if isinstance(node, kinds) and not re.fullmatch(r"__\w+__", node.name):
+            yield node.name, range(node.lineno, node.end_lineno + 1)
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        for name in ast.walk(node):
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                if re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name.id):
+                    yield name.id, range(node.lineno, node.end_lineno + 1)
+
+
 def test_every_definition_is_named_outside_itself():
     # Code that nothing but its own test calls is deleted, not kept: each
-    # function, method and class of the package must be named somewhere in
-    # the package or the benchmark outside its own definition.  Dunder
-    # methods are called by Python itself and are exempt.
+    # function, method and class of the package, and each module-level
+    # ALL-CAPS constant, must be named somewhere in the package or the
+    # benchmark outside its own definition.  Dunder methods are called by
+    # Python itself and are exempt.
     root = Path(__file__).resolve().parents[1]
     modules = sorted((root / "src" / "multihit").glob("*.py"))
     sources = {
         path: path.read_text().splitlines()
         for path in modules + sorted((root / "perfbench").glob("*.py"))
     }
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     unused = []
     for path in modules:
-        for node in ast.walk(ast.parse("\n".join(sources[path]))):
-            if not isinstance(node, kinds) or re.fullmatch(r"__\w+__", node.name):
-                continue
-            own = range(node.lineno, node.end_lineno + 1)
-            word = re.compile(rf"\b{node.name}\b")
+        for name, own in definitions(ast.parse("\n".join(sources[path]))):
+            word = re.compile(rf"\b{name}\b")
             if not any(
                 word.search(line)
                 for other, lines in sources.items()
                 for lineno, line in enumerate(lines, start=1)
                 if other != path or lineno not in own
             ):
-                unused.append(f"{path.name}:{node.lineno} {node.name}")
+                unused.append(f"{path.name}:{own[0]} {name}")
     assert unused == []
